@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
+import re
 import sys
 
 from . import capacity, contention, outage, throughput, validation
@@ -77,6 +78,12 @@ def _parse_int_range(spec: str) -> list[int]:
         a, b = spec.split(":", 1)
         return list(range(int(a), int(b) + 1))
     return [int(s) for s in spec.split(",") if s.strip()]
+
+
+def _distances(args) -> tuple[float, ...]:
+    if not args.distances:
+        raise DomainError("--class explicit needs --distances")
+    return tuple(float(s) for s in args.distances.split(","))
 
 
 def _thetas(args) -> list[float]:
@@ -155,8 +162,7 @@ def _emit_contention(csv: _Csv, args, theta: float) -> None:
         g = contention.gamma_single(case, args.xi)
         _contention_row(csv, cls, case.label, None, None, None, args.xi, g, "closed-form")
     elif cls == "explicit":
-        dists = [float(s) for s in args.distances.split(",")]
-        xis = [effective_distance(r, args.alpha, theta) for r in dists]
+        xis = [effective_distance(r, args.alpha, theta) for r in _distances(args)]
         g = contention.gamma_explicit(xis, case.interferer)
         _contention_row(csv, cls, case.label, args.alpha, None, theta, None, g, "closed-form")
     else:
@@ -226,8 +232,7 @@ def _model_from_args(args) -> tuple[NetworkModel, str]:
     if cls == "single":
         return NetworkModel(SingleInterferer(args.r), PowerLaw(args.alpha), case), cls
     if cls == "explicit":
-        dists = tuple(float(s) for s in args.distances.split(","))
-        return NetworkModel(Explicit(dists), PowerLaw(args.alpha), case), cls
+        return NetworkModel(Explicit(_distances(args)), PowerLaw(args.alpha), case), cls
     raise DomainError(f"unknown class {cls!r}")
 
 
@@ -480,9 +485,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Range options whose value may start with '-', such as --theta-db -10:2:10.
+# argparse takes such a token for an option unless it is joined to its flag.
+_RANGE_OPTIONS = ("--theta", "--theta-db", "--alpha-range")
+_DASH_VALUE = re.compile(r"-[\d.]")
+
+
+def _join_dash_values(argv: list[str]) -> list[str]:
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] in _RANGE_OPTIONS and _DASH_VALUE.match(arg):
+            joined[-1] = f"{joined[-1]}={arg}"
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         if args.out:
             with open(args.out, "w") as fh:

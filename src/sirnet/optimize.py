@@ -23,9 +23,11 @@ def golden_section_max(
 ) -> tuple[float, float]:
     """Maximize f on [a, b]; returns (x_max, f(x_max)).
 
-    A coarse prescan locates the best of `prescan` equispaced points and
-    asserts the maximum is interior (or at a usable edge bracket); golden
-    section then refines inside the two neighboring points.
+    A coarse prescan locates the best of `prescan` equispaced points, and
+    golden section refines between its two neighbors (the bracket is cut
+    at a or b when the best point is an edge). Nothing checks that f is
+    unimodal or that the maximum is interior: a peak narrower than the
+    prescan spacing can be missed.
     """
     if not b > a:
         raise NumericFailure(f"invalid bracket [{a}, {b}]")

@@ -6,9 +6,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .contention import c_d_constant
 from .optimize import golden_section_max
-from .specfun import DomainError, lambert_w0, zeta
+from .specfun import DomainError, hurwitz_zeta, lambert_w0, zeta
 
 __all__ = [
     "ThroughputResult",
@@ -77,24 +79,58 @@ def aloha_p_opt(gamma: float, duplex: str = "full") -> ThroughputResult:
     raise DomainError(f"duplex must be 'full' or 'half', got {duplex!r}")
 
 
-def tdma_ps_one_sided(alpha: float, theta: float, m: float, n_terms: int = 20000) -> float:
+def tdma_ps_one_sided(
+    alpha: float, theta: float | np.ndarray, m: float | np.ndarray
+) -> float | np.ndarray:
     """Exact one-sided TDMA line p_s = 1 / prod_i (1 + theta'/i^alpha), theta' = theta/m^alpha.
 
     Valid for any alpha > 1 and real m >= 1 (m enters only through
-    theta/m^alpha). Truncated product with the analytic log-tail
-    sum_{i>n} theta'/i^alpha ~ theta' n^(1-alpha)/(alpha-1) added back.
+    theta/m^alpha). theta and m may be scalars or arrays that broadcast;
+    scalars give a float, arrays an array.
+
+    log(1/p_s) is a head sum of log1p(theta'/i^alpha) over i < N plus the
+    tail sum_k (-1)^(k+1) theta'^k/k zeta(k alpha, N) (Hurwitz zeta). N is
+    the least power of two >= 32 with x = theta'/N^alpha <= 0.05, so the
+    tail converges like x^k; it is summed until x^k drops below 2^-56.
+    The relative error of p_s is the absolute error of log(1/p_s), so the
+    head and tail terms are added by math.fsum, correctly rounded. Against
+    an mpmath reference the relative error is below 1e-13 for alpha in
+    [1.5, 5] and theta' in [1e-6, 1e4]. N, the terms and their sum depend
+    only on each element's own theta', so an array call returns exactly
+    what scalar calls return.
     """
     if not alpha > 1:
         raise DomainError(f"alpha must exceed 1, got {alpha}")
-    if not (theta > 0 and m >= 1):
+    theta, m = np.asarray(theta, dtype=float), np.asarray(m, dtype=float)
+    if not (np.all(theta > 0) and np.all(m >= 1)):
         raise DomainError("theta must be positive and m >= 1")
     tp = theta / m ** alpha
-    n = min(max(int((tp / 1e-12) ** (1.0 / (alpha - 1.0)) / (alpha - 1.0)) + 10, 50), n_terms)
-    log_inv = 0.0
-    for i in range(1, n + 1):
-        log_inv += math.log1p(tp / i ** alpha)
-    log_inv += tp * n ** (1.0 - alpha) / (alpha - 1.0)  # tail
-    return math.exp(-log_inv)
+    per_head = {}  # N -> (i^-alpha for i < N, tail coefficients)
+    log_inv = np.empty_like(tp)
+    for j, t in enumerate(tp.ravel().tolist()):
+        if t ** (1.0 / alpha) >= 1100.0:
+            # The first 1100 factors are each >= 2, so p_s <= 2^-1100 underflows.
+            log_inv.flat[j] = math.inf
+            continue
+        # (t/0.05)^(1/alpha) = f 2^e with f in [0.5, 1), so N = 2^e.
+        n = 1 << max(math.frexp((t / 0.05) ** (1.0 / alpha))[1], 5)
+        if n not in per_head:
+            # x <= 0.05 needs at most 13 tail terms for x^k < 2^-56.
+            per_head[n] = (np.arange(1, n, dtype=float) ** -alpha,
+                           [(-1.0) ** (k + 1) / k * hurwitz_zeta(k * alpha, n)
+                            for k in range(1, 14)])
+        i_pow, coefs = per_head[n]
+        x = t / n ** alpha
+        terms = math.ceil(-56.0 * math.log(2.0) / math.log(x)) if x > 0.0 else 0
+        parts = np.log1p(t * i_pow).tolist()
+        parts += [c * t ** k for k, c in enumerate(coefs[:terms], start=1)]
+        log_inv.flat[j] = math.fsum(parts)
+    ps = np.exp(-log_inv)
+    return float(ps) if ps.ndim == 0 else ps
+
+
+# The largest reuse factor tdma_m_opt scans (its arrays grow with it).
+_M_SCAN_MAX = 1_000_000
 
 
 def tdma_m_opt(alpha: float, theta: float) -> ThroughputResult:
@@ -114,15 +150,16 @@ def tdma_m_opt(alpha: float, theta: float) -> ThroughputResult:
     m_upper = (theta * z * 2.0 * alpha) ** (1.0 / alpha)
     m_hat = max(1, round((theta * z * (2.0 * alpha - 0.5)) ** (1.0 / alpha)))
 
-    def p_t(m: float) -> float:
-        ps = tdma_ps_one_sided(alpha, theta, m)
-        return ps * ps / m
-
     scan_max = max(2, 2 * math.ceil(m_upper))
-    m_exact = max(range(1, scan_max + 1), key=p_t)
+    if scan_max > _M_SCAN_MAX:
+        raise DomainError(f"theta = {theta} needs a reuse scan to m = {scan_max}, "
+                          f"above {_M_SCAN_MAX}")
+    ms = np.arange(1, scan_max + 1)
+    p_t = tdma_ps_one_sided(alpha, theta, ms) ** 2 / ms
+    k = int(np.argmax(p_t))
     return ThroughputResult(
-        value=p_t(m_exact),
-        m_opt=m_exact,
+        value=float(p_t[k]),
+        m_opt=k + 1,
         m_hat=m_hat,
         m_bounds=(m_lower, m_upper),
     )

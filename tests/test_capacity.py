@@ -2,8 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from sirnet import capacity
 from sirnet.capacity import (
     ergodic_capacity_cp,
     ergodic_capacity_cp_lower,
@@ -32,6 +34,29 @@ def test_closed_form_matches_quadrature():
         closed = ergodic_capacity_cp(2.0, cp)
         assert closed.method == "closed-form"
         assert closed.value == pytest.approx(quadrature_capacity(2.0, cp), rel=1e-9)
+
+
+def test_abs_err_bounds_the_boost2_quadrature_error():
+    """The boost = 2 integrand on the panels ergodic_capacity_cp uses for
+    other boosts, against the E1(j c_p) closed form (criterion 08's grid)."""
+    for cp in (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0):
+        closed = ergodic_capacity_cp(2.0, cp)
+        assert closed.abs_err == 0.0
+        value, err = integrate_decaying(
+            lambda u: np.log1p((u / cp) ** 2) * np.exp(-u),
+            cutoff=60.0, pieces=capacity._CP_PANELS, nodes=capacity._NODES,
+        )
+        assert abs(value - closed.value) <= err + 1e-14 * abs(closed.value), cp
+
+
+def test_abs_err_bounds_the_tdma_alpha2_paths():
+    """The alpha = 2 kernel against the general p_s-product path at alpha = 2."""
+    for m in range(1, 9):
+        kernel = ergodic_capacity_tdma(2.0, m)
+        product = capacity._tdma_capacity_ccdf(2.0, m)
+        assert kernel.method == "closed-kernel" and product.method == "quadrature"
+        assert abs(kernel.value - product.value) <= (
+            kernel.abs_err + product.abs_err + 1e-14 * abs(product.value)), m
 
 
 def test_quadrature_branch():

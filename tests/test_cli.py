@@ -172,3 +172,18 @@ def test_exit_code_bad_argument():
     with pytest.raises(SystemExit) as exc:
         main(["contention", "--class", "hexgrid"])
     assert exc.value.code == 2
+
+
+def test_readme_theta_db_range_starting_with_minus(capsys):
+    argv = "outage --class ppp2 --alpha 4 --theta-db -10:2:10 --p 0.1".split()
+    assert main(argv) == 0
+    _, rows = data_rows(capsys.readouterr().out)
+    assert [float(r["theta"]) for r in rows] == pytest.approx(
+        [10.0 ** (db / 10.0) for db in range(-10, 11, 2)])
+
+
+def test_outage_explicit_without_distances(capsys):
+    assert main(["outage", "--class", "explicit", "--theta", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("error:")

@@ -11,7 +11,9 @@ from sirnet.specfun import (
     erf,
     exp_integral_e1,
     exp_integral_e1_imag,
+    exp_integral_e1_imag_scaled,
     gamma_fn,
+    hurwitz_zeta,
     lambert_w0,
     lower_incomplete_gamma,
     sin_integral,
@@ -78,6 +80,33 @@ def test_e1_imaginary_argument():
         q = exp_integral_e1_imag(y)
         assert cos_integral(y) == pytest.approx(-q.real, rel=1e-10, abs=1e-13)
         assert sin_integral(y) == pytest.approx(math.pi / 2 + q.imag, rel=1e-10)
+
+
+def test_e1_imaginary_scaled_keeps_its_real_part():
+    """e^(iy) E1(iy): the real part, ~1/y^2 against a modulus ~1/y, stays
+    accurate where multiplying E1(iy) by e^(iy) would cancel."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for y in (0.5, 1.9, 2.0, 3.0, 20.0, 100.0, 1e4):
+            ref = mpmath.exp(1j * y) * mpmath.e1(1j * y)
+            q = exp_integral_e1_imag_scaled(y)
+            assert q.real == pytest.approx(float(ref.real), rel=1e-14)
+            assert q.imag == pytest.approx(float(ref.imag), rel=1e-14)
+
+
+def test_hurwitz_zeta_matches_direct_sums():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for s in (1.5, 2.0, 3.5, 10.0, 20.0, 40.0):
+            for n in (1, 2, 24, 100, 3000):
+                # mpmath's zeta(s, a) only for a remainder that is small or at small s
+                stop = 4 * n + 1000
+                ref = (mpmath.fsum(mpmath.mpf(k) ** -s for k in range(n, stop))
+                       + mpmath.zeta(s, stop))
+                assert hurwitz_zeta(s, n) == pytest.approx(float(ref), rel=1e-14), (s, n)
+    assert hurwitz_zeta(2.0, 1) == zeta(2.0)
+    with pytest.raises(DomainError):
+        hurwitz_zeta(2.0, 0)
 
 
 def test_lower_incomplete_gamma():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from sirnet.contention import c_d_constant
@@ -53,7 +54,53 @@ def test_tdma_ps_product_matches_closed_forms():
         for theta in (0.5, 2.0):
             for m in (1, 3):
                 exact = ps_tdma_line(alpha, theta, m).value
-                assert tdma_ps_one_sided(alpha, theta, m) == pytest.approx(exact, rel=2e-8)
+                assert tdma_ps_one_sided(alpha, theta, m) == pytest.approx(exact, rel=1e-12)
+
+
+TDMA_ALPHAS = (1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 5.0)
+TDMA_THETAS = (1e-6, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e4)
+
+
+def tdma_ps_reference(mp, alpha, theta):
+    """1/prod_i (1 + theta/i^alpha) in mpmath: a head sum of log1p to N - 1
+    plus sum_k (-1)^(k+1) theta^k/k zeta(k alpha, N), with N chosen so that
+    theta/N^alpha <= 0.01 (a different N from the one under test)."""
+    a, t = mp.mpf(alpha), mp.mpf(theta)
+    n = max(24, math.ceil((theta / 0.01) ** (1.0 / alpha)))
+    log_inv = mp.fsum(mp.log1p(t / mp.mpf(i) ** a) for i in range(1, n))
+    k = 1
+    while True:
+        term = (-1) ** (k + 1) * t ** k / k * mp.zeta(k * a, n)
+        log_inv += term
+        if abs(term) < mp.mpf(10) ** -30 * log_inv:
+            return mp.exp(-log_inv)
+        k += 1
+
+
+def test_tdma_ps_matches_mpmath_reference():
+    mpmath = pytest.importorskip("mpmath")
+    # 40 digits: at 30, mpmath's zeta(s, a) is off by 1.6e-9 at (s, a) = (20, 100).
+    with mpmath.workdps(40):
+        for alpha in TDMA_ALPHAS:
+            for theta in TDMA_THETAS:
+                ref = float(tdma_ps_reference(mpmath, alpha, theta))
+                value = tdma_ps_one_sided(alpha, theta, 1)
+                if ref == 0.0:  # below the double range: alpha 1.5, theta 1e4
+                    assert value == 0.0
+                else:
+                    assert abs(value - ref) <= 1e-13 * ref, (alpha, theta, value, ref)
+
+
+def test_tdma_ps_array_calls_match_scalar_calls():
+    ms = np.arange(1, 9)
+    for alpha in TDMA_ALPHAS:
+        by_theta = tdma_ps_one_sided(alpha, np.array(TDMA_THETAS), 1)
+        by_m = tdma_ps_one_sided(alpha, 10.0, ms)
+        assert isinstance(tdma_ps_one_sided(alpha, 10.0, 2), float)
+        for theta, v in zip(TDMA_THETAS, by_theta):
+            assert v == pytest.approx(tdma_ps_one_sided(alpha, theta, 1), rel=1e-14, abs=0.0)
+        for m, v in zip(ms, by_m):
+            assert v == pytest.approx(tdma_ps_one_sided(alpha, 10.0, int(m)), rel=1e-14, abs=0.0)
 
 
 def test_tdma_m_opt():
