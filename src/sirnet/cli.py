@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import math
 import re
 import sys
@@ -20,6 +21,7 @@ from .model import (
     ExponentialLaw,
     Fading,
     FadingCase,
+    MacScheme,
     NetworkModel,
     PowerLaw,
     Ppp,
@@ -215,24 +217,30 @@ _OUTAGE_COLUMNS = ["class", "case", "alpha", "theta", "p", "m", "value",
                    "lower", "upper", "method", "mc_estimate", "mc_stderr", "z"]
 
 
-def _model_from_args(args) -> tuple[NetworkModel, str]:
+def _model_from_args(args) -> tuple[NetworkModel, MacScheme, str]:
+    """Model, MAC scheme and class label; a config's mac block beats --p/--m."""
+    mac = Tdma(args.m) if args.m is not None else Aloha(args.p)
     if args.config:
         with open(args.config) as fh:
-            model, _ = parse_model(fh.read())
-        return model, "config"
+            model, config_mac = parse_model(fh.read())
+        return model, config_mac or mac, "config"
+    return _class_model(args), mac, args.cls
+
+
+def _class_model(args) -> NetworkModel:
     cls = args.cls
     case = _parse_case(args.case) if args.case else _RAY
     if cls in ("ppp1", "ppp2"):
-        return NetworkModel(Ppp(int(cls[-1])), PowerLaw(args.alpha), case), cls
+        return NetworkModel(Ppp(int(cls[-1])), PowerLaw(args.alpha), case)
     if cls == "exp2":
-        return NetworkModel(Ppp(2), ExponentialLaw(args.delta), case), cls
+        return NetworkModel(Ppp(2), ExponentialLaw(args.delta), case)
     if cls in ("line1", "line2"):
         sided = "two" if cls == "line2" else "one"
-        return NetworkModel(RegularLine(sided), PowerLaw(args.alpha), case), cls
+        return NetworkModel(RegularLine(sided), PowerLaw(args.alpha), case)
     if cls == "single":
-        return NetworkModel(SingleInterferer(args.r), PowerLaw(args.alpha), case), cls
+        return NetworkModel(SingleInterferer(args.r), PowerLaw(args.alpha), case)
     if cls == "explicit":
-        return NetworkModel(Explicit(_distances(args)), PowerLaw(args.alpha), case), cls
+        return NetworkModel(Explicit(_distances(args)), PowerLaw(args.alpha), case)
     raise DomainError(f"unknown class {cls!r}")
 
 
@@ -240,6 +248,10 @@ def _analytic_ps(model: NetworkModel, mac, theta: float) -> outage.SuccessProbab
     """Closed-form success probability for a model (value None if only bounds)."""
     g = model.geometry
     case = model.fading
+    if isinstance(model.path_loss, ExponentialLaw) and g != Ppp(2):
+        raise DomainError("exponential path loss has a closed form only on the 2-D PPP")
+    if isinstance(mac, Tdma) and not isinstance(g, RegularLine):
+        raise DomainError("TDMA scheduling is only defined for line networks")
     if isinstance(g, SingleInterferer):
         alpha = model.path_loss.alpha
         xi = effective_distance(g.r, alpha, theta)
@@ -275,8 +287,7 @@ def _analytic_ps(model: NetworkModel, mac, theta: float) -> outage.SuccessProbab
 
 
 def cmd_outage(args, out) -> int:
-    model, cls = _model_from_args(args)
-    mac = Tdma(args.m) if args.m is not None else Aloha(args.p)
+    model, mac, cls = _model_from_args(args)
     if args.validate:
         print(f"# seed = {args.seed}, trials = {args.trials}", file=out)
     csv = _Csv(_OUTAGE_COLUMNS, out)
@@ -353,13 +364,12 @@ def cmd_capacity(args, out) -> int:
 def cmd_validate(args, out) -> int:
     trials = args.trials or (10_000 if args.quick else 100_000)
     cfg = SimConfig(trials=trials, seed=args.seed)
+    cases = [c for c in validation.validation_cases() if c.name.startswith(args.cls or "")]
+    if not cases:
+        raise DomainError(f"no validation cases match class {args.cls!r}")
     print(f"# seed = {args.seed}, trials = {trials}", file=out)
     csv = _Csv(["name", "quantity", "analytic", "estimate", "stderr", "z", "ok"], out)
-    rows, checks = validation.run_validation(cfg)
-    if args.cls:
-        rows = [r for r in rows if r.name.startswith(args.cls)]
-        if not rows:
-            raise DomainError(f"no validation cases match class {args.cls!r}")
+    rows, checks = validation.run_validation(cfg, cases)
     for r in rows:
         csv.row(r.name, r.quantity, r.analytic, r.estimate, r.stderr, r.z, r.ok)
     for name, ok in checks:
@@ -504,11 +514,17 @@ def _join_dash_values(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
+    # Output is held until the command succeeds, so an error leaves no
+    # partial CSV on stdout or in --out.
+    buf = io.StringIO()
     try:
+        code = args.func(args, buf)
         if args.out:
             with open(args.out, "w") as fh:
-                return args.func(args, fh)
-        return args.func(args, sys.stdout)
+                fh.write(buf.getvalue())
+        else:
+            sys.stdout.write(buf.getvalue())
+        return code
     except (DomainError, ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

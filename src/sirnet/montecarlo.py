@@ -3,9 +3,11 @@
 Interference from outside the simulation window is replaced by its exact
 mean (tail compensation); the window is then sized so that theta times the
 tail standard deviation stays below the truncation tolerance, which bounds
-the residual bias at second order. Every batch draws from its own
-counter-based Philox stream keyed by (seed, batch index), so results are
-reproducible and independent of batch scheduling.
+the residual bias at second order. ALOHA thinning of a PPP leaves a PPP of
+intensity p, so only transmitters are placed, and fading is drawn only for
+active interferers. Trials fall in fixed blocks of 4,096, each drawn from a
+PCG64 stream keyed by (seed, block), or by (seed, block, sub) when a block
+expects too many points and is split; results do not depend on chunking.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ __all__ = [
 
 _MAX_RADIUS = 2000.0
 _MAX_TERMS = 10 ** 6
-# Upper bound on points per batch chunk; batches shrink for wide windows.
+_BLOCK = 4096  # trials per random-stream block
+# Upper bound on expected interferer points per chunk; blocks above it split.
 _CHUNK_BUDGET = 4_000_000
 
 
@@ -56,11 +59,9 @@ class SimConfig:
 
     trials: int = 100_000
     seed: int = 0
-    batch_size: int = 8192
     window_radius: float | None = None
     truncation_tol: float = 1e-3
     sir_clip: float = 1e12
-    theta_grid: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -100,15 +101,16 @@ class WindowError(RuntimeError):
     """The window required for the tolerance exceeds the feasible maximum."""
 
 
-def _rng(seed: int, batch: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=(seed << 64) | batch))
+def _rng(seed: int, key: tuple[int, ...]) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 def _fading_draw(rng: np.random.Generator, f: Fading, size: int) -> np.ndarray:
     if f.m is None:
         return np.ones(size)
-    # Nakagami-m power fading: Gamma(m, 1/m), unit mean; m = 1 is Exp(1).
-    return rng.gamma(f.m, 1.0 / f.m, size)
+    if f.m == 1.0:
+        return rng.standard_exponential(size)  # Rayleigh: Gamma(1, 1) = Exp(1)
+    return rng.gamma(f.m, 1.0 / f.m, size)  # Nakagami-m power: Gamma(m, 1/m), unit mean
 
 
 def _second_moment(f: Fading) -> float:
@@ -247,37 +249,31 @@ def _fixed_distances(model: NetworkModel, mac: MacScheme | None, window: _Window
 
 def _batch_sir(
     model: NetworkModel,
-    mac: MacScheme | None,
-    cfg: SimConfig,
+    p: float,
+    points: float,
     window: _Window,
     distances: np.ndarray | None,
-    batch: int,
+    rng: np.random.Generator,
     size: int,
 ) -> np.ndarray:
-    """One batch of SIR samples (desired power over compensated interference)."""
-    rng = _rng(cfg.seed, batch)
-    p, _ = _access(mac)
+    """One chunk of SIR samples; a PPP window holds Poisson(`points`) transmitters."""
     case = model.fading
     if distances is not None:
         loss = _loss_vector(model, distances)
-        f = _fading_draw(rng, case.interferer, size * loss.size).reshape(size, loss.size)
+        shape = (size, loss.size)
         if p < 1.0:
-            f = np.where(rng.random((size, loss.size)) < p, f, 0.0)
+            active = rng.random(shape) < p
+            f = np.zeros(shape)
+            f[active] = _fading_draw(rng, case.interferer, int(np.count_nonzero(active)))
+        else:
+            f = _fading_draw(rng, case.interferer, size * loss.size).reshape(shape)
         interference = f @ loss + window.tail_mean
     else:
-        g = model.geometry
-        r = window.radius
-        lam = math.pi * r * r if g.d == 2 else 2.0 * r
-        counts = rng.poisson(lam, size)
+        counts = rng.poisson(points, size)
         total = int(counts.sum())
-        if g.d == 2:
-            dist = r * np.sqrt(rng.random(total))
-        else:
-            dist = r * rng.random(total)
-        f = _fading_draw(rng, case.interferer, total)
-        if p < 1.0:
-            f = np.where(rng.random(total) < p, f, 0.0)
-        contrib = f * _loss_vector(model, dist)
+        u = rng.random(total)
+        dist = window.radius * (np.sqrt(u) if model.geometry.d == 2 else u)
+        contrib = _fading_draw(rng, case.interferer, total) * _loss_vector(model, dist)
         idx = np.repeat(np.arange(size), counts)
         interference = np.bincount(idx, weights=contrib, minlength=size) + window.tail_mean
     desired = _fading_draw(rng, case.desired, size)
@@ -285,17 +281,28 @@ def _batch_sir(
         return np.where(interference > 0.0, desired / np.maximum(interference, 1e-300), np.inf)
 
 
-def _batches(cfg: SimConfig, distances: np.ndarray | None, window: _Window) -> list[int]:
-    size = cfg.batch_size
-    cols = None
-    if distances is not None:
-        cols = distances.size
-    elif window.radius is not None:
-        cols = int(math.pi * window.radius ** 2) + 1
-    if cols:
-        size = max(1, min(size, _CHUNK_BUDGET // max(cols, 1)))
-    full, rest = divmod(cfg.trials, size)
-    return [size] * full + ([rest] if rest else [])
+def _chunks(trials: int, points: float):
+    """(stream key, size) of each chunk: blocks of _BLOCK trials, each split
+    into equal sub-chunks when its expected points exceed _CHUNK_BUDGET."""
+    subs = max(1, math.ceil(points * _BLOCK / _CHUNK_BUDGET))
+    step = -(-_BLOCK // subs)
+    for block, start in enumerate(range(0, trials, _BLOCK)):
+        n = min(_BLOCK, trials - start)
+        for sub, first in enumerate(range(0, n, step)):
+            yield ((block,) if subs == 1 else (block, sub)), min(step, n - first)
+
+
+def _sir_chunks(model: NetworkModel, mac: MacScheme | None, theta: float, cfg: SimConfig):
+    window = resolve_window(model, mac, theta, cfg)
+    distances = _fixed_distances(model, mac, window)
+    p, _ = _access(mac)
+    if distances is None:  # expected transmitters in the PPP window
+        r = window.radius
+        points = p * (math.pi * r * r if model.geometry.d == 2 else 2.0 * r)
+    else:
+        points = distances.size
+    for key, size in _chunks(cfg.trials, points):
+        yield _batch_sir(model, p, points, window, distances, _rng(cfg.seed, key), size)
 
 
 def simulate_ps(model: NetworkModel, mac: MacScheme | None, theta: float, cfg: SimConfig) -> Estimate:
@@ -304,12 +311,8 @@ def simulate_ps(model: NetworkModel, mac: MacScheme | None, theta: float, cfg: S
         raise DomainError(f"theta must be positive, got {theta}")
     if isinstance(mac, Aloha) and mac.p == 0.0:
         return Estimate(1.0, 0.0, cfg.trials)  # no interferers ever transmit
-    window = resolve_window(model, mac, theta, cfg)
-    distances = _fixed_distances(model, mac, window)
-    successes = 0
-    for batch, size in enumerate(_batches(cfg, distances, window)):
-        sir = _batch_sir(model, mac, cfg, window, distances, batch, size)
-        successes += int(np.count_nonzero(sir > theta))
+    sirs = _sir_chunks(model, mac, theta, cfg)
+    successes = sum(int(np.count_nonzero(sir > theta)) for sir in sirs)
     n = cfg.trials
     mean = successes / n
     stderr = math.sqrt(max(mean * (1.0 - mean), 1.0 / n) / n)
@@ -322,12 +325,9 @@ def simulate_sir_samples(model: NetworkModel, mac: MacScheme | None, cfg: SimCon
     Samples with zero in-window interference and no tail compensation are
     clipped to `cfg.sir_clip` and counted.
     """
-    window = resolve_window(model, mac, theta_ref, cfg)
-    distances = _fixed_distances(model, mac, window)
     chunks = []
     clipped = 0
-    for batch, size in enumerate(_batches(cfg, distances, window)):
-        sir = _batch_sir(model, mac, cfg, window, distances, batch, size)
+    for sir in _sir_chunks(model, mac, theta_ref, cfg):
         inf_mask = ~np.isfinite(sir) | (sir > cfg.sir_clip)
         clipped += int(np.count_nonzero(inf_mask))
         chunks.append(np.where(inf_mask, cfg.sir_clip, sir))

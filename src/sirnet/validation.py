@@ -271,9 +271,12 @@ def _bound_checks() -> list[tuple[str, bool]]:
     return checks
 
 
-def run_validation(cfg: SimConfig) -> tuple[list[ValidationRow], list[tuple[str, bool]]]:
+def run_validation(
+    cfg: SimConfig, cases: list[_Case] | None = None
+) -> tuple[list[ValidationRow], list[tuple[str, bool]]]:
+    """Simulate `cases` (default: every validation case) and run the bound checks."""
     rows = []
-    for case in validation_cases():
+    for case in validation_cases() if cases is None else cases:
         if case.quantity == "capacity":
             est = estimate_capacity(case.model, case.mac, cfg, theta_ref=20.0)
         else:

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from sirnet import validation
 from sirnet.cli import main
 from sirnet.model import (
     Aloha,
@@ -14,6 +15,7 @@ from sirnet.model import (
     SingleInterferer,
     format_model,
 )
+from sirnet.montecarlo import simulate_ps
 
 
 def run(tmp_path, *argv):
@@ -187,3 +189,57 @@ def test_outage_explicit_without_distances(capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.count("\n") == 1 and err.startswith("error:")
+
+
+def test_validate_class_runs_only_matching_cases(tmp_path, monkeypatch):
+    simulated = []
+
+    def counting(model, mac, theta, cfg):
+        simulated.append(model)
+        return simulate_ps(model, mac, theta, cfg)
+
+    monkeypatch.setattr(validation, "simulate_ps", counting)
+    _, only = run(tmp_path, "validate", "--quick", "--class", "single", "--seed", "7")
+    assert len(simulated) == 10
+    _, full = run(tmp_path, "validate", "--quick", "--seed", "7")
+    single = [ln for ln in only.splitlines() if ln.startswith("single")]
+    assert len(single) == 10
+    assert single == [ln for ln in full.splitlines() if ln.startswith("single")]
+
+
+def test_outage_config_mac_block(tmp_path):
+    cfgfile = tmp_path / "line.cfg"
+    cfgfile.write_text("geometry = line\ngeometry.sided = one\npathloss = power\n"
+                       "pathloss.alpha = 2\nmac = tdma\nmac.m = 2\n")
+    code, text = run(tmp_path, "outage", "--config", str(cfgfile), "--theta", "1")
+    assert code == 0
+    _, rows = data_rows(text)
+    assert (rows[0]["m"], rows[0]["p"], rows[0]["value"]) == ("2", "", "0.6825694503")
+
+
+@pytest.mark.parametrize("geometry", [
+    "geometry = single\ngeometry.r = 1.2",
+    "geometry = explicit\ngeometry.distances = 1,2",
+    "geometry = line",
+])
+def test_outage_config_exponential_off_ppp_is_usage_error(tmp_path, capsys, geometry):
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text(f"{geometry}\npathloss = exponential\npathloss.delta = 1\n")
+    assert main(["outage", "--config", str(cfgfile), "--theta", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
+
+
+def test_contention_explicit_without_distances_prints_no_csv(tmp_path, capsys):
+    assert main(["contention", "--class", "explicit", "--theta", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
+    code, text = run(tmp_path, "contention", "--class", "explicit", "--theta", "1")
+    assert (code, text) == (2, "")
+
+
+def test_outage_tdma_off_line_is_usage_error(capsys):
+    assert main(["outage", "--class", "ppp2", "--m", "2", "--theta", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "Traceback" not in err

@@ -44,10 +44,18 @@ def test_deterministic_across_runs():
 
 
 def test_deterministic_across_batch_sizes():
-    # per-batch substreams differ, but a fixed batch size must reproduce
-    cfg1 = SimConfig(trials=10000, seed=9, batch_size=1000)
-    cfg2 = SimConfig(trials=10000, seed=9, batch_size=1000)
-    assert simulate_ps(PPP4, Aloha(0.2), 1.0, cfg1) == simulate_ps(PPP4, Aloha(0.2), 1.0, cfg2)
+    # Streams are keyed by trial block, so a run's first 4,096 samples are a
+    # 4,096-trial run's samples whatever the trial count; the radius-30 window
+    # expects enough points per block to split it into keyed sub-chunks.
+    for p, radius in ((0.2, None), (0.5, 30.0)):
+        cfg = SimConfig(trials=10000, seed=9, window_radius=radius)
+        assert simulate_ps(PPP4, Aloha(p), 1.0, cfg) == simulate_ps(PPP4, Aloha(p), 1.0, cfg)
+        long = simulate_sir_samples(PPP4, Aloha(p), cfg).values
+        short = simulate_sir_samples(
+            PPP4, Aloha(p), SimConfig(trials=4096, seed=9, window_radius=radius)
+        ).values
+        assert long.size == 10000
+        assert np.array_equal(long[:4096], short)
 
 
 def test_p_zero_is_exact():
