@@ -6,6 +6,7 @@ All links have unit distance and unit-intensity interferer processes;
 success means the signal-to-interference ratio exceeds a threshold theta.
 """
 
+from .analytic import ergodic_capacity, spatial_contention, success_probability
 from .capacity import (
     CapacityResult,
     ergodic_capacity_ppp,
@@ -34,7 +35,6 @@ from .contention import (
 )
 from .model import (
     Aloha,
-    ContentionResult,
     Explicit,
     ExponentialLaw,
     Fading,
@@ -44,9 +44,7 @@ from .model import (
     Ppp,
     RegularLine,
     SingleInterferer,
-    SirThreshold,
     Tdma,
-    UncertaintyPoint,
     effective_distance,
     format_model,
     parse_model,
@@ -67,7 +65,6 @@ from .outage import (
     SuccessProbability,
     ps_exp_pathloss,
     ps_explicit,
-    ps_explicit_partial,
     ps_explicit_partial_exact,
     ps_line_alpha2_aloha,
     ps_line_alpha4_aloha,

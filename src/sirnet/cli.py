@@ -13,7 +13,8 @@ import math
 import re
 import sys
 
-from . import capacity, contention, outage, throughput, validation
+from . import analytic, capacity, contention, throughput, validation
+from .contention import UnsupportedClassError
 from .model import (
     Aloha,
     ConfigError,
@@ -28,7 +29,6 @@ from .model import (
     RegularLine,
     SingleInterferer,
     Tdma,
-    effective_distance,
     format_model,
     parse_model,
 )
@@ -37,6 +37,8 @@ from .specfun import DomainError
 
 _CSV_VERSION = "# sirnet csv v1"
 _RAY = FadingCase(Fading.rayleigh(), Fading.rayleigh())
+# Spatial contention under ALOHA does not depend on p.
+_ALOHA = Aloha(1.0)
 
 
 def _fmt(x: object) -> str:
@@ -121,91 +123,67 @@ _CONTENTION_COLUMNS = ["class", "case", "alpha", "delta", "theta", "xi",
 
 
 def _contention_row(csv: _Csv, cls: str, case: str, alpha, delta, theta, xi,
-                    gamma: float, method: str, note: str = "") -> None:
+                    gamma: float, note: str = "") -> None:
     sigma = math.inf if gamma == 0.0 else 1.0 / gamma
-    csv.row(cls, case, alpha, delta, theta, xi, gamma, sigma, method, note)
+    csv.row(cls, case, alpha, delta, theta, xi, gamma, sigma, "closed-form", note)
 
 
-def _emit_contention(csv: _Csv, args, theta: float) -> None:
-    cls = args.cls
-    case = _parse_case(args.case) if args.case else _RAY
-    if cls in ("ppp1", "ppp2", "ppp3"):
-        d = int(cls[-1])
-        if case.desired.is_static and case.interferer.is_static:
-            g = contention.gamma_ppp_nonfading_alpha4(theta)
-            _contention_row(csv, cls, "0/0", args.alpha, None, theta, None, g, "closed-form")
-        elif case.interferer.is_static:
-            g = contention.gamma_ppp(d, args.alpha, theta, Fading.none())
-            _contention_row(csv, cls, "1/0", args.alpha, None, theta, None, g, "closed-form")
-        else:
-            g = contention.gamma_ppp(d, args.alpha, theta, Fading.rayleigh())
-            note = "conjectured" if d == 3 else ""
-            _contention_row(csv, cls, case.label, args.alpha, None, theta, None, g,
-                            "closed-form", note)
-    elif cls == "exp2":
-        g = contention.gamma_exp_pathloss(args.delta, theta)
-        _contention_row(csv, cls, "1/1", None, args.delta, theta, None, g, "closed-form")
-    elif cls in ("line1", "line2"):
-        if args.alpha == 2.0:
-            g = contention.gamma_line_alpha2(theta)
-        elif args.alpha == 4.0:
-            g = contention.gamma_line_alpha4(theta, mode=args.mode)
-        elif theta < 0.5:
-            g = contention.gamma_line_taylor(args.alpha, theta, terms=30)
-        else:
-            raise DomainError(
-                f"line contention needs alpha in {{2, 4}} or theta < 0.5, got "
-                f"alpha={args.alpha}, theta={theta}"
-            )
-        if cls == "line2":
-            g *= 2.0
-        _contention_row(csv, cls, "1/1", args.alpha, None, theta, None, g, "closed-form")
-    elif cls == "single":
-        g = contention.gamma_single(case, args.xi)
-        _contention_row(csv, cls, case.label, None, None, None, args.xi, g, "closed-form")
-    elif cls == "explicit":
-        xis = [effective_distance(r, args.alpha, theta) for r in _distances(args)]
-        g = contention.gamma_explicit(xis, case.interferer)
-        _contention_row(csv, cls, case.label, args.alpha, None, theta, None, g, "closed-form")
-    else:
-        raise DomainError(f"unknown class {cls!r}")
+def _model_row(csv: _Csv, cls: str, model: NetworkModel, mac: MacScheme,
+               theta: float) -> None:
+    pl = model.path_loss
+    _contention_row(csv, cls, model.fading.label,
+                    pl.alpha if isinstance(pl, PowerLaw) else None,
+                    pl.delta if isinstance(pl, ExponentialLaw) else None,
+                    theta, None, analytic.spatial_contention(model, mac, theta))
 
 
-def _emit_table(csv: _Csv, thetas: list[float]) -> None:
-    """Every closed-form contention class over a theta grid."""
-    for theta in thetas:
-        _contention_row(csv, "ppp2", "1/1", 3.0, None, theta, None,
-                        contention.gamma_ppp(2, 3.0, theta, Fading.rayleigh()), "closed-form")
-        _contention_row(csv, "ppp2", "1/1", 4.0, None, theta, None,
-                        contention.gamma_ppp(2, 4.0, theta, Fading.rayleigh()), "closed-form")
-        _contention_row(csv, "ppp2", "1/0", 4.0, None, theta, None,
-                        contention.gamma_ppp(2, 4.0, theta, Fading.none()), "closed-form")
-        _contention_row(csv, "ppp2", "0/0", 4.0, None, theta, None,
-                        contention.gamma_ppp_nonfading_alpha4(theta), "closed-form")
-        _contention_row(csv, "exp2", "1/1", None, 1.0, theta, None,
-                        contention.gamma_exp_pathloss(1.0, theta), "closed-form")
-        _contention_row(csv, "ppp1", "1/1", 2.0, None, theta, None,
-                        contention.gamma_ppp(1, 2.0, theta, Fading.rayleigh()), "closed-form")
-        _contention_row(csv, "ppp1", "1/1", 4.0, None, theta, None,
-                        contention.gamma_ppp(1, 4.0, theta, Fading.rayleigh()), "closed-form")
-        _contention_row(csv, "line1", "1/1", 2.0, None, theta, None,
-                        contention.gamma_line_alpha2(theta), "closed-form")
-        _contention_row(csv, "line1", "1/1", 4.0, None, theta, None,
-                        contention.gamma_line_alpha4(theta), "closed-form")
-        _contention_row(csv, "tdma-line", "1/1", 2.0, None, theta, None,
-                        contention.gamma_tdma_line(2.0, theta), "closed-form")
-        _contention_row(csv, "ppp3", "1/1", 4.0, None, theta, None,
-                        contention.gamma_ppp(3, 4.0, theta, Fading.rayleigh()),
-                        "closed-form", "conjectured")
+def _ppp3_row(csv: _Csv, case: FadingCase, alpha: float, theta: float) -> None:
+    """The conjectured 3-D PPP value, which no NetworkModel describes."""
+    if case != _RAY:
+        raise UnsupportedClassError(
+            f"the 3-D PPP contention is conjectured for case 1/1 only, got {case.label}")
+    _contention_row(csv, "ppp3", case.label, alpha, None, theta, None,
+                    contention.gamma_ppp(3, alpha, theta, Fading.rayleigh()), "conjectured")
+
+
+def _line(alpha: float) -> NetworkModel:
+    return NetworkModel(RegularLine("one"), PowerLaw(alpha), _RAY)
+
+
+# contention --table3: every closed-form class, repeated for each theta,
+# followed by the conjectured 3-D PPP at alpha = 4.
+_TABLE3 = (
+    ("ppp2", NetworkModel(Ppp(2), PowerLaw(3.0), _RAY), _ALOHA),
+    ("ppp2", NetworkModel(Ppp(2), PowerLaw(4.0), _RAY), _ALOHA),
+    ("ppp2", NetworkModel(Ppp(2), PowerLaw(4.0), FadingCase(Fading.rayleigh(), Fading.none())),
+     _ALOHA),
+    ("ppp2", NetworkModel(Ppp(2), PowerLaw(4.0), FadingCase(Fading.none(), Fading.none())),
+     _ALOHA),
+    ("exp2", NetworkModel(Ppp(2), ExponentialLaw(1.0), _RAY), _ALOHA),
+    ("ppp1", NetworkModel(Ppp(1), PowerLaw(2.0), _RAY), _ALOHA),
+    ("ppp1", NetworkModel(Ppp(1), PowerLaw(4.0), _RAY), _ALOHA),
+    ("line1", _line(2.0), _ALOHA),
+    ("line1", _line(4.0), _ALOHA),
+    ("tdma-line", _line(2.0), Tdma(1)),
+)
 
 
 def cmd_contention(args, out) -> int:
     csv = _Csv(_CONTENTION_COLUMNS, out)
-    if args.table:
-        _emit_table(csv, _thetas(args))
-        return 0
+    case = _parse_case(args.case) if args.case else _RAY
     for theta in _thetas(args):
-        _emit_contention(csv, args, theta)
+        if args.table:
+            for cls, model, mac in _TABLE3:
+                _model_row(csv, cls, model, mac, theta)
+            _ppp3_row(csv, _RAY, 4.0, theta)
+        elif args.cls == "single":
+            # The input is xi itself, not a model.
+            _contention_row(csv, "single", case.label, None, None, None, args.xi,
+                            contention.gamma_single(case, args.xi))
+        elif args.cls == "ppp3":
+            _ppp3_row(csv, case, args.alpha, theta)
+        else:
+            _model_row(csv, args.cls, _class_model(args), _ALOHA, theta)
     return 0
 
 
@@ -244,48 +222,6 @@ def _class_model(args) -> NetworkModel:
     raise DomainError(f"unknown class {cls!r}")
 
 
-def _analytic_ps(model: NetworkModel, mac, theta: float) -> outage.SuccessProbability:
-    """Closed-form success probability for a model (value None if only bounds)."""
-    g = model.geometry
-    case = model.fading
-    if isinstance(model.path_loss, ExponentialLaw) and g != Ppp(2):
-        raise DomainError("exponential path loss has a closed form only on the 2-D PPP")
-    if isinstance(mac, Tdma) and not isinstance(g, RegularLine):
-        raise DomainError("TDMA scheduling is only defined for line networks")
-    if isinstance(g, SingleInterferer):
-        alpha = model.path_loss.alpha
-        xi = effective_distance(g.r, alpha, theta)
-        v = outage.ps_single(case, xi, mac.p)
-        return outage.SuccessProbability(v, 0.0, 1.0)
-    if isinstance(g, Explicit):
-        alpha = model.path_loss.alpha
-        xis = [effective_distance(r, alpha, theta) for r in g.distances]
-        if case.interferer.is_static:
-            v = outage.ps_explicit_partial_exact(xis, mac.p)
-            return outage.SuccessProbability(v, 0.0, 1.0)
-        return outage.ps_explicit(xis, mac.p)
-    if isinstance(g, Ppp):
-        if isinstance(model.path_loss, ExponentialLaw):
-            v = outage.ps_exp_pathloss(model.path_loss.delta, theta, mac.p)
-        elif case.desired.is_static and case.interferer.is_static:
-            v = outage.ps_ppp_nonfading_alpha4(theta, mac.p)
-        else:
-            v = outage.ps_ppp(g.d, model.path_loss.alpha, theta, mac.p, case.interferer)
-        return outage.SuccessProbability(v, 0.0, 1.0)
-    alpha = model.path_loss.alpha
-    if isinstance(mac, Tdma):
-        return outage.ps_tdma_line(alpha, theta, mac.m, sided=g.sided)
-    if alpha == 2.0:
-        v = outage.ps_line_alpha2_aloha(theta, mac.p)
-    elif alpha == 4.0:
-        v = outage.ps_line_alpha4_aloha(theta, mac.p)
-    else:
-        raise DomainError(f"line ALOHA closed form needs alpha in {{2, 4}}, got {alpha}")
-    if g.sided == "two":
-        v *= v
-    return outage.SuccessProbability(v, 0.0, 1.0)
-
-
 def cmd_outage(args, out) -> int:
     model, mac, cls = _model_from_args(args)
     if args.validate:
@@ -293,19 +229,16 @@ def cmd_outage(args, out) -> int:
     csv = _Csv(_OUTAGE_COLUMNS, out)
     alpha = model.path_loss.alpha if isinstance(model.path_loss, PowerLaw) else None
     for theta in _thetas(args):
-        sp = _analytic_ps(model, mac, theta)
+        sp = analytic.success_probability(model, mac, theta)
         mc = stderr = z = None
         if args.validate:
             cfg = SimConfig(trials=args.trials, seed=args.seed)
             est = simulate_ps(model, mac, theta, cfg)
-            mc, stderr = est.mean, est.stderr
-            target = sp.value if sp.value is not None else est.mean
-            z = est.z_score(target)
-        method = "closed-form" if sp.value is not None else "bounds"
+            mc, stderr, z = est.mean, est.stderr, est.z_score(sp.value)
         csv.row(cls, model.fading.label, alpha, theta,
                 mac.p if isinstance(mac, Aloha) else None,
                 mac.m if isinstance(mac, Tdma) else None,
-                sp.value, sp.lower_bound, sp.upper_bound, method, mc, stderr, z)
+                sp.value, sp.lower_bound, sp.upper_bound, sp.method, mc, stderr, z)
     return 0
 
 
@@ -434,7 +367,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--xi", type=float, default=1.0)
     c.add_argument("--case", help="fading case, e.g. 1/1, 1/0, 0/1, 0/0, 1/m4")
     c.add_argument("--distances", help="comma-separated interferer distances")
-    c.add_argument("--mode", default="exact", choices=["exact", "approx"])
     c.add_argument("--table3", dest="table", action="store_true",
                    help="all closed-form classes over the theta grid")
     c.set_defaults(func=cmd_contention)
@@ -470,7 +402,6 @@ def _build_parser() -> argparse.ArgumentParser:
     k = sub.add_parser("capacity", help="ergodic capacity (nats)")
     common(k, theta=False)
     k.add_argument("--tdma", action="store_true")
-    k.add_argument("--ppp", action="store_true")
     k.add_argument("--alpha", type=float, default=4.0)
     k.add_argument("--d", type=int, default=2)
     k.add_argument("--m", help="TDMA reuse factor(s): value, list, or a:b")
@@ -479,8 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("validate", help="analytic-vs-Monte-Carlo sweep")
     common(v, theta=False)
-    v.add_argument("--quick", action="store_true", help="10^4 trials")
-    v.add_argument("--full", action="store_true", help="10^5 trials (default)")
+    v.add_argument("--quick", action="store_true", help="10^4 trials (default 10^5)")
     v.add_argument("--trials", type=int)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--class", dest="cls", help="only cases whose name starts with this")

@@ -26,7 +26,6 @@ __all__ = [
     "gamma_tdma_line",
     "equivalent_disk_radius",
     "transmission_capacity_density",
-    "line_truncation_terms",
 ]
 
 
@@ -37,23 +36,31 @@ class UnsupportedClassError(ValueError):
 def gamma_single(case: FadingCase, xi: float) -> float:
     """Single-interferer spatial contention as a function of xi = r^alpha/theta.
 
-    Cases: 1/1 -> 1/(1+xi); 1/0 -> 1-exp(-1/xi); 0/1 -> exp(-xi);
-    0/0 -> indicator[xi <= 1]. All values lie in [0, 1].
+    Outage is exactly linear in p, p_s = 1 - p gamma: 1/1 -> 1/(1+xi);
+    1/0 -> 1-exp(-1/xi); 0/1 -> exp(-xi); 0/0 -> indicator[xi <= 1];
+    1/m -> 1 - (1 + 1/(m xi))^-m; m/1 -> (1 + xi/m)^-m. Nakagami on one side
+    tends to the static case as m grows. All values lie in [0, 1].
     """
     if xi < 0:
         raise DomainError(f"xi must be >= 0, got {xi}")
     d, i = case.desired, case.interferer
-    if (d.m not in (None, 1.0)) or (i.m not in (None, 1.0)):
-        raise UnsupportedClassError(
-            "Nakagami single-interferer contention is handled via outage.ps_single"
-        )
     if d.is_rayleigh and i.is_rayleigh:
         return 1.0 / (1.0 + xi)
     if d.is_rayleigh and i.is_static:
         return 1.0 if xi == 0.0 else -math.expm1(-1.0 / xi)
     if d.is_static and i.is_rayleigh:
         return math.exp(-xi)
-    return 1.0 if xi <= 1.0 else 0.0
+    if d.is_static and i.is_static:
+        return 1.0 if xi <= 1.0 else 0.0
+    if d.is_rayleigh:
+        # 1/m: 1 - m^m / (1/xi + m)^m, stable via log1p.
+        return 1.0 if xi == 0.0 else 1.0 - math.exp(-i.m * math.log1p(1.0 / (xi * i.m)))
+    if i.is_rayleigh:
+        # m/1: (m/xi / (1 + m/xi))^m
+        return 1.0 if xi == 0.0 else math.exp(-d.m * math.log1p(xi / d.m))
+    raise UnsupportedClassError(
+        f"single-interferer fading case {case.label!r} has no closed form"
+    )
 
 
 def c_d_constant(d: int, alpha: float) -> float:
@@ -118,22 +125,20 @@ def gamma_exp_pathloss(delta: float, theta: float) -> float:
 def gamma_explicit(xis: list[float], interferer_fading: Fading) -> float:
     """Contention of fixed interferers with effective distances xi_i.
 
-    Rayleigh interferers: sum 1/(1+xi_i). Static interferers (desired link
-    Rayleigh): sum 1/xi_i, which requires all xi_i > 0.
+    The desired link is Rayleigh, and gamma is the sum of the single-
+    interferer values: sum 1/(1+xi_i) for Rayleigh interferers, and
+    sum (1 - exp(-1/xi_i)) for static ones, which requires all xi_i > 0.
     """
-    if interferer_fading.is_rayleigh:
-        for xi in xis:
-            if xi < 0:
-                raise DomainError(f"xi must be >= 0, got {xi}")
-        return sum(1.0 / (1.0 + xi) for xi in xis)
     if interferer_fading.is_static:
         for xi in xis:
             if not xi > 0:
                 raise DomainError(f"static interferers require xi > 0, got {xi}")
-        return sum(1.0 / xi for xi in xis)
-    raise UnsupportedClassError(
-        f"no explicit-geometry contention for interferer fading {interferer_fading.symbol!r}"
-    )
+    elif not interferer_fading.is_rayleigh:
+        raise UnsupportedClassError(
+            f"no explicit-geometry contention for interferer fading {interferer_fading.symbol!r}"
+        )
+    case = FadingCase(Fading.rayleigh(), interferer_fading)
+    return sum(gamma_single(case, xi) for xi in xis)
 
 
 def gamma_line_alpha2(theta: float) -> float:
@@ -227,14 +232,3 @@ def transmission_capacity_density(epsilon: float, sigma: float) -> float:
     if not sigma > 0:
         raise DomainError(f"sigma must be positive, got {sigma}")
     return epsilon * sigma
-
-
-def line_truncation_terms(alpha: float, theta: float, tol: float = 1e-9) -> int:
-    """Terms needed so the truncated line-network contention sum has tail < tol.
-
-    From the integral bound sum_{i>n} 1/(1 + i^alpha/theta) < theta n^(1-alpha)/(alpha-1).
-    """
-    if not alpha > 1:
-        raise DomainError(f"alpha must exceed 1, got {alpha}")
-    n = math.ceil((theta / (tol * (alpha - 1.0))) ** (1.0 / (alpha - 1.0)))
-    return max(min(n, 10 ** 6), 10)

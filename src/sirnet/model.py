@@ -1,4 +1,4 @@
-"""Domain types: geometry, path loss, fading, MAC, and the uncertainty cube.
+"""Domain types: geometry, path loss, fading and MAC.
 
 All types are immutable value objects. The desired link distance, PPP
 intensity, and regular-line spacing are normalized to 1 throughout; only
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from .specfun import DomainError, gamma_fn
 
 __all__ = [
-    "UncertaintyPoint",
     "PowerLaw",
     "ExponentialLaw",
     "PathLoss",
@@ -28,33 +27,12 @@ __all__ = [
     "Aloha",
     "Tdma",
     "MacScheme",
-    "SirThreshold",
-    "ContentionResult",
     "NetworkModel",
     "effective_distance",
     "unit_ball_volume",
     "format_model",
     "parse_model",
 ]
-
-
-@dataclass(frozen=True)
-class UncertaintyPoint:
-    """Position (u_l, u_f, u_a) in the uncertainty cube.
-
-    Coordinates quantify randomness in node location, fading, and channel
-    access. Descriptive metadata only; no formula branches on it.
-    """
-
-    u_l: float
-    u_f: float
-    u_a: float
-
-    def __post_init__(self) -> None:
-        for name in ("u_l", "u_f", "u_a"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise DomainError(f"{name} must be in [0, 1], got {v}")
 
 
 @dataclass(frozen=True)
@@ -221,38 +199,12 @@ MacScheme = Aloha | Tdma
 
 
 @dataclass(frozen=True)
-class SirThreshold:
-    theta: float
-
-    def __post_init__(self) -> None:
-        if not self.theta > 0:
-            raise DomainError(f"SIR threshold must be positive, got {self.theta}")
-
-
-@dataclass(frozen=True)
-class ContentionResult:
-    """Spatial contention gamma and spatial efficiency sigma = 1/gamma."""
-
-    gamma: float
-    sigma: float
-    conjectured: bool = False
-
-    @staticmethod
-    def from_gamma(gamma: float, conjectured: bool = False) -> "ContentionResult":
-        if gamma < 0:
-            raise DomainError(f"spatial contention must be >= 0, got {gamma}")
-        sigma = math.inf if gamma == 0 else 1.0 / gamma
-        return ContentionResult(gamma, sigma, conjectured)
-
-
-@dataclass(frozen=True)
 class NetworkModel:
     """A corner of the uncertainty cube: geometry + path loss + fading."""
 
     geometry: Geometry
     path_loss: PathLoss
     fading: FadingCase
-    uncertainty: UncertaintyPoint | None = None
 
 
 def effective_distance(r: float, alpha: float, theta: float) -> float:

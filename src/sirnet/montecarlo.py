@@ -21,7 +21,6 @@ import numpy as np
 from .model import (
     Aloha,
     Explicit,
-    ExponentialLaw,
     Fading,
     MacScheme,
     NetworkModel,
@@ -29,7 +28,6 @@ from .model import (
     Ppp,
     RegularLine,
     SingleInterferer,
-    Tdma,
 )
 from .specfun import DomainError
 

@@ -1,9 +1,9 @@
 """Closed-form success probabilities p_s (the SIR ccdf) and their bounds.
 
-For every class whose desired link is Rayleigh, the success probability is
-sandwiched between 1 - p*gamma and exp(-p*gamma) where gamma is the spatial
-contention; :class:`SuccessProbability` carries both bounds alongside the
-value.
+Under ALOHA the success probability is sandwiched between 1 - p*gamma and
+exp(-p*gamma), where gamma is the spatial contention; TDMA lines have their
+own universal bounds. :class:`SuccessProbability` carries the bounds
+alongside the value.
 """
 
 from __future__ import annotations
@@ -13,54 +13,51 @@ from dataclasses import dataclass
 
 from . import contention
 from .model import Fading, FadingCase
-from .specfun import DomainError, erf, zeta
+from .specfun import DomainError, zeta
+from .throughput import tdma_ps_one_sided
 
 __all__ = [
     "SuccessProbability",
+    "sandwich",
     "ps_single",
     "ps_ppp",
     "ps_ppp_nonfading_alpha4",
     "ps_exp_pathloss",
     "ps_explicit",
-    "ps_explicit_partial",
     "ps_explicit_partial_exact",
     "ps_line_alpha2_aloha",
     "ps_line_alpha4_aloha",
     "ps_tdma_line",
 ]
 
-# Probabilities below this are clamped to zero (and flagged).
+# Probabilities below this are clamped to zero.
 _CLAMP = 1e-300
 
 
 @dataclass(frozen=True)
 class SuccessProbability:
-    """Success probability with its universal contention bounds.
+    """Success probability with its bounds and the method that produced it.
 
-    ``value`` may be None when only bounds are available (TDMA with
-    alpha outside {2, 4}). ``clamped`` marks values below 1e-300 that were
+    ``method`` is ``closed-form``, or ``product`` for the TDMA line's
+    infinite product at alpha outside {2, 4}. Values below 1e-300 are
     clamped to zero.
     """
 
-    value: float | None
+    value: float
     lower_bound: float
     upper_bound: float
-    clamped: bool = False
+    method: str = "closed-form"
 
 
-def _clamp_ps(x: float) -> tuple[float, bool]:
-    if 0.0 < x < _CLAMP:
-        return 0.0, True
-    return min(max(x, 0.0), 1.0), False
+def _clamp_ps(x: float) -> float:
+    return 0.0 if 0.0 < x < _CLAMP else min(max(x, 0.0), 1.0)
 
 
-def _bounded(value: float | None, p: float, gamma: float) -> SuccessProbability:
+def sandwich(value: float, p: float, gamma: float) -> SuccessProbability:
+    """An ALOHA value with its contention bounds 1 - p gamma and exp(-p gamma)."""
     lower = max(0.0, 1.0 - p * gamma)
     upper = math.exp(-p * gamma) if p * gamma < 690 else 0.0
-    clamped = False
-    if value is not None:
-        value, clamped = _clamp_ps(value)
-    return SuccessProbability(value, lower, upper, clamped)
+    return SuccessProbability(_clamp_ps(value), lower, upper)
 
 
 def _check_p(p: float, upper: float = 1.0) -> None:
@@ -69,38 +66,12 @@ def _check_p(p: float, upper: float = 1.0) -> None:
 
 
 def ps_single(case: FadingCase, xi: float, p: float) -> float:
-    """Single-interferer success probability, including Nakagami cases.
+    """Single-interferer success probability 1 - p gamma_single(case, xi).
 
-    Outage is exactly linear in p for all non-Nakagami cases:
-    p_s = 1 - p * gamma_case(xi). Nakagami on exactly one side of the link
-    interpolates between the Rayleigh and static cases and converges to
-    the static case as m grows.
+    Outage is exactly linear in p in every fading case, Nakagami included.
     """
     _check_p(p)
-    if xi < 0:
-        raise DomainError(f"xi must be >= 0, got {xi}")
-    d, i = case.desired, case.interferer
-    d_simple = d.m in (None, 1.0)
-    i_simple = i.m in (None, 1.0)
-    if d_simple and i_simple:
-        return 1.0 - p * contention.gamma_single(case, xi)
-    if d.is_rayleigh and i.m is not None:
-        # 1/m^-1: p_s = 1 - p (1 - m^m / (1/xi + m)^m), stable via log1p.
-        m = i.m
-        if xi == 0.0:
-            return 1.0 - p
-        ratio = math.exp(-m * math.log1p(1.0 / (xi * m)))  # m^m/(1/xi+m)^m
-        return 1.0 - p * (1.0 - ratio)
-    if d.m is not None and i.is_rayleigh:
-        # m^-1/1: p_s = 1 - p (m/xi / (1 + m/xi))^m
-        m = d.m
-        if xi == 0.0:
-            return 1.0 - p
-        term = math.exp(-m * math.log1p(xi / m))  # (m/xi/(1+m/xi))^m
-        return 1.0 - p * term
-    raise contention.UnsupportedClassError(
-        f"single-interferer fading case {case.label!r} has no closed form"
-    )
+    return 1.0 - p * contention.gamma_single(case, xi)
 
 
 def ps_ppp(d: int, alpha: float, theta: float, p: float, interferer_fading: Fading) -> float:
@@ -115,7 +86,7 @@ def ps_ppp_nonfading_alpha4(theta: float, p: float) -> float:
     _check_p(p)
     if not theta > 0:
         raise DomainError(f"theta must be positive, got {theta}")
-    return 1.0 - erf(math.pi ** 1.5 * p * math.sqrt(theta) / 2.0)
+    return 1.0 - math.erf(math.pi ** 1.5 * p * math.sqrt(theta) / 2.0)
 
 
 def ps_exp_pathloss(delta: float, theta: float, p: float) -> float:
@@ -139,30 +110,17 @@ def ps_explicit(xis: list[float], p: float) -> SuccessProbability:
     for xi in xis:
         factor = 1.0 - p / (1.0 + xi)
         if factor <= 0.0:
-            return _bounded(0.0, p, gamma)
+            return sandwich(0.0, p, gamma)
         log_ps += math.log(factor)
-    return _bounded(math.exp(log_ps), p, gamma)
-
-
-def ps_explicit_partial(xis: list[float], p: float) -> float:
-    """Fixed interferers, fading desired link only (1/0): exp(-p sum 1/xi_i).
-
-    This evaluates the ALOHA indicators at their mean; by Jensen's
-    inequality it is a lower bound on the exact Bernoulli-access value
-    prod(1 - p(1 - exp(-1/xi_i))), with equality as p -> 0. The slope at
-    p = 0 is sum 1/xi_i rather than the exact sum (1 - exp(-1/xi_i)).
-    """
-    _check_p(p)
-    for xi in xis:
-        if not xi > 0:
-            raise DomainError(
-                f"static interferer at xi = {xi} makes the 1/0 sum diverge"
-            )
-    return math.exp(-p * sum(1.0 / xi for xi in xis))
+    return sandwich(math.exp(log_ps), p, gamma)
 
 
 def ps_explicit_partial_exact(xis: list[float], p: float) -> float:
-    """Exact Bernoulli-access counterpart of :func:`ps_explicit_partial`."""
+    """Fixed static interferers, fading desired link (1/0): prod(1 - p(1 - exp(-1/xi_i))).
+
+    Exact under Bernoulli access; its slope at p = 0 is gamma_explicit with
+    static interferers.
+    """
     _check_p(p)
     for xi in xis:
         if not xi > 0:
@@ -230,10 +188,10 @@ def ps_line_alpha4_aloha(theta: float, p: float) -> float:
 def ps_tdma_line(alpha: float, theta: float, m: int, sided: str = "one") -> SuccessProbability:
     """TDMA regular line network with reuse factor m, Rayleigh fading.
 
-    Exact closed forms exist for alpha in {2, 4}; for other alpha only the
-    universal bounds exp(-z') <= p_s <= 1/(1 + z' + (zeta-1) theta'^2)
-    with theta' = theta/m^alpha and z' = zeta(alpha) theta' are returned
-    (value is None). Two-sided networks square the one-sided results.
+    Closed forms for alpha in {2, 4}, else the exact infinite product
+    (method ``product``), with the universal bounds
+    exp(-z') <= p_s <= 1/(1 + z' + (zeta-1) theta'^2), theta' = theta/m^alpha
+    and z' = zeta(alpha) theta'. Two-sided networks square the one-sided results.
     """
     if not alpha > 1:
         raise DomainError(f"alpha must exceed 1, got {alpha}")
@@ -247,18 +205,16 @@ def ps_tdma_line(alpha: float, theta: float, m: int, sided: str = "one") -> Succ
     theta_p = theta / m ** alpha
     lower = math.exp(-z * theta_p) if z * theta_p < 690 else 0.0
     upper = 1.0 / (1.0 + z * theta_p + (z - 1.0) * theta_p ** 2)
-    value: float | None
+    method = "closed-form"
     if alpha == 2:
         value = ps_line_alpha2_aloha(theta_p, 1.0)
     elif alpha == 4:
         value = ps_line_alpha4_aloha(theta_p, 1.0)
     else:
-        value = None
-    clamped = False
-    if value is not None:
-        value, clamped = _clamp_ps(value)
+        value, method = tdma_ps_one_sided(alpha, theta, m), "product"
+    value = _clamp_ps(value)
     if sided == "two":
-        value = None if value is None else value * value
+        value *= value
         lower *= lower
         upper *= upper
-    return SuccessProbability(value, lower, upper, clamped)
+    return SuccessProbability(value, lower, upper, method)

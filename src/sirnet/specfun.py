@@ -8,14 +8,11 @@ against independent brute-force oracles (series, quadrature, recurrences).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
-    "Accuracy",
     "DomainError",
     "zeta",
     "hurwitz_zeta",
-    "erf",
     "lambert_w0",
     "dilog",
     "exp_integral_e1",
@@ -35,18 +32,6 @@ _TINY = 1e-300
 
 class DomainError(ValueError):
     """Argument outside the mathematical domain of a function."""
-
-
-@dataclass(frozen=True)
-class Accuracy:
-    """Accuracy contract for a special-function evaluation."""
-
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-14
-
-    def __post_init__(self) -> None:
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise DomainError("tolerances must be positive")
 
 
 # Bernoulli numbers B_2, B_4, ... B_12 for the Euler-Maclaurin tail.
@@ -85,11 +70,6 @@ def hurwitz_zeta(s: float, n: int) -> float:
         rising *= (s + 2 * j - 1) * (s + 2 * j)
         power /= big * big
     return total
-
-
-def erf(x: float) -> float:
-    """Error function (delegates to the C library implementation)."""
-    return math.erf(x)
 
 
 def lambert_w0(x: float) -> float:

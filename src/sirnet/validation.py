@@ -7,10 +7,9 @@ when at least 99% of z-scores are below 3 and every bound ordering holds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from . import capacity, contention, outage
+from . import analytic
 from .model import (
     Aloha,
     Explicit,
@@ -24,10 +23,8 @@ from .model import (
     RegularLine,
     SingleInterferer,
     Tdma,
-    effective_distance,
 )
 from .montecarlo import SimConfig, estimate_capacity, simulate_ps
-from .throughput import tdma_ps_one_sided
 
 __all__ = ["ValidationRow", "validation_cases", "run_validation", "validation_passed"]
 
@@ -50,11 +47,12 @@ class ValidationRow:
 
 @dataclass(frozen=True)
 class _Case:
+    """A simulation matched to the analytic value of its own model."""
+
     name: str
     model: NetworkModel
-    mac: MacScheme | None
+    mac: MacScheme
     theta: float
-    analytic: float
     quantity: str = "ps"  # or "capacity"
 
 
@@ -63,181 +61,91 @@ def _pick_p(gamma: float) -> float:
     return min(0.5, max(0.02, 0.3 / gamma))
 
 
+def _picked(name: str, model: NetworkModel, theta: float) -> _Case:
+    """An ALOHA case at the p that _pick_p derives from the model's gamma
+    (which does not depend on p)."""
+    gamma = analytic.spatial_contention(model, Aloha(1.0), theta)
+    return _Case(name, model, Aloha(_pick_p(gamma)), theta)
+
+
 def _single_cases() -> list[_Case]:
-    cases = []
-    r, alpha, p = 1.2, 4.0, 0.5
-    for theta in (0.1, 1.0, 10.0):
-        xi = effective_distance(r, alpha, theta)
-        cases.append(_Case(
-            f"single-1/1-th{theta:g}",
-            NetworkModel(SingleInterferer(r), PowerLaw(alpha), _RAY),
-            Aloha(p), theta, outage.ps_single(_RAY, xi, p),
-        ))
-    xi = effective_distance(r, alpha, 1.0)
-    for label, case in (("1/0", _RAY_STATIC), ("0/1", _STATIC_RAY), ("0/0", _STATIC)):
-        cases.append(_Case(
-            f"single-{label}",
-            NetworkModel(SingleInterferer(r), PowerLaw(alpha), case),
-            Aloha(p), 1.0, outage.ps_single(case, xi, p),
-        ))
+    r, p = 1.2, Aloha(0.5)
+
+    def single(case: FadingCase, alpha: float = 4.0) -> NetworkModel:
+        return NetworkModel(SingleInterferer(r), PowerLaw(alpha), case)
+
+    cases = [_Case(f"single-1/1-th{theta:g}", single(_RAY), p, theta)
+             for theta in (0.1, 1.0, 10.0)]
     naka_i = FadingCase(Fading.rayleigh(), Fading.nakagami(4.0))
     naka_d = FadingCase(Fading.nakagami(4.0), Fading.rayleigh())
     naka_h = FadingCase(Fading.rayleigh(), Fading.nakagami(0.5))
-    for label, case in (("1/m4", naka_i), ("m4/1", naka_d), ("1/m0.5", naka_h)):
-        cases.append(_Case(
-            f"single-{label}",
-            NetworkModel(SingleInterferer(r), PowerLaw(alpha), case),
-            Aloha(p), 1.0, outage.ps_single(case, xi, p),
-        ))
-    xi3 = effective_distance(r, 3.0, 1.0)
-    cases.append(_Case(
-        "single-1/1-a3",
-        NetworkModel(SingleInterferer(r), PowerLaw(3.0), _RAY),
-        Aloha(p), 1.0, outage.ps_single(_RAY, xi3, p),
-    ))
+    for case in (_RAY_STATIC, _STATIC_RAY, _STATIC, naka_i, naka_d, naka_h):
+        cases.append(_Case(f"single-{case.label}", single(case), p, 1.0))
+    cases.append(_Case("single-1/1-a3", single(_RAY, 3.0), p, 1.0))
     return cases
 
 
 def _explicit_cases() -> list[_Case]:
-    alpha, theta, p = 4.0, 1.0, 0.3
-    dists = (1.0, 2.0, 3.0)
-    xis = [effective_distance(r, alpha, theta) for r in dists]
-    cases = [_Case(
-        "explicit-1/1",
-        NetworkModel(Explicit(dists), PowerLaw(alpha), _RAY),
-        Aloha(p), theta, outage.ps_explicit(xis, p).value,
-    )]
-    dists2 = (1.5, 2.5)
-    xis2 = [effective_distance(r, alpha, theta) for r in dists2]
-    cases.append(_Case(
-        "explicit-1/0",
-        NetworkModel(Explicit(dists2), PowerLaw(alpha), _RAY_STATIC),
-        Aloha(p), theta, outage.ps_explicit_partial_exact(xis2, p),
-    ))
-    return cases
+    p = Aloha(0.3)
+    return [
+        _Case("explicit-1/1", NetworkModel(Explicit((1.0, 2.0, 3.0)), PowerLaw(4.0), _RAY),
+              p, 1.0),
+        _Case("explicit-1/0",
+              NetworkModel(Explicit((1.5, 2.5)), PowerLaw(4.0), _RAY_STATIC), p, 1.0),
+    ]
 
 
 def _ppp_cases() -> list[_Case]:
     cases = []
     for alpha, thetas in ((4.0, (0.1, 1.0, 10.0)), (3.0, (0.1, 1.0))):
-        for theta in thetas:
-            gamma = contention.gamma_ppp(2, alpha, theta, Fading.rayleigh())
-            p = _pick_p(gamma)
-            cases.append(_Case(
-                f"ppp2-a{alpha:g}-th{theta:g}",
-                NetworkModel(Ppp(2), PowerLaw(alpha), _RAY),
-                Aloha(p), theta, outage.ps_ppp(2, alpha, theta, p, Fading.rayleigh()),
-            ))
+        model = NetworkModel(Ppp(2), PowerLaw(alpha), _RAY)
+        cases += [_picked(f"ppp2-a{alpha:g}-th{theta:g}", model, theta) for theta in thetas]
     for theta in (0.1, 1.0):
-        gamma = contention.gamma_ppp(2, 4.0, theta, Fading.none())
-        p = _pick_p(gamma)
-        cases.append(_Case(
-            f"ppp2-1/0-th{theta:g}",
-            NetworkModel(Ppp(2), PowerLaw(4.0), _RAY_STATIC),
-            Aloha(p), theta, outage.ps_ppp(2, 4.0, theta, p, Fading.none()),
-        ))
-        gamma = contention.gamma_ppp_nonfading_alpha4(theta)
-        p = _pick_p(gamma)
-        cases.append(_Case(
-            f"ppp2-0/0-th{theta:g}",
-            NetworkModel(Ppp(2), PowerLaw(4.0), _STATIC),
-            Aloha(p), theta, outage.ps_ppp_nonfading_alpha4(theta, p),
-        ))
-        gamma = contention.gamma_exp_pathloss(1.0, theta)
-        p = _pick_p(gamma)
-        cases.append(_Case(
-            f"ppp2-exp-th{theta:g}",
-            NetworkModel(Ppp(2), ExponentialLaw(1.0), _RAY),
-            Aloha(p), theta, outage.ps_exp_pathloss(1.0, theta, p),
-        ))
+        for label, model in (
+            ("1/0", NetworkModel(Ppp(2), PowerLaw(4.0), _RAY_STATIC)),
+            ("0/0", NetworkModel(Ppp(2), PowerLaw(4.0), _STATIC)),
+            ("exp", NetworkModel(Ppp(2), ExponentialLaw(1.0), _RAY)),
+        ):
+            cases.append(_picked(f"ppp2-{label}-th{theta:g}", model, theta))
     for alpha in (2.0, 3.0, 4.0):
-        for theta in (0.1, 1.0, 10.0):
-            gamma = contention.gamma_ppp(1, alpha, theta, Fading.rayleigh())
-            p = _pick_p(gamma)
-            cases.append(_Case(
-                f"ppp1-a{alpha:g}-th{theta:g}",
-                NetworkModel(Ppp(1), PowerLaw(alpha), _RAY),
-                Aloha(p), theta, outage.ps_ppp(1, alpha, theta, p, Fading.rayleigh()),
-            ))
+        model = NetworkModel(Ppp(1), PowerLaw(alpha), _RAY)
+        cases += [_picked(f"ppp1-a{alpha:g}-th{theta:g}", model, theta)
+                  for theta in (0.1, 1.0, 10.0)]
     return cases
 
 
+def _line(alpha: float, sided: str = "one") -> NetworkModel:
+    return NetworkModel(RegularLine(sided), PowerLaw(alpha), _RAY)
+
+
 def _line_cases() -> list[_Case]:
-    cases = []
-    one = NetworkModel(RegularLine("one"), PowerLaw(2.0), _RAY)
-    for theta in (0.1, 1.0, 10.0):
-        p = _pick_p(contention.gamma_line_alpha2(theta))
-        cases.append(_Case(
-            f"line1-a2-th{theta:g}", one, Aloha(p), theta,
-            outage.ps_line_alpha2_aloha(theta, p),
-        ))
-    one4 = NetworkModel(RegularLine("one"), PowerLaw(4.0), _RAY)
-    for theta in (0.1, 1.0):
-        p = _pick_p(contention.gamma_line_alpha4(theta))
-        cases.append(_Case(
-            f"line1-a4-th{theta:g}", one4, Aloha(p), theta,
-            outage.ps_line_alpha4_aloha(theta, p),
-        ))
-    two = NetworkModel(RegularLine("two"), PowerLaw(2.0), _RAY)
-    cases.append(_Case(
-        "line2-a2-th1", two, Aloha(0.2), 1.0,
-        outage.ps_line_alpha2_aloha(1.0, 0.2) ** 2,
-    ))
-    two4 = NetworkModel(RegularLine("two"), PowerLaw(4.0), _RAY)
-    cases.append(_Case(
-        "line2-a4-th1", two4, Aloha(0.2), 1.0,
-        outage.ps_line_alpha4_aloha(1.0, 0.2) ** 2,
-    ))
-    cases.append(_Case(
-        "line1-a4-th10", one4, Aloha(0.1), 10.0,
-        outage.ps_line_alpha4_aloha(10.0, 0.1),
-    ))
+    cases = [_picked(f"line1-a2-th{theta:g}", _line(2.0), theta) for theta in (0.1, 1.0, 10.0)]
+    cases += [_picked(f"line1-a4-th{theta:g}", _line(4.0), theta) for theta in (0.1, 1.0)]
+    cases += [
+        _Case("line2-a2-th1", _line(2.0, "two"), Aloha(0.2), 1.0),
+        _Case("line2-a4-th1", _line(4.0, "two"), Aloha(0.2), 1.0),
+        _Case("line1-a4-th10", _line(4.0), Aloha(0.1), 10.0),
+    ]
     return cases
 
 
 def _tdma_cases() -> list[_Case]:
-    cases = []
-    one2 = NetworkModel(RegularLine("one"), PowerLaw(2.0), _RAY)
-    for m in (1, 2, 4, 8):
-        cases.append(_Case(
-            f"tdma-a2-m{m}", one2, Tdma(m), 1.0,
-            outage.ps_tdma_line(2.0, 1.0, m).value,
-        ))
-    for theta in (0.1, 10.0):
-        cases.append(_Case(
-            f"tdma-a2-m2-th{theta:g}", one2, Tdma(2), theta,
-            outage.ps_tdma_line(2.0, theta, 2).value,
-        ))
-    one4 = NetworkModel(RegularLine("one"), PowerLaw(4.0), _RAY)
-    for m in (1, 2):
-        cases.append(_Case(
-            f"tdma-a4-m{m}", one4, Tdma(m), 1.0,
-            outage.ps_tdma_line(4.0, 1.0, m).value,
-        ))
-    two2 = NetworkModel(RegularLine("two"), PowerLaw(2.0), _RAY)
-    cases.append(_Case(
-        "tdma-a2-m2-two", two2, Tdma(2), 1.0,
-        outage.ps_tdma_line(2.0, 1.0, 2, sided="two").value,
-    ))
-    one3 = NetworkModel(RegularLine("one"), PowerLaw(3.0), _RAY)
-    cases.append(_Case(
-        "tdma-a3-m2", one3, Tdma(2), 1.0, tdma_ps_one_sided(3.0, 1.0, 2),
-    ))
+    cases = [_Case(f"tdma-a2-m{m}", _line(2.0), Tdma(m), 1.0) for m in (1, 2, 4, 8)]
+    cases += [_Case(f"tdma-a2-m2-th{theta:g}", _line(2.0), Tdma(2), theta)
+              for theta in (0.1, 10.0)]
+    cases += [_Case(f"tdma-a4-m{m}", _line(4.0), Tdma(m), 1.0) for m in (1, 2)]
+    cases += [
+        _Case("tdma-a2-m2-two", _line(2.0, "two"), Tdma(2), 1.0),
+        _Case("tdma-a3-m2", _line(3.0), Tdma(2), 1.0),
+    ]
     return cases
 
 
 def _capacity_cases() -> list[_Case]:
-    one2 = NetworkModel(RegularLine("one"), PowerLaw(2.0), _RAY)
-    ppp = NetworkModel(Ppp(2), PowerLaw(4.0), _RAY)
     return [
-        _Case(
-            "capacity-tdma-a2-m2", one2, Tdma(2), 1.0,
-            capacity.ergodic_capacity_tdma(2.0, 2).value, quantity="capacity",
-        ),
-        _Case(
-            "capacity-ppp2-a4-p0.1", ppp, Aloha(0.1), 1.0,
-            capacity.ergodic_capacity_ppp(4.0, 2, 0.1).value, quantity="capacity",
-        ),
+        _Case("capacity-tdma-a2-m2", _line(2.0), Tdma(2), 1.0, quantity="capacity"),
+        _Case("capacity-ppp2-a4-p0.1", NetworkModel(Ppp(2), PowerLaw(4.0), _RAY), Aloha(0.1),
+              1.0, quantity="capacity"),
     ]
 
 
@@ -258,15 +166,14 @@ def _bound_checks() -> list[tuple[str, bool]]:
     for alpha in (2.0, 3.0, 4.0):
         for m in (1, 2, 4):
             for theta in (0.1, 1.0, 10.0):
-                sp = outage.ps_tdma_line(alpha, theta, m)
-                value = tdma_ps_one_sided(alpha, theta, m) if sp.value is None else sp.value
-                ok = sp.lower_bound <= value * (1 + 1e-9) and value <= sp.upper_bound * (1 + 1e-9)
+                sp = analytic.success_probability(_line(alpha), Tdma(m), theta)
+                ok = (sp.lower_bound <= sp.value * (1 + 1e-9)
+                      and sp.value <= sp.upper_bound * (1 + 1e-9))
                 checks.append((f"tdma-bounds-a{alpha:g}-m{m}-th{theta:g}", ok))
     for theta in (0.1, 1.0, 10.0):
         for p in (0.05, 0.2, 0.5):
-            gamma = contention.gamma_line_alpha2(theta)
-            ps = outage.ps_line_alpha2_aloha(theta, p)
-            ok = max(0.0, 1.0 - p * gamma) <= ps <= math.exp(-p * gamma) + 1e-12
+            sp = analytic.success_probability(_line(2.0), Aloha(p), theta)
+            ok = sp.lower_bound <= sp.value <= sp.upper_bound + 1e-12
             checks.append((f"line-sandwich-th{theta:g}-p{p:g}", ok))
     return checks
 
@@ -279,11 +186,13 @@ def run_validation(
     for case in validation_cases() if cases is None else cases:
         if case.quantity == "capacity":
             est = estimate_capacity(case.model, case.mac, cfg, theta_ref=20.0)
+            value = analytic.ergodic_capacity(case.model, case.mac).value
         else:
             est = simulate_ps(case.model, case.mac, case.theta, cfg)
-        z = abs(est.z_score(case.analytic))
+            value = analytic.success_probability(case.model, case.mac, case.theta).value
+        z = abs(est.z_score(value))
         rows.append(ValidationRow(
-            case.name, case.quantity, case.analytic, est.mean, est.stderr, z, z < 3.0,
+            case.name, case.quantity, value, est.mean, est.stderr, z, z < 3.0,
         ))
     return rows, _bound_checks()
 

@@ -84,13 +84,13 @@ def test_outage_schema_and_validate(tmp_path):
 
 
 def test_outage_tdma_bounds_only(tmp_path):
+    """TDMA at alpha outside {2, 4}: the product value between its bounds."""
     code, text = run(tmp_path, "outage", "--class", "line1", "--alpha", "3",
                      "--theta", "1", "--m", "2")
     assert code == 0
     _, rows = data_rows(text)
-    assert rows[0]["method"] == "bounds"
-    assert rows[0]["value"] == ""
-    assert float(rows[0]["lower"]) < float(rows[0]["upper"])
+    assert rows[0]["method"] == "product"
+    assert float(rows[0]["lower"]) <= float(rows[0]["value"]) <= float(rows[0]["upper"])
 
 
 def test_outage_config_file(tmp_path):
@@ -243,3 +243,37 @@ def test_outage_tdma_off_line_is_usage_error(capsys):
     assert main(["outage", "--class", "ppp2", "--m", "2", "--theta", "1"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    "outage --class ppp2 --case 0/1",
+    "outage --class ppp2 --case m2/1",
+    "outage --class ppp1 --alpha 3 --case 0/0",
+    "outage --class explicit --distances 1,2 --case 0/0",
+    "outage --class explicit --distances 1,2 --case 0/1",
+    "contention --class line1 --case 0/0",
+    "contention --class exp2 --case 0/0",
+    "contention --class ppp2 --case 0/1",
+])
+def test_class_without_closed_form_is_usage_error(capsys, argv):
+    """A fading case that no formula covers is refused, not printed under its label."""
+    assert main(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
+
+
+def test_outage_aloha_prints_sandwich_bounds(capsys):
+    assert main("outage --class ppp2 --alpha 4 --theta 1 --p 0.1".split()) == 0
+    _, rows = data_rows(capsys.readouterr().out)
+    gamma = math.pi ** 2 / 2
+    assert float(rows[0]["lower"]) == pytest.approx(1 - 0.1 * gamma, rel=1e-9)
+    assert float(rows[0]["upper"]) == pytest.approx(math.exp(-0.1 * gamma), rel=1e-9)
+    # explicit 1/0: gamma is the exact slope sum(1 - exp(-1/xi)), so
+    # exp(-p gamma) lies above p_s
+    argv = "outage --class explicit --distances 1,2 --case 1/0 --theta 1 --p 0.3"
+    assert main(argv.split()) == 0
+    row = data_rows(capsys.readouterr().out)[1][0]
+    gamma = 2 - math.exp(-1) - math.exp(-1 / 16)
+    assert float(row["upper"]) == pytest.approx(math.exp(-0.3 * gamma), rel=1e-9)
+    assert float(row["lower"]) <= float(row["value"]) <= float(row["upper"])

@@ -18,7 +18,6 @@ from sirnet.contention import (
     gamma_ppp_nonfading_alpha4,
     gamma_single,
     gamma_tdma_line,
-    line_truncation_terms,
     transmission_capacity_density,
 )
 from sirnet.model import Fading, FadingCase
@@ -110,7 +109,8 @@ def test_gamma_exp_pathloss():
 
 def test_gamma_explicit():
     assert gamma_explicit([1.0, 1.0], Fading.rayleigh()) == 1.0
-    assert gamma_explicit([2.0, 4.0], Fading.none()) == pytest.approx(0.75, rel=1e-12)
+    assert gamma_explicit([2.0, 4.0], Fading.none()) == pytest.approx(
+        2 - math.exp(-1 / 2) - math.exp(-1 / 4), rel=1e-12)
     with pytest.raises(DomainError):
         gamma_explicit([0.0], Fading.none())
 
@@ -159,13 +159,6 @@ def test_equivalent_disk_radius():
 
 def test_transmission_capacity_density():
     assert transmission_capacity_density(0.1, 0.5) == pytest.approx(0.05, rel=1e-12)
-
-
-def test_line_truncation_terms_bound_holds():
-    for alpha, theta in ((2.0, 1.0), (3.0, 10.0), (4.0, 0.1)):
-        n = line_truncation_terms(alpha, theta, tol=1e-6)
-        tail = sum(1.0 / (1.0 + i ** alpha / theta) for i in range(n + 1, n + 200000))
-        assert tail < 1e-6
 
 
 def test_contention_is_outage_slope():

@@ -3,7 +3,6 @@ import pytest
 from sirnet.model import (
     Aloha,
     ConfigError,
-    ContentionResult,
     Explicit,
     ExponentialLaw,
     Fading,
@@ -14,7 +13,6 @@ from sirnet.model import (
     RegularLine,
     SingleInterferer,
     Tdma,
-    UncertaintyPoint,
     effective_distance,
     format_model,
     parse_model,
@@ -33,12 +31,6 @@ def test_rayleigh_is_nakagami_one():
 def test_fading_labels():
     assert FadingCase(Fading.rayleigh(), Fading.none()).label == "1/0"
     assert FadingCase(Fading.nakagami(2.5), Fading.rayleigh()).label == "m2.5/1"
-
-
-def test_uncertainty_point_bounds():
-    UncertaintyPoint(0.0, 0.5, 1.0)
-    with pytest.raises(DomainError):
-        UncertaintyPoint(1.2, 0.0, 0.0)
 
 
 def test_validation_errors():
@@ -66,12 +58,6 @@ def test_unit_ball_volume():
     assert unit_ball_volume(1) == pytest.approx(2.0, rel=1e-12)
     assert unit_ball_volume(2) == pytest.approx(math.pi, rel=1e-12)
     assert unit_ball_volume(3) == pytest.approx(4 * math.pi / 3, rel=1e-12)
-
-
-def test_contention_result():
-    r = ContentionResult.from_gamma(2.0)
-    assert r.sigma == 0.5
-    assert ContentionResult.from_gamma(0.0).sigma == float("inf")
 
 
 @pytest.mark.parametrize(

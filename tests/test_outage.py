@@ -9,7 +9,6 @@ from sirnet.model import Fading, FadingCase
 from sirnet.outage import (
     ps_exp_pathloss,
     ps_explicit,
-    ps_explicit_partial,
     ps_explicit_partial_exact,
     ps_line_alpha2_aloha,
     ps_line_alpha4_aloha,
@@ -19,6 +18,7 @@ from sirnet.outage import (
     ps_tdma_line,
 )
 from sirnet.specfun import DomainError, zeta
+from sirnet.throughput import tdma_ps_one_sided
 
 RAY = FadingCase(Fading.rayleigh(), Fading.rayleigh())
 
@@ -107,21 +107,18 @@ def test_ps_explicit_matches_line_product():
 
 
 def test_ps_explicit_partial():
-    assert ps_explicit_partial([1.0], 1.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
     with pytest.raises(DomainError):
-        ps_explicit_partial([0.0], 0.5)
-    # mean-interference form lower-bounds the exact Bernoulli-access value,
-    # which in turn is below the full-fading product
+        ps_explicit_partial_exact([0.0], 0.5)
+    # static interferers hurt more than fading ones: the 1/0 product is
+    # below the full-fading product
     import random
 
     rng = random.Random(3)
     for _ in range(100):
         xis = [rng.uniform(0.2, 20.0) for _ in range(rng.randint(1, 6))]
         p = rng.uniform(0.0, 1.0)
-        lower = ps_explicit_partial(xis, p)
         exact = ps_explicit_partial_exact(xis, p)
         full = ps_explicit(xis, p).value
-        assert lower <= exact + 1e-12
         assert exact <= full + 1e-12
 
 
@@ -183,15 +180,17 @@ def test_ps_tdma_line_bounds():
                 r = ps_tdma_line(alpha, theta, m)
                 tp = theta / m ** alpha
                 assert r.lower_bound == pytest.approx(math.exp(-zeta(alpha) * tp), rel=1e-12)
-                assert r.lower_bound <= r.upper_bound
-                if r.value is not None:
-                    assert r.lower_bound <= r.value <= r.upper_bound
+                assert r.lower_bound <= r.value <= r.upper_bound
 
 
 def test_ps_tdma_line_general_alpha_has_no_value():
+    """Outside alpha in {2, 4} the value is the exact infinite product."""
     r = ps_tdma_line(3.0, 1.0, 2)
-    assert r.value is None
-    assert 0 < r.lower_bound < r.upper_bound <= 1
+    assert r.method == "product"
+    assert r.value == tdma_ps_one_sided(3.0, 1.0, 2)
+    assert 0 < r.lower_bound <= r.value <= r.upper_bound <= 1
+    two = ps_tdma_line(3.0, 1.0, 2, sided="two")
+    assert two.lower_bound <= two.value <= two.upper_bound
 
 
 def test_ps_tdma_two_sided_squares():

@@ -8,7 +8,6 @@ from sirnet.specfun import (
     DomainError,
     cos_integral,
     dilog,
-    erf,
     exp_integral_e1,
     exp_integral_e1_imag,
     exp_integral_e1_imag_scaled,
@@ -117,6 +116,3 @@ def test_lower_incomplete_gamma():
     assert lower_incomplete_gamma(3.0, 80.0) == pytest.approx(2.0, rel=1e-12)
     assert lower_incomplete_gamma(2.5, 1.3) == pytest.approx(0.3172267874759336, rel=1e-10)
 
-
-def test_erf_is_stdlib():
-    assert erf(0.7) == math.erf(0.7)
