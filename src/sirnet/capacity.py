@@ -63,8 +63,8 @@ _TDMA_PANELS = 8
 def _c_p(alpha: float, d: int, p: float) -> float:
     if d not in (1, 2):
         raise DomainError(f"d must be 1 or 2, got {d}")
-    if not alpha > d:
-        raise DomainError(f"alpha > d required, got alpha={alpha}, d={d}")
+    if not d < alpha < math.inf:
+        raise DomainError(f"finite alpha > d required, got alpha={alpha}, d={d}")
     if not 0.0 < p <= 1.0:
         raise DomainError(f"transmit probability must be in (0, 1], got {p}")
     return p * c_d_constant(d, alpha)
@@ -80,7 +80,8 @@ def ergodic_capacity_ppp(alpha: float, d: int = 2, p: float = 1.0) -> CapacityRe
     used. A 1-D network has the same capacity as a 2-D one with twice the
     path loss exponent.
     """
-    return ergodic_capacity_cp(alpha / d, _c_p(alpha, d, p))
+    cp = _c_p(alpha, d, p)  # checks d before alpha / d
+    return ergodic_capacity_cp(alpha / d, cp)
 
 
 def ergodic_capacity_cp(boost: float, cp: float) -> CapacityResult:
@@ -98,7 +99,10 @@ def ergodic_capacity_cp(boost: float, cp: float) -> CapacityResult:
 
     # The integrand behaves like u^boost near 0, which is not analytic for
     # non-integer boost: geometric panels reach down to 60 * 2^-23.
-    value, err = integrate_decaying(integrand, cutoff=60.0, pieces=_CP_PANELS, nodes=_NODES)
+    with np.errstate(over="ignore"):  # an overflow gives inf, refused below
+        value, err = integrate_decaying(integrand, cutoff=60.0, pieces=_CP_PANELS, nodes=_NODES)
+    if not math.isfinite(value):
+        raise DomainError(f"capacity overflows at boost {boost}, c_p {cp}")
     return CapacityResult(value=value, method="quadrature", c_p=cp, abs_err=err)
 
 
@@ -160,8 +164,8 @@ def ergodic_capacity_tdma(alpha: float, m: int) -> CapacityResult:
         raise DomainError(f"reuse factor must be an integer >= 1, got {m}")
     if alpha == 2:
         return _tdma_capacity_alpha2(m)
-    if not alpha > 1:
-        raise DomainError(f"alpha must exceed 1, got {alpha}")
+    if not 1 < alpha < math.inf:
+        raise DomainError(f"alpha must be finite and exceed 1, got {alpha}")
     return _tdma_capacity_ccdf(alpha, m)
 
 
@@ -203,8 +207,8 @@ def ergodic_capacity_tdma_bounds(alpha: float, m: int) -> tuple[float, float | N
     the Jensen upper bound log(1 + 7 zeta(3) m^2 / pi^2) are also applied;
     upper is None when alpha != 2.
     """
-    if not alpha > 1:
-        raise DomainError(f"alpha must exceed 1, got {alpha}")
+    if not 1 < alpha < math.inf:
+        raise DomainError(f"alpha must be finite and exceed 1, got {alpha}")
     if not (isinstance(m, int) and m >= 1):
         raise DomainError(f"reuse factor must be an integer >= 1, got {m}")
     z = zeta(alpha) / m ** alpha

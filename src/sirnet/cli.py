@@ -2,11 +2,16 @@
 analytic-vs-Monte-Carlo validation suite, all emitted as CSV.
 
 Exit codes: 0 success, 1 validation failure, 2 usage or domain error.
+``main(argv)`` returns the exit code instead of exiting, except for an
+argparse usage error, which raises ``SystemExit(2)``. It may be called
+repeatedly in one process: the parser is built on the first call and
+reused, since parsing leaves it unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import io
 import math
@@ -61,27 +66,40 @@ class _Csv:
         print(",".join(_fmt(v) for v in values), file=self.out)
 
 
+# The most points a grid may hold; a longer one is refused before it is
+# built (0:1:1e308 would otherwise allocate without end).
+_MAX_POINTS = 10_000
+
+
+def _grid(values: list, spec: str) -> list:
+    if not values or not all(map(math.isfinite, values)):
+        raise DomainError(f"{spec!r} must give one or more finite numbers")
+    return values
+
+
 def _parse_range(spec: str) -> list[float]:
     """'a:step:b' inclusive range, or a single value, or 'v1,v2,...'."""
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
             raise DomainError(f"range must be start:step:stop, got {spec!r}")
-        start, step, stop = (float(s) for s in parts)
+        start, step, stop = _grid([float(s) for s in parts], spec)
         if step <= 0 or stop < start:
             raise DomainError(f"invalid range {spec!r}")
+        if not (stop - start) / step < _MAX_POINTS:
+            raise DomainError(f"range {spec!r} has more than {_MAX_POINTS} points")
         n = int(round((stop - start) / step))
-        return [start + i * step for i in range(n + 1)]
-    if "," in spec:
-        return [float(s) for s in spec.split(",") if s.strip()]
-    return [float(spec)]
+        return _grid([start + i * step for i in range(n + 1)], spec)
+    return _grid([float(s) for s in spec.split(",") if s.strip()], spec)
 
 
 def _parse_int_range(spec: str) -> list[int]:
     if ":" in spec:
-        a, b = spec.split(":", 1)
-        return list(range(int(a), int(b) + 1))
-    return [int(s) for s in spec.split(",") if s.strip()]
+        a, b = (int(s) for s in spec.split(":", 1))
+        if b - a >= _MAX_POINTS:
+            raise DomainError(f"range {spec!r} has more than {_MAX_POINTS} points")
+        return _grid(list(range(a, b + 1)), spec)
+    return _grid([int(s) for s in spec.split(",") if s.strip()], spec)
 
 
 def _distances(args) -> tuple[float, ...]:
@@ -124,6 +142,8 @@ _CONTENTION_COLUMNS = ["class", "case", "alpha", "delta", "theta", "xi",
 
 def _contention_row(csv: _Csv, cls: str, case: str, alpha, delta, theta, xi,
                     gamma: float, note: str = "") -> None:
+    if gamma == math.inf:
+        raise OverflowError(f"gamma exceeds the float range at theta = {theta}")
     sigma = math.inf if gamma == 0.0 else 1.0 / gamma
     csv.row(cls, case, alpha, delta, theta, xi, gamma, sigma, "closed-form", note)
 
@@ -332,9 +352,7 @@ def cmd_samples(args, out) -> int:
     samples = simulate_sir_samples(model, mac, cfg)
     if samples.clipped:
         print(f"# clipped = {samples.clipped}", file=out)
-    print("sir", file=out)
-    for v in samples.values:
-        print(f"{v:.10g}", file=out)
+    out.write("sir\n" + "".join(f"{v:.10g}\n" for v in samples.values.tolist()))
     return 0
 
 
@@ -343,6 +361,7 @@ def cmd_samples(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sirnet",
@@ -455,8 +474,9 @@ def main(argv: list[str] | None = None) -> int:
         else:
             sys.stdout.write(buf.getvalue())
         return code
-    except (DomainError, ConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (DomainError, ConfigError, ValueError, OSError, OverflowError) as exc:
+        kind = "numeric overflow: " if isinstance(exc, OverflowError) else ""
+        print(f"error: {kind}{exc}", file=sys.stderr)
         return 2
 
 

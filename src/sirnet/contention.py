@@ -41,8 +41,8 @@ def gamma_single(case: FadingCase, xi: float) -> float:
     1/m -> 1 - (1 + 1/(m xi))^-m; m/1 -> (1 + xi/m)^-m. Nakagami on one side
     tends to the static case as m grows. All values lie in [0, 1].
     """
-    if xi < 0:
-        raise DomainError(f"xi must be >= 0, got {xi}")
+    if not 0 <= xi < math.inf:
+        raise DomainError(f"xi must be finite and >= 0, got {xi}")
     d, i = case.desired, case.interferer
     if d.is_rayleigh and i.is_rayleigh:
         return 1.0 / (1.0 + xi)
@@ -71,8 +71,8 @@ def c_d_constant(d: int, alpha: float) -> float:
     """
     if not (isinstance(d, int) and d >= 1):
         raise DomainError(f"dimension must be an integer >= 1, got {d}")
-    if not alpha > d:
-        raise DomainError(f"alpha > d required for finite contention (alpha={alpha}, d={d})")
+    if not d < alpha < math.inf:
+        raise DomainError(f"finite alpha > d required (alpha={alpha}, d={d})")
     x = d * math.pi / alpha
     return unit_ball_volume(d) * x / math.sin(x)
 
@@ -90,14 +90,14 @@ def gamma_ppp(d: int, alpha: float, theta: float, interferer_fading: Fading) -> 
     if interferer_fading.is_rayleigh:
         if d not in (1, 2, 3):
             raise UnsupportedClassError(f"PPP contention supports d in 1..3, got {d}")
-        return theta ** (d / alpha) * c_d_constant(d, alpha)
+        return c_d_constant(d, alpha) * theta ** (d / alpha)  # checks alpha first
     if interferer_fading.is_static:
         if d != 2:
             raise UnsupportedClassError(
                 "static-interferer PPP contention is only available for d = 2"
             )
-        if not alpha > 2:
-            raise DomainError(f"alpha > 2 required, got {alpha}")
+        if not 2 < alpha < math.inf:
+            raise DomainError(f"finite alpha > 2 required, got {alpha}")
         return math.pi * gamma_fn(1.0 - 2.0 / alpha) * theta ** (2.0 / alpha)
     raise UnsupportedClassError(
         f"no PPP contention closed form for interferer fading {interferer_fading.symbol!r}"
@@ -114,12 +114,13 @@ def gamma_ppp_nonfading_alpha4(theta: float) -> float:
 def gamma_exp_pathloss(delta: float, theta: float) -> float:
     """2-D PPP contention under exponential path loss exp(-delta r).
 
-    gamma = -2 pi dilog(theta + 1) / delta^2; grows only like log^2(theta),
-    and is finite for every delta > 0.
+    gamma = -2 pi dilog(theta + 1) / delta^2; grows only like log^2(theta).
+    It overflows to inf where delta^2 underflows (delta below about 1e-162).
     """
     if not (delta > 0 and theta > 0):
         raise DomainError("delta and theta must be positive")
-    return -2.0 * math.pi * dilog(theta + 1.0) / delta ** 2
+    d2 = delta ** 2
+    return -2.0 * math.pi * dilog(theta + 1.0) / d2 if d2 > 0 else math.inf
 
 
 def gamma_explicit(xis: list[float], interferer_fading: Fading) -> float:
@@ -192,8 +193,8 @@ def gamma_line_taylor(alpha: float, theta: float, terms: int) -> float:
     gamma = zeta(alpha) theta - zeta(2 alpha) theta^2 + ... Useful only for
     theta < 1/2 where the series converges quickly.
     """
-    if not alpha > 1:
-        raise DomainError(f"alpha must exceed 1, got {alpha}")
+    if not 1 < alpha < math.inf:
+        raise DomainError(f"alpha must be finite and exceed 1, got {alpha}")
     if not (0.0 < theta < 0.5):
         raise DomainError(f"series form requires 0 < theta < 1/2, got {theta}")
     if terms < 1:
@@ -206,8 +207,8 @@ def gamma_line_taylor(alpha: float, theta: float, terms: int) -> float:
 
 def gamma_tdma_line(alpha: float, theta: float) -> float:
     """TDMA line-network contention (slope w.r.t. (1/m)^alpha): zeta(alpha) theta."""
-    if not alpha > 1:
-        raise DomainError(f"alpha must exceed 1, got {alpha}")
+    if not 1 < alpha < math.inf:
+        raise DomainError(f"alpha must be finite and exceed 1, got {alpha}")
     if not theta > 0:
         raise DomainError(f"theta must be positive, got {theta}")
     return zeta(alpha) * theta

@@ -42,8 +42,8 @@ class PowerLaw:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise DomainError(f"alpha must be positive, got {self.alpha}")
+        if not 0 < self.alpha < math.inf:
+            raise DomainError(f"alpha must be positive and finite, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,8 @@ class ExponentialLaw:
     delta: float
 
     def __post_init__(self) -> None:
-        if not self.delta > 0:
-            raise DomainError(f"delta must be positive, got {self.delta}")
+        if not 0 < self.delta < math.inf:
+            raise DomainError(f"delta must be positive and finite, got {self.delta}")
 
 
 PathLoss = PowerLaw | ExponentialLaw

@@ -54,6 +54,10 @@ def hurwitz_zeta(s: float, n: int) -> float:
         raise DomainError(f"zeta requires s > 1, got {s}")
     if not (isinstance(n, int) and n >= 1):
         raise DomainError(f"hurwitz_zeta requires an integer n >= 1, got {n}")
+    if s > 1075:
+        # (n+1)^-s <= 2^-s underflows to 0, so the sum is its first term (and
+        # a huge s does not sum 2s terms).
+        return n ** -s
     big = max(n, 25 if s >= 2 else 60, math.ceil(2.0 * s))
     total = sum(k ** -s for k in range(n, big))
     # Euler-Maclaurin: integral term, half term, and B_2j corrections.

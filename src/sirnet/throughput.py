@@ -49,12 +49,11 @@ def aloha_p_opt_half(gamma: float) -> float:
     p_opt = 1/gamma + (1 - sqrt(1 + 4/gamma^2))/2; tends to 1/2 as
     gamma -> 0 and to 1/gamma as gamma -> infinity.
     """
-    if not gamma > 0:
-        raise DomainError(f"gamma must be positive, got {gamma}")
-    s = 1.0 / gamma
-    # 1/g + (1 - sqrt(1+4/g^2))/2, rewritten to avoid cancellation for small g.
-    root = math.sqrt(1.0 + 4.0 * s * s)
-    return s + 0.5 - 0.5 * root
+    if not 0 < gamma < math.inf:
+        raise DomainError(f"gamma must be positive and finite, got {gamma}")
+    # Evaluated as 1 / (1 + g/2 + hypot(1, g/2)), equal to the form above,
+    # which loses digits to cancellation for small g and overflows below 1e-154.
+    return 1.0 / (1.0 + 0.5 * gamma + math.hypot(1.0, 0.5 * gamma))
 
 
 def aloha_p_opt(gamma: float, duplex: str = "full") -> ThroughputResult:
@@ -65,8 +64,8 @@ def aloha_p_opt(gamma: float, duplex: str = "full") -> ThroughputResult:
     (1+gamma)/(2+gamma)^2 exp(-gamma/(2+gamma)), which is within 1.4% of
     the true maximum for all gamma.
     """
-    if not gamma > 0:
-        raise DomainError(f"gamma must be positive, got {gamma}")
+    if not 0 < gamma < math.inf:
+        raise DomainError(f"gamma must be positive and finite, got {gamma}")
     if duplex == "full":
         p = min(1.0 / gamma, 1.0)
         return ThroughputResult(value=p * math.exp(-p * gamma), p_opt=p)
@@ -99,12 +98,13 @@ def tdma_ps_one_sided(
     only on each element's own theta', so an array call returns exactly
     what scalar calls return.
     """
-    if not alpha > 1:
-        raise DomainError(f"alpha must exceed 1, got {alpha}")
+    if not 1 < alpha < math.inf:
+        raise DomainError(f"alpha must be finite and exceed 1, got {alpha}")
     theta, m = np.asarray(theta, dtype=float), np.asarray(m, dtype=float)
     if not (np.all(theta > 0) and np.all(m >= 1)):
         raise DomainError("theta must be positive and m >= 1")
-    tp = theta / m ** alpha
+    with np.errstate(over="ignore"):  # m^alpha = inf gives theta' = 0, its limit
+        tp = theta / m ** alpha
     per_head = {}  # N -> (i^-alpha for i < N, tail coefficients)
     log_inv = np.empty_like(tp)
     for j, t in enumerate(tp.ravel().tolist()):
@@ -141,8 +141,8 @@ def tdma_m_opt(alpha: float, theta: float) -> ThroughputResult:
     upper bound) and the closed-form estimate
     m_hat = round((theta zeta(alpha) (2 alpha - 1/2))^(1/alpha)).
     """
-    if not alpha > 1:
-        raise DomainError(f"alpha must exceed 1, got {alpha}")
+    if not 1 < alpha < math.inf:
+        raise DomainError(f"alpha must be finite and exceed 1, got {alpha}")
     if not theta > 0:
         raise DomainError(f"theta must be positive, got {theta}")
     z = zeta(alpha)
@@ -173,8 +173,8 @@ def theta_opt_fullduplex(alpha: float, d: int) -> float:
     """
     if d not in (1, 2):
         raise DomainError(f"d must be 1 or 2, got {d}")
-    if not alpha > d:
-        raise DomainError(f"alpha > d required, got alpha={alpha}, d={d}")
+    if not d < alpha < math.inf:
+        raise DomainError(f"finite alpha > d required, got alpha={alpha}, d={d}")
     k = alpha / d
     w = lambert_w0(-k * math.exp(-k))
     return math.expm1(w + k)
@@ -190,8 +190,8 @@ def optimize_rate(alpha: float, d: int, duplex: str = "full", c: float | None = 
     """
     if d not in (1, 2):
         raise DomainError(f"d must be 1 or 2, got {d}")
-    if not alpha > d:
-        raise DomainError(f"alpha > d required, got alpha={alpha}, d={d}")
+    if not d < alpha < math.inf:
+        raise DomainError(f"finite alpha > d required, got alpha={alpha}, d={d}")
     if c is None:
         c = c_d_constant(d, alpha)
     if not c > 0:

@@ -1,11 +1,12 @@
 """CLI surface: exit codes, CSV schema, reproducibility."""
 
 import math
+import time
 
 import pytest
 
 from sirnet import validation
-from sirnet.cli import main
+from sirnet.cli import _build_parser, _parse_range, main
 from sirnet.model import (
     Aloha,
     Fading,
@@ -16,6 +17,7 @@ from sirnet.model import (
     format_model,
 )
 from sirnet.montecarlo import simulate_ps
+from sirnet.specfun import DomainError
 
 
 def run(tmp_path, *argv):
@@ -277,3 +279,71 @@ def test_outage_aloha_prints_sandwich_bounds(capsys):
     gamma = 2 - math.exp(-1) - math.exp(-1 / 16)
     assert float(row["upper"]) == pytest.approx(math.exp(-0.3 * gamma), rel=1e-9)
     assert float(row["lower"]) <= float(row["value"]) <= float(row["upper"])
+
+
+def one_line_error(capsys):
+    out, err = capsys.readouterr()
+    return out == "" and err.count("\n") == 1 and err.startswith("error:")
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def test_refused_argv_leaves_parser_unchanged(capsys):
+    argv = ["contention", "--class", "ppp1", "--alpha", "2", "--theta", "0.5"]
+    assert main(argv) == 0
+    alone = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["contention", "--class", "hexgrid"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == alone
+
+
+def test_validate_flag_does_not_carry_over(capsys):
+    argv = "outage --class ppp2 --alpha 4 --theta 1 --p 0.1 --trials 2000 --seed 3".split()
+    assert main([*argv, "--validate"]) == 0
+    assert data_rows(capsys.readouterr().out)[1][0]["mc_estimate"] != ""
+    assert main(argv) == 0
+    row = data_rows(capsys.readouterr().out)[1][0]
+    assert (row["mc_estimate"], row["mc_stderr"], row["z"]) == ("", "", "")
+
+
+def test_out_file_does_not_carry_over(tmp_path, capsys):
+    argv = ["throughput", "--gamma", "2"]
+    assert main([*argv, "--out", str(tmp_path / "t.csv")]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (tmp_path / "t.csv").read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    "outage --alpha inf",
+    "contention --class ppp1 --alpha inf",
+    "contention --class ppp3 --alpha inf",
+    "throughput --tdma --alpha inf --theta-db 0",
+    "capacity --tdma --alpha=inf",
+    "throughput --rate --alpha-range=2:0.5:inf",
+    "contention --theta-db=1e6",
+    "capacity --alpha=1e308",
+    "capacity --d=0",
+    "throughput --gamma inf",
+    "contention --class single --xi nan",
+    "contention --class exp2 --delta=inf",
+    "contention --theta ,",
+    "outage --theta-db=0:1:1e308",
+    "capacity --tdma --m 1:1000000000000",
+])
+@pytest.mark.filterwarnings("error")  # a warning would add lines to stderr
+def test_non_finite_or_overlong_input_is_usage_error(capsys, argv):
+    assert main(argv.split()) == 2
+    assert one_line_error(capsys)
+
+
+def test_overlong_grid_is_refused_before_it_is_built():
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="more than"):
+        _parse_range("0:1:1e308")
+    assert time.perf_counter() - start < 0.1
