@@ -86,10 +86,10 @@ def _parse_range(spec: str) -> list[float]:
         start, step, stop = _grid([float(s) for s in parts], spec)
         if step <= 0 or stop < start:
             raise DomainError(f"invalid range {spec!r}")
-        if not (stop - start) / step < _MAX_POINTS:
+        count = (stop - start) / step
+        if not count < _MAX_POINTS:
             raise DomainError(f"range {spec!r} has more than {_MAX_POINTS} points")
-        n = int(round((stop - start) / step))
-        return _grid([start + i * step for i in range(n + 1)], spec)
+        return _grid([start + i * step for i in range(int(round(count)) + 1)], spec)
     return _grid([float(s) for s in spec.split(",") if s.strip()], spec)
 
 
@@ -142,8 +142,6 @@ _CONTENTION_COLUMNS = ["class", "case", "alpha", "delta", "theta", "xi",
 
 def _contention_row(csv: _Csv, cls: str, case: str, alpha, delta, theta, xi,
                     gamma: float, note: str = "") -> None:
-    if gamma == math.inf:
-        raise OverflowError(f"gamma exceeds the float range at theta = {theta}")
     sigma = math.inf if gamma == 0.0 else 1.0 / gamma
     csv.row(cls, case, alpha, delta, theta, xi, gamma, sigma, "closed-form", note)
 

@@ -33,6 +33,12 @@ class UnsupportedClassError(ValueError):
     """No closed form is available for this network class."""
 
 
+def _finite(gamma: float) -> float:
+    if gamma == math.inf:
+        raise OverflowError("spatial contention exceeds the float range")
+    return gamma
+
+
 def gamma_single(case: FadingCase, xi: float) -> float:
     """Single-interferer spatial contention as a function of xi = r^alpha/theta.
 
@@ -90,7 +96,7 @@ def gamma_ppp(d: int, alpha: float, theta: float, interferer_fading: Fading) -> 
     if interferer_fading.is_rayleigh:
         if d not in (1, 2, 3):
             raise UnsupportedClassError(f"PPP contention supports d in 1..3, got {d}")
-        return c_d_constant(d, alpha) * theta ** (d / alpha)  # checks alpha first
+        return _finite(c_d_constant(d, alpha) * theta ** (d / alpha))  # checks alpha first
     if interferer_fading.is_static:
         if d != 2:
             raise UnsupportedClassError(
@@ -98,7 +104,7 @@ def gamma_ppp(d: int, alpha: float, theta: float, interferer_fading: Fading) -> 
             )
         if not 2 < alpha < math.inf:
             raise DomainError(f"finite alpha > 2 required, got {alpha}")
-        return math.pi * gamma_fn(1.0 - 2.0 / alpha) * theta ** (2.0 / alpha)
+        return _finite(math.pi * gamma_fn(1.0 - 2.0 / alpha) * theta ** (2.0 / alpha))
     raise UnsupportedClassError(
         f"no PPP contention closed form for interferer fading {interferer_fading.symbol!r}"
     )
@@ -115,12 +121,12 @@ def gamma_exp_pathloss(delta: float, theta: float) -> float:
     """2-D PPP contention under exponential path loss exp(-delta r).
 
     gamma = -2 pi dilog(theta + 1) / delta^2; grows only like log^2(theta).
-    It overflows to inf where delta^2 underflows (delta below about 1e-162).
+    It overflows where delta^2 underflows (delta below about 1e-162).
     """
     if not (delta > 0 and theta > 0):
         raise DomainError("delta and theta must be positive")
     d2 = delta ** 2
-    return -2.0 * math.pi * dilog(theta + 1.0) / d2 if d2 > 0 else math.inf
+    return _finite(-2.0 * math.pi * dilog(theta + 1.0) / d2 if d2 > 0 else math.inf)
 
 
 def gamma_explicit(xis: list[float], interferer_fading: Fading) -> float:
@@ -211,7 +217,7 @@ def gamma_tdma_line(alpha: float, theta: float) -> float:
         raise DomainError(f"alpha must be finite and exceed 1, got {alpha}")
     if not theta > 0:
         raise DomainError(f"theta must be positive, got {theta}")
-    return zeta(alpha) * theta
+    return _finite(zeta(alpha) * theta)
 
 
 def equivalent_disk_radius(gamma: float, link_distance: float = 1.0) -> float:

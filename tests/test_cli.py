@@ -332,6 +332,8 @@ def test_out_file_does_not_carry_over(tmp_path, capsys):
     "throughput --gamma inf",
     "contention --class single --xi nan",
     "contention --class exp2 --delta=inf",
+    "contention --class ppp2 --alpha 2.0000001 --theta 1e308",
+    "outage --class exp2 --delta 1e-160 --p 0 --theta 1",
     "contention --theta ,",
     "outage --theta-db=0:1:1e308",
     "capacity --tdma --m 1:1000000000000",
