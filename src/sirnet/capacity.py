@@ -97,12 +97,12 @@ def ergodic_capacity_cp(boost: float, cp: float) -> CapacityResult:
         # u = c_p t; C = int log(1 + (u/c_p)^boost) exp(-u) du
         return np.log1p((u / cp) ** boost) * np.exp(-u)
 
+    # Refuse where (u/c_p)^boost would pass the float range (e^709.78) at a node u <= 60.
+    if boost * math.log(60.0 / cp) > 709.0:
+        raise DomainError(f"capacity integrand overflows at boost {boost}, c_p {cp}")
     # The integrand behaves like u^boost near 0, which is not analytic for
     # non-integer boost: geometric panels reach down to 60 * 2^-23.
-    with np.errstate(over="ignore"):  # an overflow gives inf, refused below
-        value, err = integrate_decaying(integrand, cutoff=60.0, pieces=_CP_PANELS, nodes=_NODES)
-    if not math.isfinite(value):
-        raise DomainError(f"capacity overflows at boost {boost}, c_p {cp}")
+    value, err = integrate_decaying(integrand, cutoff=60.0, pieces=_CP_PANELS, nodes=_NODES)
     return CapacityResult(value=value, method="quadrature", c_p=cp, abs_err=err)
 
 
