@@ -45,6 +45,7 @@ from .model import (
     RegularLine,
     SingleInterferer,
     Tdma,
+    class_model,
     effective_distance,
     format_model,
     parse_model,
@@ -55,7 +56,6 @@ from .montecarlo import (
     SimConfig,
     SirSamples,
     WindowError,
-    empirical_ccdf,
     estimate_capacity,
     estimate_gamma,
     simulate_ps,

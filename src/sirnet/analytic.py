@@ -17,11 +17,10 @@ from typing import Callable
 from . import capacity, contention, outage
 from .contention import UnsupportedClassError
 from .model import (
+    RAYLEIGH,
     Aloha,
     Explicit,
     ExponentialLaw,
-    Fading,
-    FadingCase,
     MacScheme,
     NetworkModel,
     PowerLaw,
@@ -33,10 +32,6 @@ from .model import (
 )
 
 __all__ = ["spatial_contention", "success_probability", "ergodic_capacity"]
-
-_RAY = FadingCase(Fading.rayleigh(), Fading.rayleigh())
-_STATIC = FadingCase(Fading.none(), Fading.none())
-
 
 def _named(model: NetworkModel, mac: MacScheme, why: object) -> UnsupportedClassError:
     return UnsupportedClassError(
@@ -55,7 +50,7 @@ def _forms(model: NetworkModel, mac: MacScheme,
     has a form). Other classes raise a bare UnsupportedClassError(reason)."""
     g, pl, case = model.geometry, model.path_loss, model.fading
     if isinstance(pl, ExponentialLaw):
-        _require(g == Ppp(2) and case == _RAY and isinstance(mac, Aloha),
+        _require(g == Ppp(2) and case == RAYLEIGH and isinstance(mac, Aloha),
                  "exponential path loss needs the 2-D PPP, case 1/1 and ALOHA")
         return (contention.gamma_exp_pathloss(pl.delta, theta),
                 partial(outage.ps_exp_pathloss, pl.delta, theta))
@@ -63,7 +58,7 @@ def _forms(model: NetworkModel, mac: MacScheme,
         xi = effective_distance(g.r, pl.alpha, theta)
         return contention.gamma_single(case, xi), partial(outage.ps_single, case, xi)
     if isinstance(g, RegularLine):
-        _require(case == _RAY, "line networks need case 1/1")
+        _require(case == RAYLEIGH, "line networks need case 1/1")
         sides = 2 if g.sided == "two" else 1
         if isinstance(mac, Tdma):
             return sides * contention.gamma_tdma_line(pl.alpha, theta), None
@@ -79,7 +74,7 @@ def _forms(model: NetworkModel, mac: MacScheme,
             return 2 * gamma, lambda p: ps(theta, p) * ps(theta, p)
         return gamma, partial(ps, theta)
     _require(isinstance(mac, Aloha), "TDMA needs a line network")
-    if isinstance(g, Ppp) and case == _STATIC:
+    if isinstance(g, Ppp) and case.label == "0/0":
         _require(g.d == 2 and pl.alpha == 4.0, "the non-fading PPP needs d = 2 and alpha = 4")
         return (contention.gamma_ppp_nonfading_alpha4(theta),
                 partial(outage.ps_ppp_nonfading_alpha4, theta))
@@ -131,7 +126,7 @@ def ergodic_capacity(model: NetworkModel, mac: MacScheme) -> capacity.CapacityRe
     line, both with power-law path loss.
     """
     g, pl = model.geometry, model.path_loss
-    if model.fading == _RAY and isinstance(pl, PowerLaw):
+    if model.fading == RAYLEIGH and isinstance(pl, PowerLaw):
         if isinstance(g, Ppp) and isinstance(mac, Aloha):
             return capacity.ergodic_capacity_ppp(pl.alpha, g.d, mac.p)
         if g == RegularLine("one") and isinstance(mac, Tdma):

@@ -53,9 +53,7 @@ class CapacityResult:
     abs_err: float = 0.0
 
 
-# Gauss-Legendre points per panel (n; the error estimate also uses 2n) and
-# geometric panel counts for the capacity integrals.
-_NODES = 16
+# Geometric panel counts for the capacity integrals.
 _CP_PANELS = 24
 _TDMA_PANELS = 8
 
@@ -76,7 +74,7 @@ def ergodic_capacity_ppp(alpha: float, d: int = 2, p: float = 1.0) -> CapacityRe
     The (d/alpha)-th moment of the SIR is exponential with mean 1/c_p,
     c_p = p C_d(alpha), so C = c_p int log(1 + t^(alpha/d)) exp(-c_p t) dt.
     For the quadratic boost exponent (alpha = 2d) this reduces to a
-    cosine/sine-integral closed form; otherwise adaptive quadrature is
+    closed form in E1(j c_p); otherwise Gauss-Legendre quadrature is
     used. A 1-D network has the same capacity as a 2-D one with twice the
     path loss exponent.
     """
@@ -102,7 +100,7 @@ def ergodic_capacity_cp(boost: float, cp: float) -> CapacityResult:
         raise DomainError(f"capacity integrand overflows at boost {boost}, c_p {cp}")
     # The integrand behaves like u^boost near 0, which is not analytic for
     # non-integer boost: geometric panels reach down to 60 * 2^-23.
-    value, err = integrate_decaying(integrand, cutoff=60.0, pieces=_CP_PANELS, nodes=_NODES)
+    value, err = integrate_decaying(integrand, cutoff=60.0, pieces=_CP_PANELS)
     return CapacityResult(value=value, method="quadrature", c_p=cp, abs_err=err)
 
 
@@ -180,7 +178,7 @@ def _tdma_capacity_alpha2(m: int) -> CapacityResult:
                           2.0 * np.exp(-ts) * (ts * (2.0 + em) + em) / em ** 2)
         return np.log1p((m * t / math.pi) ** 2) * kernel
 
-    value, err = integrate_decaying(integrand, cutoff=60.0, pieces=_TDMA_PANELS, nodes=_NODES)
+    value, err = integrate_decaying(integrand, cutoff=60.0, pieces=_TDMA_PANELS)
     return CapacityResult(value=value, method="closed-kernel", abs_err=err)
 
 
@@ -195,7 +193,7 @@ def _tdma_capacity_ccdf(alpha: float, m: int) -> CapacityResult:
     cutoff = math.log1p(60.0 * m ** alpha / zeta(alpha))
     while integrand_v(cutoff) > 1e-13 and cutoff < 1e4:
         cutoff *= 1.5
-    value, err = integrate_decaying(integrand_v, cutoff=cutoff, pieces=_TDMA_PANELS, nodes=_NODES)
+    value, err = integrate_decaying(integrand_v, cutoff=cutoff, pieces=_TDMA_PANELS)
     return CapacityResult(value=value, method="quadrature", abs_err=err)
 
 

@@ -21,27 +21,24 @@ import sys
 from . import analytic, capacity, contention, throughput, validation
 from .contention import UnsupportedClassError
 from .model import (
+    RAYLEIGH,
     Aloha,
     ConfigError,
-    Explicit,
     ExponentialLaw,
     Fading,
     FadingCase,
     MacScheme,
     NetworkModel,
     PowerLaw,
-    Ppp,
-    RegularLine,
-    SingleInterferer,
     Tdma,
+    class_model,
     format_model,
     parse_model,
 )
-from .montecarlo import SimConfig, simulate_ps, simulate_sir_samples
+from .montecarlo import SimConfig, WindowError, simulate_ps, simulate_sir_samples
 from .specfun import DomainError
 
 _CSV_VERSION = "# sirnet csv v1"
-_RAY = FadingCase(Fading.rayleigh(), Fading.rayleigh())
 # Spatial contention under ALOHA does not depend on p.
 _ALOHA = Aloha(1.0)
 
@@ -102,12 +99,6 @@ def _parse_int_range(spec: str) -> list[int]:
     return _grid([int(s) for s in spec.split(",") if s.strip()], spec)
 
 
-def _distances(args) -> tuple[float, ...]:
-    if not args.distances:
-        raise DomainError("--class explicit needs --distances")
-    return tuple(float(s) for s in args.distances.split(","))
-
-
 def _thetas(args) -> list[float]:
     if getattr(args, "theta_db", None) is not None:
         return [10.0 ** (db / 10.0) for db in _parse_range(args.theta_db)]
@@ -116,20 +107,10 @@ def _thetas(args) -> list[float]:
     return [1.0]
 
 
-def _parse_case(spec: str) -> FadingCase:
-    def one(sym: str) -> Fading:
-        if sym == "0":
-            return Fading.none()
-        if sym == "1":
-            return Fading.rayleigh()
-        if sym.startswith("m"):
-            return Fading.nakagami(float(sym[1:]))
-        raise DomainError(f"unknown fading symbol {sym!r} (use 0, 1, or m<value>)")
-
-    if "/" not in spec:
-        raise DomainError(f"fading case must look like 1/0, got {spec!r}")
-    d, i = spec.split("/", 1)
-    return FadingCase(one(d), one(i))
+def _class_model(args) -> NetworkModel:
+    return class_model(args.cls, args.alpha, args.case or "1/1", delta=args.delta,
+                       r=getattr(args, "r", 1.0),
+                       distances=args.distances.split(",") if args.distances else None)
 
 
 # ---------------------------------------------------------------------------
@@ -157,43 +138,37 @@ def _model_row(csv: _Csv, cls: str, model: NetworkModel, mac: MacScheme,
 
 def _ppp3_row(csv: _Csv, case: FadingCase, alpha: float, theta: float) -> None:
     """The conjectured 3-D PPP value, which no NetworkModel describes."""
-    if case != _RAY:
+    if case != RAYLEIGH:
         raise UnsupportedClassError(
             f"the 3-D PPP contention is conjectured for case 1/1 only, got {case.label}")
     _contention_row(csv, "ppp3", case.label, alpha, None, theta, None,
                     contention.gamma_ppp(3, alpha, theta, Fading.rayleigh()), "conjectured")
 
 
-def _line(alpha: float) -> NetworkModel:
-    return NetworkModel(RegularLine("one"), PowerLaw(alpha), _RAY)
-
-
 # contention --table3: every closed-form class, repeated for each theta,
 # followed by the conjectured 3-D PPP at alpha = 4.
 _TABLE3 = (
-    ("ppp2", NetworkModel(Ppp(2), PowerLaw(3.0), _RAY), _ALOHA),
-    ("ppp2", NetworkModel(Ppp(2), PowerLaw(4.0), _RAY), _ALOHA),
-    ("ppp2", NetworkModel(Ppp(2), PowerLaw(4.0), FadingCase(Fading.rayleigh(), Fading.none())),
-     _ALOHA),
-    ("ppp2", NetworkModel(Ppp(2), PowerLaw(4.0), FadingCase(Fading.none(), Fading.none())),
-     _ALOHA),
-    ("exp2", NetworkModel(Ppp(2), ExponentialLaw(1.0), _RAY), _ALOHA),
-    ("ppp1", NetworkModel(Ppp(1), PowerLaw(2.0), _RAY), _ALOHA),
-    ("ppp1", NetworkModel(Ppp(1), PowerLaw(4.0), _RAY), _ALOHA),
-    ("line1", _line(2.0), _ALOHA),
-    ("line1", _line(4.0), _ALOHA),
-    ("tdma-line", _line(2.0), Tdma(1)),
+    ("ppp2", class_model("ppp2", 3.0), _ALOHA),
+    ("ppp2", class_model("ppp2", 4.0), _ALOHA),
+    ("ppp2", class_model("ppp2", 4.0, "1/0"), _ALOHA),
+    ("ppp2", class_model("ppp2", 4.0, "0/0"), _ALOHA),
+    ("exp2", class_model("exp2", delta=1.0), _ALOHA),
+    ("ppp1", class_model("ppp1", 2.0), _ALOHA),
+    ("ppp1", class_model("ppp1", 4.0), _ALOHA),
+    ("line1", class_model("line1", 2.0), _ALOHA),
+    ("line1", class_model("line1", 4.0), _ALOHA),
+    ("tdma-line", class_model("line1", 2.0), Tdma(1)),
 )
 
 
 def cmd_contention(args, out) -> int:
     csv = _Csv(_CONTENTION_COLUMNS, out)
-    case = _parse_case(args.case) if args.case else _RAY
+    case = FadingCase.parse(args.case or "1/1")
     for theta in _thetas(args):
         if args.table:
             for cls, model, mac in _TABLE3:
                 _model_row(csv, cls, model, mac, theta)
-            _ppp3_row(csv, _RAY, 4.0, theta)
+            _ppp3_row(csv, RAYLEIGH, 4.0, theta)
         elif args.cls == "single":
             # The input is xi itself, not a model.
             _contention_row(csv, "single", case.label, None, None, None, args.xi,
@@ -221,23 +196,6 @@ def _model_from_args(args) -> tuple[NetworkModel, MacScheme, str]:
             model, config_mac = parse_model(fh.read())
         return model, config_mac or mac, "config"
     return _class_model(args), mac, args.cls
-
-
-def _class_model(args) -> NetworkModel:
-    cls = args.cls
-    case = _parse_case(args.case) if args.case else _RAY
-    if cls in ("ppp1", "ppp2"):
-        return NetworkModel(Ppp(int(cls[-1])), PowerLaw(args.alpha), case)
-    if cls == "exp2":
-        return NetworkModel(Ppp(2), ExponentialLaw(args.delta), case)
-    if cls in ("line1", "line2"):
-        sided = "two" if cls == "line2" else "one"
-        return NetworkModel(RegularLine(sided), PowerLaw(args.alpha), case)
-    if cls == "single":
-        return NetworkModel(SingleInterferer(args.r), PowerLaw(args.alpha), case)
-    if cls == "explicit":
-        return NetworkModel(Explicit(_distances(args)), PowerLaw(args.alpha), case)
-    raise DomainError(f"unknown class {cls!r}")
 
 
 def cmd_outage(args, out) -> int:
@@ -472,7 +430,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             sys.stdout.write(buf.getvalue())
         return code
-    except (DomainError, ConfigError, ValueError, OSError, OverflowError) as exc:
+    except (DomainError, ConfigError, ValueError, OSError, OverflowError, WindowError) as exc:
         kind = "numeric overflow: " if isinstance(exc, OverflowError) else ""
         print(f"error: {kind}{exc}", file=sys.stderr)
         return 2

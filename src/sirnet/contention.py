@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 from .model import Fading, FadingCase, unit_ball_volume
-from .specfun import DomainError, dilog, gamma_fn, zeta
+from .specfun import DomainError, gamma_fn, li2, zeta
 
 __all__ = [
     "UnsupportedClassError",
@@ -120,13 +120,15 @@ def gamma_ppp_nonfading_alpha4(theta: float) -> float:
 def gamma_exp_pathloss(delta: float, theta: float) -> float:
     """2-D PPP contention under exponential path loss exp(-delta r).
 
-    gamma = -2 pi dilog(theta + 1) / delta^2; grows only like log^2(theta).
-    It overflows where delta^2 underflows (delta below about 1e-162).
+    gamma = -2 pi dilog(theta + 1) / delta^2 = -2 pi Li2(-theta) / delta^2,
+    evaluated as Li2(-theta): forming theta + 1 would drop a small theta. It
+    grows only like log^2(theta). It overflows where delta^2 underflows (delta
+    below about 1e-162).
     """
     if not (delta > 0 and theta > 0):
         raise DomainError("delta and theta must be positive")
     d2 = delta ** 2
-    return _finite(-2.0 * math.pi * dilog(theta + 1.0) / d2 if d2 > 0 else math.inf)
+    return _finite(-2.0 * math.pi * li2(-theta) / d2 if d2 > 0 else math.inf)
 
 
 def gamma_explicit(xis: list[float], interferer_fading: Fading) -> float:
@@ -148,27 +150,32 @@ def gamma_explicit(xis: list[float], interferer_fading: Fading) -> float:
     return sum(gamma_single(case, xi) for xi in xis)
 
 
+# Below this theta the line closed forms cancel, and the zeta series, whose
+# first omitted term is below theta^_SERIES_TERMS relative, is exact.
+_SERIES_THETA = 0.01
+_SERIES_TERMS = 9
+
+
 def gamma_line_alpha2(theta: float) -> float:
     """One-sided regular line, Rayleigh/Rayleigh, alpha = 2.
 
     gamma = (pi sqrt(theta) coth(pi sqrt(theta)) - 1) / 2, bounded between
-    (pi sqrt(theta) - 1)/2 and pi sqrt(theta)/2.
+    (pi sqrt(theta) - 1)/2 and pi sqrt(theta)/2; below theta = 0.01, where
+    that difference cancels, the zeta series gives it.
     """
     if not theta > 0:
         raise DomainError(f"theta must be positive, got {theta}")
+    if theta < _SERIES_THETA:
+        return gamma_line_taylor(2.0, theta, _SERIES_TERMS)
     x = math.pi * math.sqrt(theta)
-    # x coth x - 1 without cancellation for small x.
-    if x < 1e-4:
-        xcothx_m1 = x * x / 3.0 - x ** 4 / 45.0
-    else:
-        xcothx_m1 = x / math.tanh(x) - 1.0
-    return 0.5 * xcothx_m1
+    return 0.5 * (x / math.tanh(x) - 1.0)
 
 
 def gamma_line_alpha4(theta: float, mode: str = "exact") -> float:
     """One-sided regular line, Rayleigh/Rayleigh, alpha = 4.
 
-    mode='exact' evaluates the closed form in y = pi theta^(1/4)/sqrt(2);
+    mode='exact' evaluates the closed form in y = pi theta^(1/4)/sqrt(2)
+    (the zeta series below theta = 0.01, where the closed form cancels);
     mode='approx' returns pi theta^(1/4)/(2 sqrt 2) - 1/2, accurate for
     theta > 1. For y > 30 the exact form is evaluated with the e^(2y)
     factors cancelled to avoid overflow.
@@ -180,6 +187,8 @@ def gamma_line_alpha4(theta: float, mode: str = "exact") -> float:
         return 0.5 * y - 0.5
     if mode != "exact":
         raise DomainError(f"mode must be 'exact' or 'approx', got {mode!r}")
+    if theta < _SERIES_THETA:
+        return gamma_line_taylor(4.0, theta, _SERIES_TERMS)
     cy, sy = math.cos(y), math.sin(y)
     if y <= 30.0:
         e2 = math.exp(2.0 * y)

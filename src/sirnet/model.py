@@ -28,6 +28,8 @@ __all__ = [
     "Tdma",
     "MacScheme",
     "NetworkModel",
+    "RAYLEIGH",
+    "class_model",
     "effective_distance",
     "unit_ball_volume",
     "format_model",
@@ -71,8 +73,8 @@ class Fading:
     m: float | None
 
     def __post_init__(self) -> None:
-        if self.m is not None and not self.m >= 0.5:
-            raise DomainError(f"Nakagami m must be >= 0.5, got {self.m}")
+        if self.m is not None and not 0.5 <= self.m < math.inf:
+            raise DomainError(f"Nakagami m must be finite and >= 0.5, got {self.m}")
 
     @staticmethod
     def none() -> "Fading":
@@ -118,6 +120,27 @@ class FadingCase:
     def label(self) -> str:
         return f"{self.desired.symbol}/{self.interferer.symbol}"
 
+    @staticmethod
+    def parse(label: str) -> "FadingCase":
+        """Inverse of :attr:`label`: each side is 0 (static), 1 (Rayleigh) or
+        m<x> (Nakagami-x), so "1/0" is FadingCase(rayleigh, none)."""
+        def one(symbol: str) -> Fading:
+            if symbol == "0":
+                return Fading.none()
+            if symbol == "1":
+                return Fading.rayleigh()
+            if symbol.startswith("m"):
+                return Fading.nakagami(float(symbol[1:]))
+            raise DomainError(f"unknown fading symbol {symbol!r} (use 0, 1, or m<value>)")
+
+        if "/" not in label:
+            raise DomainError(f"fading case must look like 1/0, got {label!r}")
+        desired, interferer = label.split("/", 1)
+        return FadingCase(one(desired), one(interferer))
+
+
+RAYLEIGH = FadingCase(Fading.rayleigh(), Fading.rayleigh())
+
 
 @dataclass(frozen=True)
 class Ppp:
@@ -148,6 +171,8 @@ class Explicit:
     distances: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        if not self.distances:
+            raise DomainError("an explicit geometry needs at least one distance")
         for r in self.distances:
             if not (r > 0 and math.isfinite(r)):
                 raise DomainError(f"distances must be positive and finite, got {r}")
@@ -160,8 +185,8 @@ class SingleInterferer:
     r: float
 
     def __post_init__(self) -> None:
-        if not self.r > 0:
-            raise DomainError(f"interferer distance must be positive, got {self.r}")
+        if not 0 < self.r < math.inf:
+            raise DomainError(f"interferer distance must be positive and finite, got {self.r}")
 
 
 Geometry = Ppp | RegularLine | Explicit | SingleInterferer
@@ -205,6 +230,28 @@ class NetworkModel:
     geometry: Geometry
     path_loss: PathLoss
     fading: FadingCase
+
+
+def class_model(cls: str, alpha: float = 4.0, case: str = "1/1", *, delta: float = 1.0,
+                r: float = 1.0, distances: tuple | list | None = None) -> NetworkModel:
+    """The model of a named class with fading case label `case`: ppp1 and
+    ppp2 (1-D and 2-D PPP), line1 and line2 (one- and two-sided line), single
+    (one interferer at r), explicit (interferers at `distances`), all with
+    path loss r^-alpha, and exp2 (2-D PPP with exp(-delta r); alpha unused)."""
+    fading = FadingCase.parse(case)
+    if cls == "exp2":
+        return NetworkModel(Ppp(2), ExponentialLaw(delta), fading)
+    if cls in ("ppp1", "ppp2"):
+        geometry: Geometry = Ppp(int(cls[-1]))
+    elif cls in ("line1", "line2"):
+        geometry = RegularLine("two" if cls == "line2" else "one")
+    elif cls == "single":
+        geometry = SingleInterferer(r)
+    elif cls == "explicit":
+        geometry = Explicit(tuple(float(d) for d in distances or ()))
+    else:
+        raise DomainError(f"unknown class {cls!r}")
+    return NetworkModel(geometry, PowerLaw(alpha), fading)
 
 
 def effective_distance(r: float, alpha: float, theta: float) -> float:
@@ -298,6 +345,12 @@ def _parse_kv(text: str) -> dict[str, str]:
     return kv
 
 
+def _required(kv: dict[str, str], key: str, what: str) -> str:
+    if key not in kv:
+        raise ConfigError(f"{key} required for {what}")
+    return kv[key]
+
+
 def _parse_fading(kv: dict[str, str], prefix: str) -> Fading:
     kind = kv.get(prefix, "rayleigh")
     if kind == "none":
@@ -305,9 +358,7 @@ def _parse_fading(kv: dict[str, str], prefix: str) -> Fading:
     if kind == "rayleigh":
         return Fading.rayleigh()
     if kind == "nakagami":
-        if f"{prefix}.m" not in kv:
-            raise ConfigError(f"{prefix}.m required for nakagami fading")
-        return Fading.nakagami(float(kv[f"{prefix}.m"]))
+        return Fading.nakagami(float(_required(kv, f"{prefix}.m", "nakagami fading")))
     raise ConfigError(f"unknown fading kind {kind!r} for {prefix}")
 
 
@@ -320,17 +371,17 @@ def parse_model(text: str) -> tuple[NetworkModel, MacScheme | None]:
     elif gkind == "line":
         geometry = RegularLine(kv.get("geometry.sided", "one"))
     elif gkind == "explicit":
-        dists = tuple(float(s) for s in kv["geometry.distances"].split(",") if s.strip())
-        geometry = Explicit(dists)
+        dists = _required(kv, "geometry.distances", "an explicit geometry")
+        geometry = Explicit(tuple(float(s) for s in dists.split(",") if s.strip()))
     elif gkind == "single":
-        geometry = SingleInterferer(float(kv["geometry.r"]))
+        geometry = SingleInterferer(float(_required(kv, "geometry.r", "a single interferer")))
     else:
         raise ConfigError(f"unknown or missing geometry {gkind!r}")
     pkind = kv.get("pathloss", "power")
     if pkind == "power":
         path_loss: PathLoss = PowerLaw(float(kv.get("pathloss.alpha", "4")))
     elif pkind == "exponential":
-        path_loss = ExponentialLaw(float(kv["pathloss.delta"]))
+        path_loss = ExponentialLaw(float(_required(kv, "pathloss.delta", "exponential path loss")))
     else:
         raise ConfigError(f"unknown pathloss {pkind!r}")
     fading = FadingCase(
@@ -340,9 +391,9 @@ def parse_model(text: str) -> tuple[NetworkModel, MacScheme | None]:
     mac: MacScheme | None = None
     mkind = kv.get("mac")
     if mkind == "aloha":
-        mac = Aloha(float(kv["mac.p"]), kv.get("mac.duplex", "full"))
+        mac = Aloha(float(_required(kv, "mac.p", "ALOHA")), kv.get("mac.duplex", "full"))
     elif mkind == "tdma":
-        mac = Tdma(int(kv["mac.m"]), kv.get("mac.duplex", "full"))
+        mac = Tdma(int(_required(kv, "mac.m", "TDMA")), kv.get("mac.duplex", "full"))
     elif mkind is not None:
         raise ConfigError(f"unknown mac {mkind!r}")
     return NetworkModel(geometry, path_loss, fading), mac

@@ -39,7 +39,6 @@ __all__ = [
     "resolve_window",
     "simulate_ps",
     "simulate_sir_samples",
-    "empirical_ccdf",
     "estimate_gamma",
     "estimate_capacity",
 ]
@@ -362,9 +361,3 @@ def estimate_capacity(model: NetworkModel, mac: MacScheme | None, cfg: SimConfig
     logs = np.log1p(samples.values)
     n = logs.size
     return Estimate(float(logs.mean()), float(logs.std(ddof=1)) / math.sqrt(n), n)
-
-
-def empirical_ccdf(samples: np.ndarray, theta_grid: tuple[float, ...]) -> list[float]:
-    """P(SIR > theta) from samples, evaluated on a threshold grid."""
-    values = np.asarray(samples)
-    return [float(np.count_nonzero(values > t)) / values.size for t in theta_grid]

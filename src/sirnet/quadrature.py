@@ -3,8 +3,7 @@
 The integrands here all carry an exp(-t) style weight, so a finite cutoff
 plus an analytic tail estimate gives certifiable truncation. The capacity
 integrals use fixed Gauss-Legendre panels with an embedded n-against-2n
-error estimate (in the manner of QUADPACK, Piessens et al., 1983);
-adaptive Simpson stays as an independent scalar rule for cross-checks.
+error estimate (in the manner of QUADPACK, Piessens et al., 1983).
 """
 
 from __future__ import annotations
@@ -14,31 +13,11 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["adaptive_simpson", "gauss_legendre_panels", "integrate_decaying"]
+__all__ = ["gauss_legendre_panels", "integrate_decaying"]
 
-
-def _simpson(f: Callable[[float], float], a: float, fa: float, b: float, fb: float) -> tuple[float, float, float]:
-    m = 0.5 * (a + b)
-    fm = f(m)
-    return m, fm, (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-
-def _adapt(f, a, fa, b, fb, m, fm, whole, tol, depth) -> float:
-    lm, flm, left = _simpson(f, a, fa, m, fm)
-    rm, frm, right = _simpson(f, m, fm, b, fb)
-    delta = left + right - whole
-    if depth <= 0 or abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    return _adapt(f, a, fa, m, fm, lm, flm, left, tol / 2.0, depth - 1) + _adapt(
-        f, m, fm, b, fb, rm, frm, right, tol / 2.0, depth - 1
-    )
-
-
-def adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float = 1e-9, depth: int = 48) -> float:
-    """Adaptive Simpson rule on [a, b] to absolute tolerance tol."""
-    fa, fb = f(a), f(b)
-    m, fm, whole = _simpson(f, a, fa, b, fb)
-    return _adapt(f, a, fa, b, fb, m, fm, whole, tol, depth)
+# Gauss-Legendre points per panel of integrate_decaying (its error estimate
+# also uses twice as many).
+_NODES = 16
 
 
 @functools.cache
@@ -91,28 +70,14 @@ def gauss_legendre_panels(
 
 
 def integrate_decaying(
-    f: Callable,
-    cutoff: float = 60.0,
-    tol: float = 1e-9,
-    pieces: int = 6,
-    nodes: int | None = None,
-) -> float | tuple[float, float]:
+    f: Callable[[np.ndarray], np.ndarray], cutoff: float = 60.0, pieces: int = 6
+) -> tuple[float, float]:
     """Integrate f over [0, inf) assuming exponential-type decay past `cutoff`.
 
     [0, cutoff] is split geometrically into `pieces` panels (resolving
-    structure near 0); the neglected tail must be bounded by the caller's
-    choice of cutoff.
-
-    With `nodes` = None, f takes a float, each panel is integrated by
-    adaptive Simpson to `tol`, and the value is returned: the scalar rule
-    the tests use as an independent reference. With `nodes` = n, f takes
-    an array, the panels go to gauss_legendre_panels(f, edges, n), `tol`
-    is unused, and (value, abs_err) is returned.
+    structure near 0), which go to gauss_legendre_panels(f, edges, _NODES);
+    returns (value, abs_err). The neglected tail must be bounded by the
+    caller's choice of cutoff.
     """
     edges = [0.0] + [cutoff * (2.0 ** (i - pieces + 1)) for i in range(pieces)]
-    if nodes is not None:
-        return gauss_legendre_panels(f, edges, nodes)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        total += adaptive_simpson(f, a, b, tol=tol / pieces)
-    return total
+    return gauss_legendre_panels(f, edges, _NODES)

@@ -14,12 +14,10 @@ __all__ = [
     "zeta",
     "hurwitz_zeta",
     "lambert_w0",
-    "dilog",
+    "li2",
     "exp_integral_e1",
     "exp_integral_e1_imag",
     "exp_integral_e1_imag_scaled",
-    "cos_integral",
-    "sin_integral",
     "lower_incomplete_gamma",
     "gamma_fn",
     "EULER_GAMMA",
@@ -112,45 +110,31 @@ def lambert_w0(x: float) -> float:
 
 
 def _li2_core(z: float) -> float:
-    """Dilogarithm series sum_{k>=1} z^k / k^2 for |z| <= 0.5."""
-    total = 0.0
-    term = z
-    k = 1
-    while abs(term) > 1e-17 * max(1.0, abs(total)):
-        total += term / (k * k)
-        k += 1
-        term *= z
-        if k > 200:
+    """Dilogarithm series sum_{k>=1} z^k / k^2 for |z| <= 0.5, summed until
+    a term falls below 1e-17 of the total."""
+    total = power = z
+    for k in range(2, 200):
+        power *= z
+        term = power / (k * k)
+        total += term
+        if abs(term) <= 1e-17 * abs(total):
             break
     return total
 
 
-def _li2(z: float) -> float:
-    """Real dilogarithm Li2(z) for z <= 0.5 (all that the dilog op needs)."""
+def li2(z: float) -> float:
+    """Real dilogarithm Li2(z) = sum_{k>=1} z^k / k^2 for z <= 0.5."""
     if z > 0.5:
-        raise DomainError("internal Li2 only implemented for z <= 0.5")
+        raise DomainError(f"li2 requires z <= 0.5, got {z}")
     if z < -1.0:
         # Inversion: Li2(z) = -pi^2/6 - log^2(-z)/2 - Li2(1/z)
         lg = math.log(-z)
-        return -math.pi ** 2 / 6 - 0.5 * lg * lg - _li2(1.0 / z)
+        return -math.pi ** 2 / 6 - 0.5 * lg * lg - li2(1.0 / z)
     if z < -0.3:
         # Landen: Li2(z) = -Li2(z/(z-1)) - log^2(1-z)/2, argument in (0, 1/2]
         lg = math.log1p(-z)
         return -_li2_core(z / (z - 1.0)) - 0.5 * lg * lg
     return _li2_core(z)
-
-
-def dilog(x: float) -> float:
-    """dilog(x) = integral from 1 to x of log(t)/(1-t) dt, for x >= 1.
-
-    Evaluated as Li2(1-x); the defining integral is kept as a test oracle.
-    dilog(1) = 0 and dilog(x) <= 0 for x >= 1.
-    """
-    if x < 1.0:
-        raise DomainError(f"dilog requires x >= 1, got {x}")
-    if x == 1.0:
-        return 0.0
-    return _li2(1.0 - x)
 
 
 def exp_integral_e1(x: float) -> float:
@@ -232,20 +216,6 @@ def _cisi(y: float) -> tuple[float, float]:
         return ci, si
     e1 = complex(math.cos(y), -math.sin(y)) * _e1_imag_cf(y)
     return -e1.real, math.pi / 2 + e1.imag
-
-
-def cos_integral(y: float) -> float:
-    """Cosine integral Ci(y) for y > 0."""
-    if not y > 0:
-        raise DomainError(f"cos_integral requires y > 0, got {y}")
-    return _cisi(y)[0]
-
-
-def sin_integral(y: float) -> float:
-    """Sine integral Si(y) for y > 0."""
-    if not y > 0:
-        raise DomainError(f"sin_integral requires y > 0, got {y}")
-    return _cisi(y)[1]
 
 
 def exp_integral_e1_imag(y: float) -> complex:

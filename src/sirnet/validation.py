@@ -10,28 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import analytic
-from .model import (
-    Aloha,
-    Explicit,
-    ExponentialLaw,
-    Fading,
-    FadingCase,
-    MacScheme,
-    NetworkModel,
-    PowerLaw,
-    Ppp,
-    RegularLine,
-    SingleInterferer,
-    Tdma,
-)
+from .model import Aloha, MacScheme, NetworkModel, Tdma, class_model
 from .montecarlo import SimConfig, estimate_capacity, simulate_ps
 
 __all__ = ["ValidationRow", "validation_cases", "run_validation", "validation_passed"]
-
-_RAY = FadingCase(Fading.rayleigh(), Fading.rayleigh())
-_RAY_STATIC = FadingCase(Fading.rayleigh(), Fading.none())
-_STATIC_RAY = FadingCase(Fading.none(), Fading.rayleigh())
-_STATIC = FadingCase(Fading.none(), Fading.none())
 
 
 @dataclass(frozen=True)
@@ -69,61 +51,57 @@ def _picked(name: str, model: NetworkModel, theta: float) -> _Case:
 
 
 def _single_cases() -> list[_Case]:
-    r, p = 1.2, Aloha(0.5)
+    p = Aloha(0.5)
 
-    def single(case: FadingCase, alpha: float = 4.0) -> NetworkModel:
-        return NetworkModel(SingleInterferer(r), PowerLaw(alpha), case)
+    def single(case: str = "1/1", alpha: float = 4.0) -> NetworkModel:
+        return class_model("single", alpha, case, r=1.2)
 
-    cases = [_Case(f"single-1/1-th{theta:g}", single(_RAY), p, theta)
+    cases = [_Case(f"single-1/1-th{theta:g}", single(), p, theta)
              for theta in (0.1, 1.0, 10.0)]
-    naka_i = FadingCase(Fading.rayleigh(), Fading.nakagami(4.0))
-    naka_d = FadingCase(Fading.nakagami(4.0), Fading.rayleigh())
-    naka_h = FadingCase(Fading.rayleigh(), Fading.nakagami(0.5))
-    for case in (_RAY_STATIC, _STATIC_RAY, _STATIC, naka_i, naka_d, naka_h):
-        cases.append(_Case(f"single-{case.label}", single(case), p, 1.0))
-    cases.append(_Case("single-1/1-a3", single(_RAY, 3.0), p, 1.0))
+    for case in ("1/0", "0/1", "0/0", "1/m4", "m4/1", "1/m0.5"):
+        cases.append(_Case(f"single-{case}", single(case), p, 1.0))
+    cases.append(_Case("single-1/1-a3", single(alpha=3.0), p, 1.0))
     return cases
 
 
 def _explicit_cases() -> list[_Case]:
     p = Aloha(0.3)
     return [
-        _Case("explicit-1/1", NetworkModel(Explicit((1.0, 2.0, 3.0)), PowerLaw(4.0), _RAY),
+        _Case("explicit-1/1", class_model("explicit", distances=(1.0, 2.0, 3.0)), p, 1.0),
+        _Case("explicit-1/0", class_model("explicit", 4.0, "1/0", distances=(1.5, 2.5)),
               p, 1.0),
-        _Case("explicit-1/0",
-              NetworkModel(Explicit((1.5, 2.5)), PowerLaw(4.0), _RAY_STATIC), p, 1.0),
     ]
 
 
 def _ppp_cases() -> list[_Case]:
     cases = []
     for alpha, thetas in ((4.0, (0.1, 1.0, 10.0)), (3.0, (0.1, 1.0))):
-        model = NetworkModel(Ppp(2), PowerLaw(alpha), _RAY)
+        model = class_model("ppp2", alpha)
         cases += [_picked(f"ppp2-a{alpha:g}-th{theta:g}", model, theta) for theta in thetas]
     for theta in (0.1, 1.0):
         for label, model in (
-            ("1/0", NetworkModel(Ppp(2), PowerLaw(4.0), _RAY_STATIC)),
-            ("0/0", NetworkModel(Ppp(2), PowerLaw(4.0), _STATIC)),
-            ("exp", NetworkModel(Ppp(2), ExponentialLaw(1.0), _RAY)),
+            ("1/0", class_model("ppp2", 4.0, "1/0")),
+            ("0/0", class_model("ppp2", 4.0, "0/0")),
+            ("exp", class_model("exp2", delta=1.0)),
         ):
             cases.append(_picked(f"ppp2-{label}-th{theta:g}", model, theta))
     for alpha in (2.0, 3.0, 4.0):
-        model = NetworkModel(Ppp(1), PowerLaw(alpha), _RAY)
+        model = class_model("ppp1", alpha)
         cases += [_picked(f"ppp1-a{alpha:g}-th{theta:g}", model, theta)
                   for theta in (0.1, 1.0, 10.0)]
     return cases
 
 
-def _line(alpha: float, sided: str = "one") -> NetworkModel:
-    return NetworkModel(RegularLine(sided), PowerLaw(alpha), _RAY)
+def _line(alpha: float) -> NetworkModel:
+    return class_model("line1", alpha)
 
 
 def _line_cases() -> list[_Case]:
     cases = [_picked(f"line1-a2-th{theta:g}", _line(2.0), theta) for theta in (0.1, 1.0, 10.0)]
     cases += [_picked(f"line1-a4-th{theta:g}", _line(4.0), theta) for theta in (0.1, 1.0)]
     cases += [
-        _Case("line2-a2-th1", _line(2.0, "two"), Aloha(0.2), 1.0),
-        _Case("line2-a4-th1", _line(4.0, "two"), Aloha(0.2), 1.0),
+        _Case("line2-a2-th1", class_model("line2", 2.0), Aloha(0.2), 1.0),
+        _Case("line2-a4-th1", class_model("line2", 4.0), Aloha(0.2), 1.0),
         _Case("line1-a4-th10", _line(4.0), Aloha(0.1), 10.0),
     ]
     return cases
@@ -135,7 +113,7 @@ def _tdma_cases() -> list[_Case]:
               for theta in (0.1, 10.0)]
     cases += [_Case(f"tdma-a4-m{m}", _line(4.0), Tdma(m), 1.0) for m in (1, 2)]
     cases += [
-        _Case("tdma-a2-m2-two", _line(2.0, "two"), Tdma(2), 1.0),
+        _Case("tdma-a2-m2-two", class_model("line2", 2.0), Tdma(2), 1.0),
         _Case("tdma-a3-m2", _line(3.0), Tdma(2), 1.0),
     ]
     return cases
@@ -144,8 +122,8 @@ def _tdma_cases() -> list[_Case]:
 def _capacity_cases() -> list[_Case]:
     return [
         _Case("capacity-tdma-a2-m2", _line(2.0), Tdma(2), 1.0, quantity="capacity"),
-        _Case("capacity-ppp2-a4-p0.1", NetworkModel(Ppp(2), PowerLaw(4.0), _RAY), Aloha(0.1),
-              1.0, quantity="capacity"),
+        _Case("capacity-ppp2-a4-p0.1", class_model("ppp2", 4.0), Aloha(0.1), 1.0,
+              quantity="capacity"),
     ]
 
 

@@ -29,7 +29,7 @@ from sirnet.model import (
 )
 from sirnet.montecarlo import SimConfig, estimate_gamma, simulate_sir_samples
 from sirnet.optimize import golden_section_max
-from sirnet.quadrature import integrate_decaying
+from simpson import integrate_decaying
 from sirnet.validation import run_validation, validation_passed
 
 RAY = FadingCase(Fading.rayleigh(), Fading.rayleigh())

@@ -337,11 +337,53 @@ def test_out_file_does_not_carry_over(tmp_path, capsys):
     "contention --theta ,",
     "outage --theta-db=0:1:1e308",
     "capacity --tdma --m 1:1000000000000",
+    "contention --class single --xi 1 --case 1/minf",
+    "outage --class single --case minf/1 --theta 1",
+    "outage --class single --r inf --theta 1",
 ])
 @pytest.mark.filterwarnings("error")  # a warning would add lines to stderr
 def test_non_finite_or_overlong_input_is_usage_error(capsys, argv):
     assert main(argv.split()) == 2
     assert one_line_error(capsys)
+
+
+@pytest.mark.parametrize("config", [
+    "geometry = single",
+    "geometry = explicit",
+    "geometry = ppp\nmac = aloha",
+    "geometry = line\nmac = tdma",
+    "geometry = ppp\npathloss = exponential",
+    "geometry = single\ngeometry.r = 2\nfading.desired = nakagami",
+    "geometry = single\ngeometry.r = 2\nfading.interferer = nakagami\n"
+    "fading.interferer.m = inf",
+    "geometry = explicit\ngeometry.distances = ,",
+    "geometry = single\ngeometry.r = inf",
+])
+@pytest.mark.parametrize("command", [["outage", "--theta", "1"], ["samples", "--trials", "10"]])
+def test_incomplete_or_invalid_config_is_usage_error(tmp_path, capsys, config, command):
+    """A missing required key, or a value that no model holds, exits 2 with
+    one error line, whether the command reads the config or simulates it."""
+    cfgfile = tmp_path / "model.cfg"
+    cfgfile.write_text(config + "\n")
+    assert main([command[0], "--config", str(cfgfile), *command[1:]]) == 2
+    assert one_line_error(capsys)
+
+
+def test_window_beyond_its_maximum_is_usage_error(tmp_path, capsys):
+    """alpha just above d needs a simulation window wider than the simulator allows."""
+    cfgfile = tmp_path / "model.cfg"
+    cfgfile.write_text("geometry = ppp\npathloss.alpha = 2.0001\nmac = aloha\nmac.p = 1\n")
+    assert main(["samples", "--config", str(cfgfile), "--trials", "10"]) == 2
+    assert one_line_error(capsys)
+    assert main("outage --alpha 2.0001 --p 1 --theta 1 --validate --trials 10".split()) == 2
+    assert one_line_error(capsys)
+
+
+def test_missing_config_key_is_named(tmp_path, capsys):
+    cfgfile = tmp_path / "model.cfg"
+    cfgfile.write_text("geometry = single\n")
+    assert main(["outage", "--config", str(cfgfile)]) == 2
+    assert capsys.readouterr().err == "error: geometry.r required for a single interferer\n"
 
 
 def test_overlong_grid_is_refused_before_it_is_built():

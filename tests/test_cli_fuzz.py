@@ -1,8 +1,9 @@
-"""Property test over CLI argv: every input ends in CSV with exit 0, or in
-one `error:` line with exit 2 and nothing on stdout."""
+"""Property tests over CLI argv and config text: every input ends in CSV
+with exit 0, or in one `error:` line with exit 2 and nothing on stdout."""
 
 import contextlib
 import io
+import math
 import warnings
 
 from hypothesis import HealthCheck, given, settings
@@ -85,10 +86,17 @@ def is_finite_csv(text):
     return True
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(argv=st.one_of(contention, outage, throughput, capacity))
-def test_cli_exits_with_csv_or_one_error_line(argv):
+def is_finite_samples(text, trials):
+    """# comment lines, a `sir` header, then `trials` finite values."""
+    lines = text.splitlines()
+    while lines and lines[0].startswith("# "):
+        lines.pop(0)
+    return (lines[:1] == ["sir"] and len(lines) == trials + 1
+            and all(math.isfinite(float(v)) for v in lines[1:]))
+
+
+def run(argv):
+    """(exit code, stdout) of main(argv), after checking the exit contract."""
     out, err = io.StringIO(), io.StringIO()
     with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
           warnings.catch_warnings(record=True) as caught):
@@ -96,8 +104,75 @@ def test_cli_exits_with_csv_or_one_error_line(argv):
         code = main(argv)
     assert not caught, [str(w.message) for w in caught]
     if code == 0:
-        assert err.getvalue() == "" and is_finite_csv(out.getvalue()), out.getvalue()
+        assert err.getvalue() == ""
     else:
         assert code == 2
         assert out.getvalue() == ""
         assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error:")
+    return code, out.getvalue()
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=st.one_of(contention, outage, throughput, capacity))
+def test_cli_exits_with_csv_or_one_error_line(argv):
+    code, out = run(argv)
+    assert code != 0 or is_finite_csv(out), out
+
+
+# Config keys with (ordinary values, edge values). Alpha stays at 2 or above
+# among the ordinary values: alpha just above d is refused, but 2.5 on the
+# 2-D PPP is a legal window of about 10^5 points per trial, too slow here.
+NUMBER_EDGES = EDGES + ["", "x"]
+FADING = (["none", "rayleigh", "nakagami", "nakagami"], ["rician"])
+NAKAGAMI_M = (["0.5", "1", "2", "4"], NUMBER_EDGES + ["0.3"])
+CONFIG_KEYS = {
+    "geometry": (["ppp", "line", "explicit", "single"], ["grid"]),
+    "geometry.d": (["1", "2"], ["3", "0", "-1", "2.5", "", "nan"]),
+    "geometry.sided": (["one", "two"], ["three", ""]),
+    "geometry.distances": (["1", "1,2", "1.5,2.5,4"],
+                           ["", ",", "0", "-1,2", "nan", "inf,1", "1e-300", "1e308"]),
+    "geometry.r": (["0.5", "1", "1.2", "2"], NUMBER_EDGES),
+    "pathloss": (["power", "exponential"], ["log"]),
+    "pathloss.alpha": (["2", "3", "4"], NUMBER_EDGES + ["2.0001", "1.5"]),
+    "pathloss.delta": (["0.5", "1", "2"], NUMBER_EDGES),
+    "fading.desired": FADING,
+    "fading.desired.m": NAKAGAMI_M,
+    "fading.interferer": FADING,
+    "fading.interferer.m": NAKAGAMI_M,
+    "mac": (["aloha", "tdma"], ["csma"]),
+    "mac.p": (["0.1", "0.5", "1"], NUMBER_EDGES + ["2"]),
+    "mac.m": (["1", "2", "4"], ["0", "-1", "2.5", "", "nan"]),
+    "mac.duplex": (["full", "half"], ["simplex"]),
+}
+
+
+@st.composite
+def config_text(draw):
+    """Every key, with each left out, or given an edge value, at a drawn rate
+    of none (a complete, valid config), 1 in 20 or 3 in 20."""
+    rate = draw(st.sampled_from([0, 1, 3]))
+    lines = []
+    for key, (ordinary, edges) in CONFIG_KEYS.items():
+        roll = draw(st.integers(0, 19))
+        if roll >= rate:
+            values = edges if roll < 2 * rate else ordinary
+            lines.append(f"{key} = {draw(st.sampled_from(values))}\n")
+    return "".join(lines)
+
+
+SAMPLE_TRIALS = 200
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(text=config_text(), samples=st.booleans())
+def test_config_exits_with_csv_or_one_error_line(tmp_path, text, samples):
+    cfgfile = tmp_path / "model.cfg"
+    cfgfile.write_text(text)
+    if samples:
+        code, out = run(["samples", "--config", str(cfgfile), "--trials", str(SAMPLE_TRIALS)])
+        assert code != 0 or is_finite_samples(out, SAMPLE_TRIALS), out[:500]
+    else:
+        code, out = run(["outage", "--config", str(cfgfile), "--theta", "0.1,1,10"])
+        assert code != 0 or is_finite_csv(out), out

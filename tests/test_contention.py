@@ -100,7 +100,7 @@ def test_gamma_ppp_unsupported():
 
 
 def test_gamma_exp_pathloss():
-    # theta=1: -dilog(2) = pi^2/12
+    # theta=1: -Li2(-1) = pi^2/12
     g = gamma_exp_pathloss(1.0, 1.0)
     assert g == pytest.approx(2 * math.pi * math.pi ** 2 / 12, rel=1e-12)
     # delta^-2 scaling
@@ -129,6 +129,25 @@ def test_gamma_line_alpha4_against_sum():
         assert gamma_line_alpha4(theta) == pytest.approx(
             brute_line_gamma(4.0, theta, n=10000), rel=1e-9
         )
+
+
+@pytest.mark.parametrize("theta", [1e-12, 1e-8, 1e-4, 1e-2])
+def test_small_theta_contention_against_mpmath(theta):
+    """The line closed forms cancel and dilog(theta + 1) drops theta at small
+    theta; the zeta series and Li2(-theta) keep full precision there."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        th = mpmath.mpf(theta)
+        for alpha, gamma in ((2, gamma_line_alpha2), (4, gamma_line_alpha4)):
+            ref = mpmath.nsum(lambda i: th / (th + i ** alpha), [1, mpmath.inf])
+            assert gamma(theta) == pytest.approx(float(ref), rel=1e-13, abs=0), alpha
+        ref = -2 * mpmath.pi * mpmath.polylog(2, -th)
+        assert gamma_exp_pathloss(1.0, theta) == pytest.approx(float(ref), rel=1e-13, abs=0)
+
+
+def test_gamma_exp_pathloss_keeps_a_tiny_theta():
+    gamma = gamma_exp_pathloss(1.0, 1e-300)  # -2 pi Li2(-theta) = 2 pi theta here
+    assert gamma == pytest.approx(2 * math.pi * 1e-300, rel=1e-15, abs=0)
 
 
 def test_gamma_line_alpha4_approx():

@@ -1,6 +1,12 @@
+import itertools
+import json
+import pathlib
+
 import pytest
 
+from sirnet import validation
 from sirnet.model import (
+    RAYLEIGH,
     Aloha,
     ConfigError,
     Explicit,
@@ -13,6 +19,7 @@ from sirnet.model import (
     RegularLine,
     SingleInterferer,
     Tdma,
+    class_model,
     effective_distance,
     format_model,
     parse_model,
@@ -46,6 +53,12 @@ def test_validation_errors():
         RegularLine("three")
     with pytest.raises(DomainError):
         Explicit((1.0, -2.0))
+    with pytest.raises(DomainError):
+        Explicit(())
+    with pytest.raises(DomainError):
+        SingleInterferer(float("inf"))
+    with pytest.raises(DomainError):
+        Fading.nakagami(float("inf"))
 
 
 def test_effective_distance():
@@ -99,3 +112,59 @@ def test_parse_comments_and_defaults():
     assert model.path_loss == PowerLaw(4.0)
     assert model.fading.desired.is_rayleigh
     assert mac is None
+
+
+FADINGS = (Fading.none(), Fading.rayleigh(), Fading.nakagami(4.0), Fading.nakagami(0.5))
+
+
+@pytest.mark.parametrize("desired,interferer", itertools.product(FADINGS, FADINGS))
+def test_fading_case_parse_inverts_label(desired, interferer):
+    case = FadingCase(desired, interferer)
+    assert FadingCase.parse(case.label) == case
+
+
+@pytest.mark.parametrize("label", ["1", "", "x/1", "1/2", "m4", "1/0/0", "/1"])
+def test_fading_case_parse_refuses_bad_labels(label):
+    with pytest.raises(DomainError):
+        FadingCase.parse(label)
+
+
+def test_rayleigh_case():
+    assert RAYLEIGH == FadingCase(Fading.rayleigh(), Fading.rayleigh())
+    assert RAYLEIGH.label == "1/1"
+
+
+@pytest.mark.parametrize("args,kwargs,model", [
+    (("ppp1", 2.0), {}, NetworkModel(Ppp(1), PowerLaw(2.0), RAYLEIGH)),
+    (("ppp2", 4.0, "1/0"), {},
+     NetworkModel(Ppp(2), PowerLaw(4.0), FadingCase(Fading.rayleigh(), Fading.none()))),
+    (("exp2", float("inf")), {"delta": 0.5}, NetworkModel(Ppp(2), ExponentialLaw(0.5), RAYLEIGH)),
+    (("line1", 3.0), {}, NetworkModel(RegularLine("one"), PowerLaw(3.0), RAYLEIGH)),
+    (("line2", 2.0), {}, NetworkModel(RegularLine("two"), PowerLaw(2.0), RAYLEIGH)),
+    (("single", 4.0, "m4/1"), {"r": 1.2},
+     NetworkModel(SingleInterferer(1.2), PowerLaw(4.0),
+                  FadingCase(Fading.nakagami(4.0), Fading.rayleigh()))),
+    (("explicit",), {"distances": ["1", "2.5"]},
+     NetworkModel(Explicit((1.0, 2.5)), PowerLaw(4.0), RAYLEIGH)),
+])
+def test_class_model_builds_the_named_class(args, kwargs, model):
+    assert class_model(*args, **kwargs) == model
+
+
+@pytest.mark.parametrize("args,kwargs", [
+    (("explicit",), {}),
+    (("explicit",), {"distances": ()}),
+    (("ppp3",), {}),
+    (("ppp2", 4.0, "1/q"), {}),
+    (("single", 4.0), {"r": 0.0}),
+])
+def test_class_model_refuses(args, kwargs):
+    with pytest.raises(DomainError):
+        class_model(*args, **kwargs)
+
+
+def test_validation_case_names_match_the_benchmark_references():
+    refs = pathlib.Path(__file__).resolve().parent.parent / "sirbench" / "references.json"
+    names = [c.name for c in validation.validation_cases()]
+    assert len(names) == 52
+    assert set(names) == set(json.loads(refs.read_text())["mc"]["cases"])

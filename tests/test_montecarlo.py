@@ -22,7 +22,6 @@ from sirnet.montecarlo import (
     Estimate,
     SimConfig,
     WindowError,
-    empirical_ccdf,
     estimate_capacity,
     estimate_gamma,
     resolve_window,
@@ -117,13 +116,6 @@ def test_ppp_samples_never_clip():
     samples = simulate_sir_samples(PPP4, Aloha(0.1), SimConfig(trials=20000, seed=2))
     assert samples.clipped == 0
     assert np.all(np.isfinite(samples.values))
-
-
-def test_empirical_ccdf():
-    vals = np.array([0.5, 1.5, 2.5, 3.5])
-    ccdf = empirical_ccdf(vals, (0.0, 1.0, 2.0, 3.0, 4.0))
-    assert ccdf == [1.0, 0.75, 0.5, 0.25, 0.0]
-    assert ccdf == sorted(ccdf, reverse=True)
 
 
 def test_estimate_gamma_matches_analytic():

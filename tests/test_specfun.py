@@ -6,16 +6,14 @@ import pytest
 
 from sirnet.specfun import (
     DomainError,
-    cos_integral,
-    dilog,
     exp_integral_e1,
     exp_integral_e1_imag,
     exp_integral_e1_imag_scaled,
     gamma_fn,
     hurwitz_zeta,
     lambert_w0,
+    li2,
     lower_incomplete_gamma,
-    sin_integral,
     zeta,
 )
 
@@ -52,12 +50,12 @@ def test_lambert_w_defining_identity():
     assert lambert_w0(-1.0 / math.e) == pytest.approx(-1.0, abs=1e-6)
 
 
-def test_dilog_values():
-    # dilog(2) = -pi^2/12
-    assert dilog(2.0) == pytest.approx(-math.pi ** 2 / 12, rel=1e-12)
-    assert dilog(1.0) == 0.0
+def test_li2_values():
+    # Li2(-1) = -pi^2/12
+    assert li2(-1.0) == pytest.approx(-math.pi ** 2 / 12, rel=1e-12)
+    assert li2(0.0) == 0.0
     # inversion region
-    assert dilog(11.0) == pytest.approx(-4.198277886858104, rel=1e-10)
+    assert li2(-10.0) == pytest.approx(-4.198277886858104, rel=1e-10)
 
 
 def test_e1_series_and_cf_branches():
@@ -74,11 +72,13 @@ def test_e1_imaginary_argument():
     assert q.real == pytest.approx(-0.3374039229009681, rel=1e-11)  # -Ci(1)
     # Im E1(jy) = Si(y) - pi/2, negative for small y
     assert q.imag == pytest.approx(0.9460830703671830 - math.pi / 2, rel=1e-11)
-    # consistency with the cosine/sine integrals across both branches
-    for y in (0.3, 1.9, 2.1, 15.0, 300.0):
-        q = exp_integral_e1_imag(y)
-        assert cos_integral(y) == pytest.approx(-q.real, rel=1e-10, abs=1e-13)
-        assert sin_integral(y) == pytest.approx(math.pi / 2 + q.imag, rel=1e-10)
+    # both branches (series below y = 2, continued fraction above) against mpmath
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for y in (0.3, 1.9, 2.1, 15.0, 300.0):
+            q, ref = exp_integral_e1_imag(y), mpmath.e1(1j * y)
+            assert q.real == pytest.approx(float(ref.real), rel=1e-10, abs=1e-13)
+            assert q.imag == pytest.approx(float(ref.imag), rel=1e-10)
 
 
 def test_e1_imaginary_scaled_keeps_its_real_part():
