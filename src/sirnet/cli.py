@@ -250,16 +250,17 @@ def cmd_throughput(args, out) -> int:
 
 
 def cmd_capacity(args, out) -> int:
+    model = class_model("line1" if args.tdma else f"ppp{args.d}", args.alpha)
     if args.tdma:
         csv = _Csv(["alpha", "m", "capacity", "lower", "upper", "method"], out)
         for m in _parse_int_range(args.m or "1:10"):
-            res = capacity.ergodic_capacity_tdma(args.alpha, m)
+            res = analytic.ergodic_capacity(model, Tdma(m))
             lo, up = capacity.ergodic_capacity_tdma_bounds(args.alpha, m)
             csv.row(args.alpha, m, res.value, lo, up, res.method)
         return 0
     csv = _Csv(["alpha", "d", "p", "c_p", "capacity", "lower", "method"], out)
     for p in _parse_range(args.p):
-        res = capacity.ergodic_capacity_ppp(args.alpha, args.d, p)
+        res = analytic.ergodic_capacity(model, Aloha(p))
         low = capacity.ergodic_capacity_ppp_lower(args.alpha, args.d, p)
         csv.row(args.alpha, args.d, p, res.c_p, res.value, low.value, res.method)
     return 0

@@ -223,9 +223,8 @@ def resolve_window(model: NetworkModel, mac: MacScheme | None, theta: float, cfg
 
 def _loss_vector(model: NetworkModel, distances: np.ndarray) -> np.ndarray:
     pl = model.path_loss
-    if isinstance(pl, PowerLaw):
-        return distances ** -pl.alpha
-    return np.exp(-pl.delta * distances)
+    with np.errstate(over="ignore"):  # a gain past the float range is inf: SIR 0
+        return distances ** -pl.alpha if isinstance(pl, PowerLaw) else np.exp(-pl.delta * distances)
 
 
 def _fixed_distances(model: NetworkModel, mac: MacScheme | None, window: _Window) -> np.ndarray | None:

@@ -24,8 +24,8 @@ grid = (st.lists(edge, max_size=3).map(",".join)
         | st.tuples(edge, edge, edge).map(":".join))
 int_grid = (st.lists(st.sampled_from(["-1", "0", "1", "2", "3"]), max_size=3).map(",".join)
             | st.tuples(st.integers(-2, 4), st.integers(-2, 4)).map(lambda t: f"{t[0]}:{t[1]}"))
-case = st.sampled_from(["1/1", "1/0", "0/1", "0/0", "1/m2", "m2/1", "m0.3/1", "1/mnan",
-                        "x/1", "1"])
+CASES = ["1/1", "1/0", "0/1", "0/0", "1/m2", "m2/1", "m0.3/1", "1/mnan", "x/1", "1"]
+case = st.sampled_from(CASES)
 CLASSES = ["ppp1", "ppp2", "line1", "line2", "single", "explicit", "exp2"]
 
 
@@ -118,6 +118,39 @@ def run(argv):
 def test_cli_exits_with_csv_or_one_error_line(argv):
     code, out = run(argv)
     assert code != 0 or is_finite_csv(out), out
+
+
+# outage --validate always names its trials (the default is 10^5) and draws
+# ordinary values three times as often as edge values, so that most draws
+# simulate. Alpha and delta stay away from the legal but slow windows of
+# alpha just above d and of a small delta.
+def mostly(values, edges=EDGES):
+    return st.sampled_from(values * 3 + edges)
+
+
+outage_validate = command(
+    "outage",
+    st.tuples(mostly(["1", "20", "200"], ["-1", "0"]), mostly(["0", "1", "7"], ["-1"]))
+    .map(lambda t: ["--validate", f"--trials={t[0]}", f"--seed={t[1]}"]),
+    options(**{"class": st.sampled_from(CLASSES), "case": st.sampled_from(["1/1"] * 9 + CASES),
+               "alpha": mostly(["2", "3", "4"]), "delta": mostly(["0.5", "1", "2"]),
+               "r": mostly(["0.5", "1", "2"]), "p": mostly(["0.05", "0.1", "0.5", "1"]),
+               "distances": st.lists(mostly(["1", "1.5", "3"]), max_size=3).map(",".join)}),
+    st.sampled_from([[], [], [], ["--m=2"], ["--m=0"]]),
+    st.lists(mostly(["0.1", "1", "4"]), min_size=1, max_size=3)
+    .map(lambda ts: [f"--theta={','.join(ts)}"]))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=outage_validate)
+def test_outage_validate_exits_with_csv_or_one_error_line(argv):
+    code, out = run(argv)
+    if code == 0:
+        seed_line, _, csv = out.partition("\n")
+        trials, seed = argv[2].split("=")[1], argv[3].split("=")[1]
+        assert seed_line == f"# seed = {seed}, trials = {trials}", out
+        assert is_finite_csv(csv), out
 
 
 # Config keys with (ordinary values, edge values). Alpha stays at 2 or above

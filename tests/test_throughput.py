@@ -103,6 +103,24 @@ def test_tdma_ps_array_calls_match_scalar_calls():
             assert v == pytest.approx(tdma_ps_one_sided(alpha, 10.0, int(m)), rel=1e-14, abs=0.0)
 
 
+def test_tdma_ps_array_call_equals_scalar_calls_bit_for_bit():
+    """A theta column broadcast against an m row, over several head lengths
+    N and into the underflow branch, equals the scalar calls exactly."""
+    thetas = np.logspace(-6, 13, 77)[:, None]
+    ms = np.array([1.0, 2.0, 3.5, 8.0])
+    for alpha in (1.5, 2.0, 3.0, 4.0):
+        tp = (thetas / ms ** alpha).ravel()
+        underflow = tp ** (1.0 / alpha) >= 1100.0
+        heads = {max(5, math.frexp((t / 0.05) ** (1.0 / alpha))[1])
+                 for t in tp[~underflow].tolist()}  # log2 N
+        assert underflow.any() and len(heads) >= 4, (alpha, heads)
+        grid = tdma_ps_one_sided(alpha, thetas, ms)
+        assert grid.shape == (77, 4)
+        scalar = [[tdma_ps_one_sided(alpha, t, m) for m in ms.tolist()]
+                  for t in thetas.ravel().tolist()]
+        assert grid.tolist() == scalar, alpha
+
+
 def test_tdma_m_opt():
     res = tdma_m_opt(2.0, 10.0)
     assert res.m_bounds[0] < res.m_hat <= math.ceil(res.m_bounds[1])
