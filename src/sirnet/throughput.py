@@ -95,9 +95,8 @@ def tdma_ps_one_sided(
     head and tail terms are added by math.fsum, correctly rounded. Against
     an mpmath reference the relative error is below 1e-13 for alpha in
     [1.5, 5] and theta' in [1e-6, 1e4]. N, the terms and their sum depend
-    only on each element's own theta', so an array call, which builds the
-    head and tail coefficients once per N, returns exactly what scalar
-    calls return.
+    only on each element's own theta', so an array call returns exactly
+    what scalar calls return.
     """
     if not 1 < alpha < math.inf:
         raise DomainError(f"alpha must be finite and exceed 1, got {alpha}")
@@ -105,28 +104,28 @@ def tdma_ps_one_sided(
     if not (np.all(theta > 0) and np.all(m >= 1)):
         raise DomainError("theta must be positive and m >= 1")
     with np.errstate(over="ignore"):  # m^alpha = inf gives theta' = 0, its limit
-        flat = (theta / m ** alpha).ravel()
-    log_inv = np.full(flat.shape, math.inf)
-    # N = 2^e from (theta'/0.05)^(1/alpha) = f 2^e, f in [0.5, 1). Where theta'^(1/alpha)
-    # >= 1100, the first 1100 factors are each >= 2, so p_s <= 2^-1100 underflows.
-    head_exp = np.where(flat ** (1.0 / alpha) < 1100.0,
-                        np.maximum(np.frexp((flat / 0.05) ** (1.0 / alpha))[1], 5), 0)
-    ks = np.arange(1.0, 14.0)  # x <= 0.05 needs at most 13 tail terms for x^k < 2^-56
-    for e in set(head_exp.tolist()) - {0}:  # (np.unique would import numpy.ma)
-        n, group = 1 << e, np.flatnonzero(head_exp == e)
-        i_pow = np.arange(1, n, dtype=float) ** -alpha
-        coefs = np.array([(-1.0) ** (k + 1) / k * hurwitz_zeta(k * alpha, n) for k in range(1, 14)])
-        for rows in np.array_split(group, -(-len(group) * n // 8192)):  # <= 2^13 head terms
-            t = flat[rows]
-            head = np.log1p(np.multiply.outer(t, i_pow))
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                terms = np.ceil(-56.0 * math.log(2.0) / np.log(t / n ** alpha))  # 0 at x = 0
-                tail = np.where(ks <= terms[:, None], coefs * t[:, None] ** ks, 0.0)
-            if not np.isfinite(tail).all():
-                raise OverflowError(f"theta'^k overflows in the tail at theta' = {t.max():g}")
-            for j, h, r in zip(rows.tolist(), head, tail):
-                log_inv[j] = math.fsum(h.tolist() + r.tolist())
-    ps = np.exp(-log_inv).reshape(np.broadcast_shapes(theta.shape, m.shape))
+        tp = theta / m ** alpha
+    per_head = {}  # N -> (i^-alpha for i < N, tail coefficients)
+    log_inv = np.empty_like(tp)
+    for j, t in enumerate(tp.ravel().tolist()):
+        if t ** (1.0 / alpha) >= 1100.0:
+            # The first 1100 factors are each >= 2, so p_s <= 2^-1100 underflows.
+            log_inv.flat[j] = math.inf
+            continue
+        # (t/0.05)^(1/alpha) = f 2^e with f in [0.5, 1), so N = 2^e.
+        n = 1 << max(math.frexp((t / 0.05) ** (1.0 / alpha))[1], 5)
+        if n not in per_head:
+            # x <= 0.05 needs at most 13 tail terms for x^k < 2^-56.
+            per_head[n] = (np.arange(1, n, dtype=float) ** -alpha,
+                           [(-1.0) ** (k + 1) / k * hurwitz_zeta(k * alpha, n)
+                            for k in range(1, 14)])
+        i_pow, coefs = per_head[n]
+        x = t / n ** alpha
+        terms = math.ceil(-56.0 * math.log(2.0) / math.log(x)) if x > 0.0 else 0
+        parts = np.log1p(t * i_pow).tolist()
+        parts += [c * t ** k for k, c in enumerate(coefs[:terms], start=1)]
+        log_inv.flat[j] = math.fsum(parts)
+    ps = np.exp(-log_inv)
     return float(ps) if ps.ndim == 0 else ps
 
 
