@@ -18,15 +18,15 @@ def capacity_integrands(monkeypatch):
         seen.append((f, cutoff, pieces))
         return real(f, cutoff=cutoff, pieces=pieces)
 
-    monkeypatch.setattr(capacity, "integrate_decaying", spy)
-    for boost in (1.5, 2.5):
-        for cp in (0.05, 1.0, 20.0):
-            capacity.ergodic_capacity_cp(boost, cp)
-    for m in (1, 4):
-        capacity.ergodic_capacity_tdma(2.0, m)
-    for m in (1, 2):
-        capacity.ergodic_capacity_tdma(3.0, m)
-    monkeypatch.undo()
+    with monkeypatch.context() as patch:
+        patch.setattr(capacity, "integrate_decaying", spy)
+        for boost in (1.5, 2.5):
+            for cp in (0.05, 1.0, 20.0):
+                capacity.ergodic_capacity_cp(boost, cp)
+        for m in (1, 4):
+            capacity.ergodic_capacity_tdma(2.0, m)
+        for m in (1, 2):
+            capacity.ergodic_capacity_tdma(3.0, m)
     assert len(seen) == 10
     return seen
 
@@ -48,8 +48,8 @@ def test_panels_match_the_panel_by_panel_loop(monkeypatch):
                 value, err = quadrature.integrate_decaying(f, cutoff=cutoff, pieces=k)
             ref_value, ref_err = panel_loop.gauss_legendre_panels(f, edges, quadrature._NODES)
             assert abs(value - ref_value) <= 1e-14 * abs(ref_value), (k, value, ref_value)
-            # abs_err sums differences of nearly equal panel values, so rounding
-            # moves it by a part in 1e16 of the integral, not of itself.
+            # On converged panels abs_err sums differences of nearly equal
+            # values, which rounding moves by parts in 1e16 of the integral.
             assert abs(err - ref_err) <= 1e-14 * abs(ref_value), (k, err, ref_err)
 
 
