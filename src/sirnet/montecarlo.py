@@ -4,10 +4,10 @@ Interference from outside the simulation window is replaced by its exact
 mean (tail compensation); the window is then sized so that theta times the
 tail standard deviation stays below the truncation tolerance, which bounds
 the residual bias at second order. ALOHA thinning of a PPP leaves a PPP of
-intensity p, so only transmitters are placed, and fading is drawn only for
-active interferers. Trials fall in fixed blocks of 4,096, each drawn from a
-PCG64 stream keyed by (seed, block), or by (seed, block, sub) when a block
-expects too many points and is split; results do not depend on chunking.
+intensity p, so only transmitters are placed. Lines and explicit sets fade and
+sum only active interferers, and a power-law PPP gain is (R^d u)^(-alpha/d),
+from squared distances in 2-D. Trials fall in 4,096-trial blocks, each with a
+PCG64 stream keyed by (seed, block[, sub]); results do not depend on chunking.
 """
 
 from __future__ import annotations
@@ -256,22 +256,28 @@ def _batch_sir(
     case = model.fading
     if distances is not None:
         loss = _loss_vector(model, distances)
-        shape = (size, loss.size)
-        if p < 1.0:
-            active = rng.random(shape) < p
-            f = np.zeros(shape)
-            f[active] = _fading_draw(rng, case.interferer, int(np.count_nonzero(active)))
+        if p < 1.0:  # fade and sum only the active (trial, interferer) entries
+            active = np.flatnonzero(rng.random((size, loss.size)) < p)
+            gain = loss[active % loss.size]
+            gain *= _fading_draw(rng, case.interferer, active.size)
+            interference = np.bincount(active // loss.size, weights=gain, minlength=size)
         else:
-            f = _fading_draw(rng, case.interferer, size * loss.size).reshape(shape)
-        interference = f @ loss + window.tail_mean
+            interference = _fading_draw(rng, case.interferer, size * loss.size).reshape(size, -1) @ loss
     else:
         counts = rng.poisson(points, size)
-        total = int(counts.sum())
-        u = rng.random(total)
-        dist = window.radius * (np.sqrt(u) if model.geometry.d == 2 else u)
-        contrib = _fading_draw(rng, case.interferer, total) * _loss_vector(model, dist)
-        idx = np.repeat(np.arange(size), counts)
-        interference = np.bincount(idx, weights=contrib, minlength=size) + window.tail_mean
+        u = rng.random(int(counts.sum()))
+        r, d, pl = window.radius, model.geometry.d, model.path_loss
+        if isinstance(pl, PowerLaw):  # |x|^-alpha = (R^d u)^(-alpha/d): no sqrt in 2-D
+            u *= r * r if d == 2 else r
+            with np.errstate(over="ignore"):
+                gain = np.power(u, -pl.alpha / d, out=u)
+        else:
+            gain = _loss_vector(model, r * np.sqrt(u))
+        gain *= _fading_draw(rng, case.interferer, gain.size)
+        busy = np.flatnonzero(counts)  # a trial that drew no point keeps 0
+        interference = np.zeros(size)
+        interference[busy] = np.add.reduceat(gain, (np.cumsum(counts) - counts)[busy])
+    interference = interference + window.tail_mean  # not +=: an empty bincount is int64
     desired = _fading_draw(rng, case.desired, size)
     with np.errstate(divide="ignore"):
         return np.where(interference > 0.0, desired / np.maximum(interference, 1e-300), np.inf)

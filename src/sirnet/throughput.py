@@ -123,7 +123,11 @@ def tdma_ps_one_sided(
         x = t / n ** alpha
         terms = math.ceil(-56.0 * math.log(2.0) / math.log(x)) if x > 0.0 else 0
         parts = np.log1p(t * i_pow).tolist()
-        parts += [c * t ** k for k, c in enumerate(coefs[:terms], start=1)]
+        try:
+            parts += [c * t ** k for k, c in enumerate(coefs[:terms], start=1)]
+        except OverflowError:  # t^k passes the float range, c t^k does not
+            parts += [math.copysign(math.exp(k * math.log(t) + math.log(abs(c))), c) if c else 0.0
+                      for k, c in enumerate(coefs[:terms], start=1)]
         log_inv.flat[j] = math.fsum(parts)
     ps = np.exp(-log_inv)
     return float(ps) if ps.ndim == 0 else ps

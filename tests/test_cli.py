@@ -2,6 +2,7 @@
 
 import math
 import time
+import warnings
 
 import pytest
 
@@ -93,6 +94,29 @@ def test_outage_tdma_bounds_only(tmp_path):
     _, rows = data_rows(text)
     assert rows[0]["method"] == "product"
     assert float(rows[0]["lower"]) <= float(rows[0]["value"]) <= float(rows[0]["upper"])
+
+
+def test_outage_validate_explicit_interferer_with_infinite_gain(tmp_path):
+    """1e-300^-4 is inf: an active interferer there forces SIR 0, and a silent
+    one must add nothing (0 x inf would be nan, counted as a success)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run(tmp_path, "outage", "--class", "explicit", "--distances", "1e-300,2",
+                         "--alpha", "4", "--p", "0.5", "--theta", "1", "--validate",
+                         "--trials", "100000", "--seed", "0")
+    assert code == 0
+    row = data_rows(text)[1][0]
+    assert float(row["value"]) == pytest.approx(0.4852941176, rel=1e-9)
+    assert abs(float(row["z"])) < 4.0
+
+
+def test_outage_tdma_tail_power_past_the_float_range(tmp_path):
+    """theta'^k overflows for k >= 11 at alpha 20, theta 5.9e28, though p_s
+    is 9.04e-218."""
+    code, text = run(tmp_path, "outage", "--class", "line1", "--alpha", "20",
+                     "--m", "1", "--theta", "5.9e28")
+    assert code == 0
+    assert float(data_rows(text)[1][0]["value"]) == pytest.approx(9.038387914e-218, rel=1e-9)
 
 
 def test_outage_config_file(tmp_path):

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import dense_kernel
+from sirnet import montecarlo
 from sirnet.contention import gamma_ppp
 from sirnet.model import (
     Aloha,
@@ -17,6 +19,7 @@ from sirnet.model import (
     RegularLine,
     SingleInterferer,
     Tdma,
+    class_model,
 )
 from sirnet.montecarlo import (
     Estimate,
@@ -148,3 +151,64 @@ def test_estimate_z_score():
     exact = Estimate(1.0, 0.0, 100)
     assert exact.z_score(1.0) == 0.0
     assert exact.z_score(0.9) == math.inf
+
+
+# One case per kernel branch, then PPP windows where some trials, and then
+# whole chunks, draw no point at all (p = 0.01 expects 0.87 points a trial;
+# p = 1e-7 expects 1.3e-6), and an explicit set with no active interferer.
+KERNEL_CASES = [
+    ("ppp2-a4", class_model("ppp2", 4.0), Aloha(0.1)),
+    ("ppp2-a3", class_model("ppp2", 3.0), Aloha(0.1)),
+    ("ppp1", class_model("ppp1", 3.0), Aloha(0.2)),
+    ("exp2", class_model("exp2"), Aloha(0.2)),
+    ("line1", class_model("line1", 3.0), Aloha(0.3)),
+    ("line2", class_model("line2", 2.5), Aloha(0.05)),
+    ("tdma", class_model("line1", 3.0), Tdma(2)),
+    ("single", class_model("single", 4.0, r=1.2), Aloha(0.5)),
+    ("explicit", class_model("explicit", distances=(1.0, 2.0, 3.0)), Aloha(0.3)),
+    ("static", class_model("line2", 4.0, "0/0"), Aloha(0.3)),
+    ("nakagami", class_model("ppp2", 4.0, "m4/m0.5"), Aloha(0.1)),
+    ("ppp2-some-empty", class_model("ppp2", 4.0), Aloha(0.01)),
+    ("ppp2-all-empty", class_model("ppp2", 4.0), Aloha(1e-7)),
+    ("explicit-all-silent", class_model("explicit", distances=(1.0, 2.0)), Aloha(1e-7)),
+]
+KERNEL_SEEDS = (3, 17, 2024)
+
+
+def _chunk_counts(model, mac, cfg):
+    """The Poisson point count of every trial, chunk by chunk (each chunk's
+    first draw)."""
+    window = resolve_window(model, mac, 1.0, cfg)
+    points = mac.p * math.pi * window.radius ** 2
+    return [montecarlo._rng(cfg.seed, key).poisson(points, size)
+            for key, size in montecarlo._chunks(cfg.trials, points)]
+
+
+def test_sparse_kernel_matches_the_dense_kernel(monkeypatch):
+    """The kernel that fades only active interferers and reduces PPP points
+    per trial with add.reduceat draws the same stream as the dense kernel:
+    equal success counts, and SIR samples within 1e-12."""
+    for name, model, mac in KERNEL_CASES:
+        for seed in KERNEL_SEEDS:
+            cfg = SimConfig(trials=5000, seed=seed)  # a full and a partial block
+            ps = simulate_ps(model, mac, 1.0, cfg)
+            samples = simulate_sir_samples(model, mac, cfg)
+            with monkeypatch.context() as m:
+                m.setattr(montecarlo, "_batch_sir", dense_kernel._batch_sir)
+                ref_ps = simulate_ps(model, mac, 1.0, cfg)
+                ref = simulate_sir_samples(model, mac, cfg)
+            assert ps == ref_ps, (name, seed)
+            assert samples.clipped == ref.clipped, (name, seed)
+            np.testing.assert_allclose(samples.values, ref.values, rtol=1e-12, atol=0.0,
+                                       err_msg=f"{name} seed {seed}")
+    # The empty-trial cases reach what they are there for.
+    model = class_model("ppp2", 4.0)
+    some = [_chunk_counts(model, Aloha(0.01), SimConfig(trials=5000, seed=s))
+            for s in KERNEL_SEEDS]
+    assert all(0 < np.count_nonzero(c == 0) < c.size for chunks in some for c in chunks)
+    assert any(c[-1] == 0 for chunks in some for c in chunks)
+    empty = [c for s in KERNEL_SEEDS
+             for c in _chunk_counts(model, Aloha(1e-7), SimConfig(trials=5000, seed=s))]
+    assert any(not c.any() for c in empty)
+    assert not any((montecarlo._rng(s, key).random((size, 2)) < 1e-7).any()
+                   for s in KERNEL_SEEDS for key, size in montecarlo._chunks(5000, 2))

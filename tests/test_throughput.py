@@ -91,6 +91,16 @@ def test_tdma_ps_matches_mpmath_reference():
                     assert abs(value - ref) <= 1e-13 * ref, (alpha, theta, value, ref)
 
 
+def test_tdma_ps_where_a_tail_power_overflows():
+    """At alpha 20, theta' 5.9e28 the head is N = 32 and theta'^k passes the
+    float range from k = 11 on, while p_s = 9.04e-218 does not."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        ref = float(tdma_ps_reference(mpmath, 20.0, 5.9e28))
+    assert ref == pytest.approx(9.04e-218, rel=1e-3)
+    assert tdma_ps_one_sided(20.0, 5.9e28, 1) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
 def test_tdma_ps_array_calls_match_scalar_calls():
     ms = np.arange(1, 9)
     for alpha in TDMA_ALPHAS:
