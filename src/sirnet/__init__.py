@@ -24,9 +24,9 @@ from .contention import (
     equivalent_disk_radius,
     gamma_exp_pathloss,
     gamma_explicit,
+    gamma_line,
     gamma_line_alpha2,
     gamma_line_alpha4,
-    gamma_line_taylor,
     gamma_ppp,
     gamma_ppp_nonfading_alpha4,
     gamma_single,
@@ -65,7 +65,7 @@ from .outage import (
     SuccessProbability,
     ps_exp_pathloss,
     ps_explicit,
-    ps_explicit_partial_exact,
+    ps_line_aloha,
     ps_line_alpha2_aloha,
     ps_line_alpha4_aloha,
     ps_ppp,

@@ -45,47 +45,47 @@ def _require(condition: bool, why: str) -> None:
 
 
 def _forms(model: NetworkModel, mac: MacScheme,
-           theta: float) -> tuple[float, Callable[[float], float] | None]:
-    """(gamma, the ALOHA p_s as a function of p, or None where only gamma
-    has a form). Other classes raise a bare UnsupportedClassError(reason)."""
+           theta: float) -> tuple[float, Callable[[float], float] | None, str]:
+    """(gamma, the ALOHA p_s as a function of p or None under TDMA, and the
+    method of that p_s). Other classes raise a bare
+    UnsupportedClassError(reason)."""
     g, pl, case = model.geometry, model.path_loss, model.fading
     if isinstance(pl, ExponentialLaw):
         _require(g == Ppp(2) and case == RAYLEIGH and isinstance(mac, Aloha),
                  "exponential path loss needs the 2-D PPP, case 1/1 and ALOHA")
         return (contention.gamma_exp_pathloss(pl.delta, theta),
-                partial(outage.ps_exp_pathloss, pl.delta, theta))
+                partial(outage.ps_exp_pathloss, pl.delta, theta), "closed-form")
     if isinstance(g, SingleInterferer) and isinstance(mac, Aloha):
         xi = effective_distance(g.r, pl.alpha, theta)
-        return contention.gamma_single(case, xi), partial(outage.ps_single, case, xi)
-    if isinstance(g, RegularLine):
-        _require(case == RAYLEIGH, "line networks need case 1/1")
-        sides = 2 if g.sided == "two" else 1
-        if isinstance(mac, Tdma):
-            return sides * contention.gamma_tdma_line(pl.alpha, theta), None
-        if pl.alpha == 2.0:
-            gamma, ps = contention.gamma_line_alpha2(theta), outage.ps_line_alpha2_aloha
-        elif pl.alpha == 4.0:
-            gamma, ps = contention.gamma_line_alpha4(theta), outage.ps_line_alpha4_aloha
-        else:
-            # The zeta series converges fast only for theta < 1/2.
-            _require(theta < 0.5, "line contention needs alpha in {2, 4} or theta < 0.5")
-            return sides * contention.gamma_line_taylor(pl.alpha, theta, terms=30), None
-        if sides == 2:
-            return 2 * gamma, lambda p: ps(theta, p) * ps(theta, p)
-        return gamma, partial(ps, theta)
+        return (contention.gamma_single(case, xi), partial(outage.ps_single, case, xi),
+                "closed-form")
+    sides = 2 if isinstance(g, RegularLine) and g.sided == "two" else 1
+    if isinstance(g, RegularLine) and isinstance(mac, Tdma):
+        _require(case == RAYLEIGH, "TDMA lines need case 1/1")
+        return sides * contention.gamma_tdma_line(pl.alpha, theta), None, "closed-form"
     _require(isinstance(mac, Aloha), "TDMA needs a line network")
     if isinstance(g, Ppp) and case.label == "0/0":
         _require(g.d == 2 and pl.alpha == 4.0, "the non-fading PPP needs d = 2 and alpha = 4")
         return (contention.gamma_ppp_nonfading_alpha4(theta),
-                partial(outage.ps_ppp_nonfading_alpha4, theta))
+                partial(outage.ps_ppp_nonfading_alpha4, theta), "closed-form")
     _require(case.desired.is_rayleigh, "the desired link must be Rayleigh")
+    if isinstance(g, RegularLine):
+        if case == RAYLEIGH and pl.alpha in (2.0, 4.0):
+            four = pl.alpha == 4.0
+            gamma = (contention.gamma_line_alpha4 if four else contention.gamma_line_alpha2)(theta)
+            ps = partial(outage.ps_line_alpha4_aloha if four else outage.ps_line_alpha2_aloha, theta)
+            method = "closed-form"
+        else:
+            gamma, method = contention.gamma_line(pl.alpha, theta, case.interferer), "product"
+            ps = partial(outage.ps_line_aloha, pl.alpha, theta, interferer_fading=case.interferer)
+        return sides * gamma, lambda p: ps(p) ** sides, method
     if isinstance(g, Explicit):
         xis = [effective_distance(r, pl.alpha, theta) for r in g.distances]
-        ps = (partial(outage.ps_explicit_partial_exact, xis) if case.interferer.is_static
-              else lambda p: outage.ps_explicit(xis, p).value)
-        return contention.gamma_explicit(xis, case.interferer), ps
+        return (contention.gamma_explicit(xis, case.interferer),
+                lambda p: outage.ps_explicit(xis, p, case.interferer).value, "closed-form")
     return (contention.gamma_ppp(g.d, pl.alpha, theta, case.interferer),
-            partial(outage.ps_ppp, g.d, pl.alpha, theta, interferer_fading=case.interferer))
+            partial(outage.ps_ppp, g.d, pl.alpha, theta, interferer_fading=case.interferer),
+            "closed-form")
 
 
 def spatial_contention(model: NetworkModel, mac: MacScheme, theta: float) -> float:
@@ -109,12 +109,11 @@ def success_probability(model: NetworkModel, mac: MacScheme,
     from :func:`spatial_contention`; TDMA lines carry their own bounds.
     """
     try:
-        gamma, ps = _forms(model, mac, theta)
+        gamma, ps, method = _forms(model, mac, theta)
         if isinstance(mac, Tdma):
             return outage.ps_tdma_line(model.path_loss.alpha, theta, mac.m,
                                        sided=model.geometry.sided)
-        _require(ps is not None, "line ALOHA needs alpha in {2, 4}")
-        return outage.sandwich(ps(mac.p), mac.p, gamma)
+        return outage.sandwich(ps(mac.p), mac.p, gamma, method)
     except UnsupportedClassError as exc:
         raise _named(model, mac, exc) from None
 

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .model import Fading, FadingCase, unit_ball_volume
-from .specfun import DomainError, gamma_fn, li2, zeta
+from .specfun import DomainError, gamma_fn, hurwitz_zeta, li2, zeta
 
 __all__ = [
     "UnsupportedClassError",
@@ -22,7 +24,7 @@ __all__ = [
     "gamma_explicit",
     "gamma_line_alpha2",
     "gamma_line_alpha4",
-    "gamma_line_taylor",
+    "gamma_line",
     "gamma_tdma_line",
     "equivalent_disk_radius",
     "transmission_capacity_density",
@@ -39,31 +41,55 @@ def _finite(gamma: float) -> float:
     return gamma
 
 
+def _log_laplace(x: np.ndarray, fading: Fading) -> np.ndarray:
+    """log L_h(x) = log E exp(-x h) of unit-mean fading power h, elementwise."""
+    if fading.is_static:
+        return -x
+    with np.errstate(over="ignore"):  # x/m = inf gives -inf, the limit
+        return -fading.m * np.log1p(x / fading.m)
+
+
+def interference_gamma(x: np.ndarray, fading: Fading) -> np.ndarray:
+    """1 - L_h(x), the outage that one interferer at x = theta r^-alpha = 1/xi
+    causes a Rayleigh desired link; x = inf (xi = 0) gives its limit 1."""
+    return -np.expm1(_log_laplace(x, fading))
+
+
+def interference_log_ps(x: np.ndarray, p: float, fading: Fading) -> np.ndarray:
+    """-log(1 - p (1 - L_h(x))), the same interferer under ALOHA; taken in log
+    space where p (1 - L_h) >= 1/2, so it stays exact at p = 1 and large x."""
+    log_l = _log_laplace(x, fading)
+    pg = -p * np.expm1(log_l)
+    with np.errstate(divide="ignore"):  # log(0) in the branch not taken
+        return np.where(pg < 0.5, -np.log1p(-pg),
+                        -np.logaddexp(np.log1p(-p), np.log(p) + log_l))
+
+
+def interference_x(xis: float | list[float]) -> np.ndarray:
+    """x = 1/xi of effective distances xi >= 0 (inf at xi = 0)."""
+    xi = np.asarray(xis, dtype=float)
+    if not (xi >= 0).all():
+        raise DomainError(f"effective distances must be >= 0, got {xis}")
+    with np.errstate(divide="ignore", over="ignore"):
+        return 1.0 / xi
+
+
 def gamma_single(case: FadingCase, xi: float) -> float:
     """Single-interferer spatial contention as a function of xi = r^alpha/theta.
 
-    Outage is exactly linear in p, p_s = 1 - p gamma: 1/1 -> 1/(1+xi);
-    1/0 -> 1-exp(-1/xi); 0/1 -> exp(-xi); 0/0 -> indicator[xi <= 1];
-    1/m -> 1 - (1 + 1/(m xi))^-m; m/1 -> (1 + xi/m)^-m. Nakagami on one side
-    tends to the static case as m grows. All values lie in [0, 1].
+    Outage is exactly linear in p, p_s = 1 - p gamma. A Rayleigh desired link
+    gives 1 - L_hi(1/xi), a Rayleigh interferer L_hd(xi), and 0/0 the
+    indicator [xi <= 1]. All values lie in [0, 1].
     """
     if not 0 <= xi < math.inf:
         raise DomainError(f"xi must be finite and >= 0, got {xi}")
     d, i = case.desired, case.interferer
-    if d.is_rayleigh and i.is_rayleigh:
-        return 1.0 / (1.0 + xi)
-    if d.is_rayleigh and i.is_static:
-        return 1.0 if xi == 0.0 else -math.expm1(-1.0 / xi)
-    if d.is_static and i.is_rayleigh:
-        return math.exp(-xi)
+    if d.is_rayleigh:
+        return float(interference_gamma(1.0 / xi if xi else math.inf, i))
+    if i.is_rayleigh:
+        return float(np.exp(_log_laplace(xi, d)))
     if d.is_static and i.is_static:
         return 1.0 if xi <= 1.0 else 0.0
-    if d.is_rayleigh:
-        # 1/m: 1 - m^m / (1/xi + m)^m, stable via log1p.
-        return 1.0 if xi == 0.0 else 1.0 - math.exp(-i.m * math.log1p(1.0 / (xi * i.m)))
-    if i.is_rayleigh:
-        # m/1: (m/xi / (1 + m/xi))^m
-        return 1.0 if xi == 0.0 else math.exp(-d.m * math.log1p(xi / d.m))
     raise UnsupportedClassError(
         f"single-interferer fading case {case.label!r} has no closed form"
     )
@@ -132,28 +158,70 @@ def gamma_exp_pathloss(delta: float, theta: float) -> float:
 
 
 def gamma_explicit(xis: list[float], interferer_fading: Fading) -> float:
-    """Contention of fixed interferers with effective distances xi_i.
+    """Fixed interferers at effective distances xi_i >= 0, Rayleigh desired
+    link: gamma = sum (1 - L_h(1/xi_i)), the single-interferer values."""
+    return math.fsum(interference_gamma(interference_x(xis), interferer_fading).tolist())
 
-    The desired link is Rayleigh, and gamma is the sum of the single-
-    interferer values: sum 1/(1+xi_i) for Rayleigh interferers, and
-    sum (1 - exp(-1/xi_i)) for static ones, which requires all xi_i > 0.
+
+# line_sums' longest head; a larger theta is refused.
+_MAX_HEAD = 1 << 16
+
+
+def power_series(fading: Fading, p: float | None = None) -> list[float]:
+    """Coefficients c_1 .. c_13 of x^k at x = 0 of 1 - L_h(x) or, given p, of
+    -log(1 - p (1 - L_h(x))) = sum_j (p (1 - L_h))^j / j."""
+    k = np.arange(1.0, 14.0)
+    ratio = -1.0 / k if fading.is_static else ((1.0 - k) / fading.m - 1.0) / k
+    g = np.concatenate(([0.0], -np.cumprod(ratio)))  # 1 - L_h, from L_h(0) = 1
+    if p is None:
+        return g[1:].tolist()
+    f, power = np.zeros_like(g), np.ones(1)
+    for j in range(1, 14):
+        power = np.convolve(power, p * g)[:g.size]
+        f[:power.size] += power / j
+    return f[1:].tolist()
+
+
+def line_sums(alpha: float, ts: list[float], term, series: list[float]) -> list[float]:
+    """sum_{i>=1} term(t i^-alpha) for each t in ts, for a vectorised term with
+    term(0) = 0 and power series coefficients `series` at 0 (radius >= 1/2).
+
+    A head sum over i < N plus the tail sum_k c_k t^k zeta(k alpha, N),
+    added by math.fsum. N is the least power of two >= 32 with x = t/N^alpha
+    <= 0.05, so the tail converges like x^k; it is summed until x^k < 2^-56,
+    which takes at most the 13 terms of `series`.
+    Each sum depends only on its own t. alpha must be finite and above 1; a
+    t that needs N above 2^16 is refused.
     """
-    if interferer_fading.is_static:
-        for xi in xis:
-            if not xi > 0:
-                raise DomainError(f"static interferers require xi > 0, got {xi}")
-    elif not interferer_fading.is_rayleigh:
-        raise UnsupportedClassError(
-            f"no explicit-geometry contention for interferer fading {interferer_fading.symbol!r}"
-        )
-    case = FadingCase(Fading.rayleigh(), interferer_fading)
-    return sum(gamma_single(case, xi) for xi in xis)
+    heads, sums = {}, []  # N -> (i^-alpha for i < N, c_k zeta(k alpha, N))
+    for t in ts:
+        q = (t / 0.05) ** (1.0 / alpha) if t < 1e300 else t ** (1.0 / alpha) * 20.0 ** (1.0 / alpha)
+        if not q < _MAX_HEAD:
+            raise DomainError(f"theta {t:g} at alpha {alpha:g} needs over {_MAX_HEAD} line terms")
+        n = 1 << max(math.frexp(q)[1], 5)  # q = f 2^e with f in [0.5, 1), so N = 2^e
+        if n not in heads:
+            heads[n] = (np.arange(1, n, dtype=float) ** -alpha,
+                        [c * hurwitz_zeta(k * alpha, n) for k, c in enumerate(series, start=1)])
+        i_pow, coefs = heads[n]
+        x = t / n ** alpha
+        terms = math.ceil(-56.0 * math.log(2.0) / math.log(x)) if x > 0.0 else 0
+        parts = term(t * i_pow).tolist()
+        try:
+            parts += [c * t ** k for k, c in enumerate(coefs[:terms], start=1)]
+        except OverflowError:  # t^k passes the float range, c t^k does not
+            parts += [math.copysign(math.exp(k * math.log(t) + math.log(abs(c))), c) if c
+                      else 0.0 for k, c in enumerate(coefs[:terms], start=1)]
+        sums.append(math.fsum(parts))
+    return sums
 
 
-# Below this theta the line closed forms cancel, and the zeta series, whose
-# first omitted term is below theta^_SERIES_TERMS relative, is exact.
-_SERIES_THETA = 0.01
-_SERIES_TERMS = 9
+def gamma_line(alpha: float, theta: float, interferer_fading: Fading) -> float:
+    """One-sided regular line with a Rayleigh desired link, any alpha > 1:
+    gamma = sum_i (1 - L_h(theta/i^alpha)), by line_sums."""
+    if not (1 < alpha < math.inf and theta > 0):
+        raise DomainError(f"line sums need finite alpha > 1 and theta > 0, got {alpha}, {theta}")
+    return line_sums(alpha, [theta], lambda x: interference_gamma(x, interferer_fading),
+                     power_series(interferer_fading))[0]
 
 
 def gamma_line_alpha2(theta: float) -> float:
@@ -161,63 +229,32 @@ def gamma_line_alpha2(theta: float) -> float:
 
     gamma = (pi sqrt(theta) coth(pi sqrt(theta)) - 1) / 2, bounded between
     (pi sqrt(theta) - 1)/2 and pi sqrt(theta)/2; below theta = 0.01, where
-    that difference cancels, the zeta series gives it.
+    that difference cancels, the line sum gives it.
     """
     if not theta > 0:
         raise DomainError(f"theta must be positive, got {theta}")
-    if theta < _SERIES_THETA:
-        return gamma_line_taylor(2.0, theta, _SERIES_TERMS)
+    if theta < 0.01:
+        return gamma_line(2.0, theta, Fading.rayleigh())
     x = math.pi * math.sqrt(theta)
     return 0.5 * (x / math.tanh(x) - 1.0)
 
 
-def gamma_line_alpha4(theta: float, mode: str = "exact") -> float:
+def gamma_line_alpha4(theta: float) -> float:
     """One-sided regular line, Rayleigh/Rayleigh, alpha = 4.
 
-    mode='exact' evaluates the closed form in y = pi theta^(1/4)/sqrt(2)
-    (the zeta series below theta = 0.01, where the closed form cancels);
-    mode='approx' returns pi theta^(1/4)/(2 sqrt 2) - 1/2, accurate for
-    theta > 1. For y > 30 the exact form is evaluated with the e^(2y)
-    factors cancelled to avoid overflow.
+    The closed form in y = pi theta^(1/4)/sqrt(2), which tends to y/2 - 1/2
+    for large theta (the line sum below theta = 0.01, where it cancels). Its
+    numerator and denominator are scaled by e^(-2y), so neither overflows.
     """
     if not theta > 0:
         raise DomainError(f"theta must be positive, got {theta}")
+    if theta < 0.01:
+        return gamma_line(4.0, theta, Fading.rayleigh())
     y = math.pi * theta ** 0.25 / math.sqrt(2.0)
-    if mode == "approx":
-        return 0.5 * y - 0.5
-    if mode != "exact":
-        raise DomainError(f"mode must be 'exact' or 'approx', got {mode!r}")
-    if theta < _SERIES_THETA:
-        return gamma_line_taylor(4.0, theta, _SERIES_TERMS)
-    cy, sy = math.cos(y), math.sin(y)
-    if y <= 30.0:
-        e2 = math.exp(2.0 * y)
-        num = (y - 1.0) * e2 + 4.0 * cy * cy + 4.0 * y * cy * sy - 2.0 - (y + 1.0) / e2
-        den = math.sinh(y) ** 2 + sy * sy  # == cosh^2 y - cos^2 y
-        return num / (8.0 * den)
-    # Scale numerator and denominator by e^(-2y).
-    e2m = math.exp(-2.0 * y)
-    num = (y - 1.0) + (4.0 * cy * cy + 4.0 * y * cy * sy - 2.0) * e2m
-    den = 0.25 + (0.5 - cy * cy) * e2m
-    return num / (8.0 * den)
-
-
-def gamma_line_taylor(alpha: float, theta: float, terms: int) -> float:
-    """Alternating zeta series for the one-sided Rayleigh line network.
-
-    gamma = zeta(alpha) theta - zeta(2 alpha) theta^2 + ... Useful only for
-    theta < 1/2 where the series converges quickly.
-    """
-    if not 1 < alpha < math.inf:
-        raise DomainError(f"alpha must be finite and exceed 1, got {alpha}")
-    if not (0.0 < theta < 0.5):
-        raise DomainError(f"series form requires 0 < theta < 1/2, got {theta}")
-    if terms < 1:
-        raise DomainError(f"terms must be >= 1, got {terms}")
-    total = 0.0
-    for i in range(1, terms + 1):
-        total -= (-1) ** i * zeta(alpha * i) * theta ** i
-    return total
+    cy, sy, e = math.cos(y), math.sin(y), math.exp(-2.0 * y)
+    num = (y - 1.0) + (4.0 * cy * cy + 4.0 * y * cy * sy - 2.0) * e - (y + 1.0) * e * e
+    # 8 e^(-2y) (cosh^2 y - cos^2 y) = 8 e^(-2y) (sinh^2 y + sin^2 y)
+    return num / (2.0 * (1.0 - e) ** 2 + 8.0 * sy * sy * e)
 
 
 def gamma_tdma_line(alpha: float, theta: float) -> float:

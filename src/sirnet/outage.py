@@ -24,7 +24,7 @@ __all__ = [
     "ps_ppp_nonfading_alpha4",
     "ps_exp_pathloss",
     "ps_explicit",
-    "ps_explicit_partial_exact",
+    "ps_line_aloha",
     "ps_line_alpha2_aloha",
     "ps_line_alpha4_aloha",
     "ps_tdma_line",
@@ -38,9 +38,9 @@ _CLAMP = 1e-300
 class SuccessProbability:
     """Success probability with its bounds and the method that produced it.
 
-    ``method`` is ``closed-form``, or ``product`` for the TDMA line's
-    infinite product at alpha outside {2, 4}. Values below 1e-300 are
-    clamped to zero.
+    ``method`` is ``closed-form``, or ``product`` for a line's infinite
+    product where the alpha in {2, 4} closed forms do not apply. Values
+    below 1e-300 are clamped to zero.
     """
 
     value: float
@@ -53,11 +53,11 @@ def _clamp_ps(x: float) -> float:
     return 0.0 if 0.0 < x < _CLAMP else min(max(x, 0.0), 1.0)
 
 
-def sandwich(value: float, p: float, gamma: float) -> SuccessProbability:
+def sandwich(value: float, p: float, gamma: float, method: str = "closed-form") -> SuccessProbability:
     """An ALOHA value with its contention bounds 1 - p gamma and exp(-p gamma)."""
     lower = max(0.0, 1.0 - p * gamma)
     upper = math.exp(-p * gamma) if p * gamma < 690 else 0.0
-    return SuccessProbability(_clamp_ps(value), lower, upper)
+    return SuccessProbability(_clamp_ps(value), lower, upper, method)
 
 
 def _check_p(p: float, upper: float = 1.0) -> None:
@@ -95,47 +95,26 @@ def ps_exp_pathloss(delta: float, theta: float, p: float) -> float:
     return math.exp(-p * contention.gamma_exp_pathloss(delta, theta))
 
 
-def ps_explicit(xis: list[float], p: float) -> SuccessProbability:
-    """Fixed interferers, Rayleigh/Rayleigh: p_s = prod (1 - p/(1+xi_i)).
-
-    p_s is convex in p, so 1 - p*gamma is a lower and exp(-p*gamma) an
-    upper bound, with gamma = sum 1/(1+xi_i).
-    """
+def ps_explicit(xis: list[float], p: float,
+                interferer_fading: Fading = Fading.rayleigh()) -> SuccessProbability:
+    """Fixed interferers at effective distances xi_i >= 0, Rayleigh desired
+    link: p_s = prod (1 - p (1 - L_h(1/xi_i))). p_s is convex in p, so
+    1 - p*gamma is a lower and exp(-p*gamma) an upper bound."""
     _check_p(p)
-    for xi in xis:
-        if xi < 0:
-            raise DomainError(f"xi must be >= 0, got {xi}")
-    gamma = contention.gamma_explicit(list(xis), Fading.rayleigh())
-    log_ps = 0.0
-    for xi in xis:
-        factor = 1.0 - p / (1.0 + xi)
-        if factor <= 0.0:
-            return sandwich(0.0, p, gamma)
-        log_ps += math.log(factor)
-    return sandwich(math.exp(log_ps), p, gamma)
+    gamma = contention.gamma_explicit(xis, interferer_fading)
+    terms = contention.interference_log_ps(contention.interference_x(xis), p, interferer_fading)
+    return sandwich(math.exp(-math.fsum(terms.tolist())), p, gamma)
 
 
-def ps_explicit_partial_exact(xis: list[float], p: float) -> float:
-    """Fixed static interferers, fading desired link (1/0): prod(1 - p(1 - exp(-1/xi_i))).
-
-    Exact under Bernoulli access; its slope at p = 0 is gamma_explicit with
-    static interferers.
-    """
+def ps_line_aloha(alpha: float, theta: float, p: float, interferer_fading: Fading) -> float:
+    """One-sided regular line with a Rayleigh desired link under ALOHA, any
+    alpha > 1: p_s = prod_i (1 - p (1 - L_h(theta/i^alpha))), by line_sums."""
     _check_p(p)
-    for xi in xis:
-        if not xi > 0:
-            raise DomainError(
-                f"static interferer at xi = {xi} makes the 1/0 sum diverge"
-            )
-    return math.prod(1.0 - p * -math.expm1(-1.0 / xi) for xi in xis)
-
-
-def _sinh_ratio(a: float, b: float) -> float:
-    """sinh(a)/sinh(b) without overflow, for a <= b, b > 0."""
-    if b <= 30.0:
-        return math.sinh(a) / math.sinh(b)
-    # sinh x = e^x (1 - e^(-2x)) / 2
-    return math.exp(a - b) * (-math.expm1(-2.0 * a)) / (-math.expm1(-2.0 * b))
+    if not (1 < alpha < math.inf and theta > 0):
+        raise DomainError(f"line sums need finite alpha > 1 and theta > 0, got {alpha}, {theta}")
+    return math.exp(-contention.line_sums(
+        alpha, [theta], lambda x: contention.interference_log_ps(x, p, interferer_fading),
+        contention.power_series(interferer_fading, p))[0])
 
 
 def ps_line_alpha2_aloha(theta: float, p: float) -> float:
@@ -151,7 +130,11 @@ def ps_line_alpha2_aloha(theta: float, p: float) -> float:
     if p == 1.0:
         return y / math.sinh(y) if y <= 690 else 0.0
     q = math.sqrt(1.0 - p)
-    return _sinh_ratio(y * q, y) / q
+    if y <= 30.0:
+        return math.sinh(y * q) / math.sinh(y) / q
+    # sinh x = e^x (1 - e^(-2x))/2 avoids overflow; y q - y = -y p/(1 + q) keeps its digits.
+    return (math.exp(-y * p / (1.0 + q)) * (-math.expm1(-2.0 * y * q))
+            / (-math.expm1(-2.0 * y)) / q)
 
 
 def _cc_ratio(a: float, b: float) -> float:
@@ -204,7 +187,8 @@ def ps_tdma_line(alpha: float, theta: float, m: int, sided: str = "one") -> Succ
     z = zeta(alpha)
     theta_p = theta / m ** alpha
     lower = math.exp(-z * theta_p) if z * theta_p < 690 else 0.0
-    upper = 1.0 / (1.0 + z * theta_p + (z - 1.0) * theta_p ** 2)
+    # theta_p * theta_p is inf past the float range (upper = 0); ** 2 would raise.
+    upper = 1.0 / (1.0 + z * theta_p + (z - 1.0) * (theta_p * theta_p))
     method = "closed-form"
     if alpha == 2:
         value = ps_line_alpha2_aloha(theta_p, 1.0)

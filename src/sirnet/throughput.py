@@ -8,9 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contention import c_d_constant
+from .contention import c_d_constant, line_sums
 from .optimize import golden_section_max
-from .specfun import DomainError, hurwitz_zeta, lambert_w0, zeta
+from .specfun import DomainError, lambert_w0, zeta
 
 __all__ = [
     "ThroughputResult",
@@ -78,6 +78,9 @@ def aloha_p_opt(gamma: float, duplex: str = "full") -> ThroughputResult:
     raise DomainError(f"duplex must be 'full' or 'half', got {duplex!r}")
 
 
+_LOG1P_SERIES = [(-1.0) ** (k + 1) / k for k in range(1, 14)]
+
+
 def tdma_ps_one_sided(
     alpha: float, theta: float | np.ndarray, m: float | np.ndarray
 ) -> float | np.ndarray:
@@ -87,16 +90,11 @@ def tdma_ps_one_sided(
     theta/m^alpha). theta and m may be scalars or arrays that broadcast;
     scalars give a float, arrays an array.
 
-    log(1/p_s) is a head sum of log1p(theta'/i^alpha) over i < N plus the
-    tail sum_k (-1)^(k+1) theta'^k/k zeta(k alpha, N) (Hurwitz zeta). N is
-    the least power of two >= 32 with x = theta'/N^alpha <= 0.05, so the
-    tail converges like x^k; it is summed until x^k drops below 2^-56.
-    The relative error of p_s is the absolute error of log(1/p_s), so the
-    head and tail terms are added by math.fsum, correctly rounded. Against
-    an mpmath reference the relative error is below 1e-13 for alpha in
-    [1.5, 5] and theta' in [1e-6, 1e4]. N, the terms and their sum depend
-    only on each element's own theta', so an array call returns exactly
-    what scalar calls return.
+    log(1/p_s) = sum_i log1p(theta'/i^alpha) is a contention.line_sums, whose
+    tail has the log1p coefficients (-1)^(k+1)/k. Against an mpmath
+    reference the relative error is below 1e-13 for alpha in [1.5, 5] and
+    theta' in [1e-6, 1e4]. Each element's sum depends only on its own
+    theta', so an array call returns exactly what scalar calls return.
     """
     if not 1 < alpha < math.inf:
         raise DomainError(f"alpha must be finite and exceed 1, got {alpha}")
@@ -105,30 +103,10 @@ def tdma_ps_one_sided(
         raise DomainError("theta must be positive and m >= 1")
     with np.errstate(over="ignore"):  # m^alpha = inf gives theta' = 0, its limit
         tp = theta / m ** alpha
-    per_head = {}  # N -> (i^-alpha for i < N, tail coefficients)
-    log_inv = np.empty_like(tp)
-    for j, t in enumerate(tp.ravel().tolist()):
-        if t ** (1.0 / alpha) >= 1100.0:
-            # The first 1100 factors are each >= 2, so p_s <= 2^-1100 underflows.
-            log_inv.flat[j] = math.inf
-            continue
-        # (t/0.05)^(1/alpha) = f 2^e with f in [0.5, 1), so N = 2^e.
-        n = 1 << max(math.frexp((t / 0.05) ** (1.0 / alpha))[1], 5)
-        if n not in per_head:
-            # x <= 0.05 needs at most 13 tail terms for x^k < 2^-56.
-            per_head[n] = (np.arange(1, n, dtype=float) ** -alpha,
-                           [(-1.0) ** (k + 1) / k * hurwitz_zeta(k * alpha, n)
-                            for k in range(1, 14)])
-        i_pow, coefs = per_head[n]
-        x = t / n ** alpha
-        terms = math.ceil(-56.0 * math.log(2.0) / math.log(x)) if x > 0.0 else 0
-        parts = np.log1p(t * i_pow).tolist()
-        try:
-            parts += [c * t ** k for k, c in enumerate(coefs[:terms], start=1)]
-        except OverflowError:  # t^k passes the float range, c t^k does not
-            parts += [math.copysign(math.exp(k * math.log(t) + math.log(abs(c))), c) if c else 0.0
-                      for k, c in enumerate(coefs[:terms], start=1)]
-        log_inv.flat[j] = math.fsum(parts)
+    # The first 1100 factors are each >= 2, so p_s <= 2^-1100 underflows.
+    live = tp ** (1.0 / alpha) < 1100.0
+    log_inv = np.full(tp.shape, math.inf)
+    log_inv[live] = line_sums(alpha, tp[live].tolist(), np.log1p, _LOG1P_SERIES)
     ps = np.exp(-log_inv)
     return float(ps) if ps.ndim == 0 else ps
 

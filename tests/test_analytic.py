@@ -60,13 +60,18 @@ def test_accepted_classes_cover_every_geometry_and_case():
     labels = {(type(m.geometry).__name__, m.fading.label) for m, _ in ACCEPTED}
     assert labels >= {
         ("Ppp", "1/1"), ("Ppp", "1/0"), ("Ppp", "0/0"), ("RegularLine", "1/1"),
-        ("Explicit", "1/1"), ("Explicit", "1/0"),
+        ("RegularLine", "1/0"), ("RegularLine", "1/m4"), ("RegularLine", "1/m0.5"),
+        ("Explicit", "1/1"), ("Explicit", "1/0"), ("Explicit", "1/m4"),
         ("SingleInterferer", "1/1"), ("SingleInterferer", "1/0"),
         ("SingleInterferer", "0/1"), ("SingleInterferer", "0/0"),
         ("SingleInterferer", "1/m4"), ("SingleInterferer", "m4/1"),
         ("SingleInterferer", "1/m0.5"),
     }
     assert any(isinstance(m.path_loss, ExponentialLaw) for m, _ in ACCEPTED)
+    lines_at_3 = {(m.geometry.sided, m.fading.label) for m, _ in ACCEPTED
+                  if isinstance(m.geometry, RegularLine) and m.path_loss == PowerLaw(3.0)}
+    assert lines_at_3 >= {(sided, case) for sided in ("one", "two")
+                          for case in ("1/1", "1/0", "1/m4", "1/m0.5")}
     assert len(ACCEPTED) >= 40
 
 

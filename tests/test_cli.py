@@ -119,6 +119,60 @@ def test_outage_tdma_tail_power_past_the_float_range(tmp_path):
     assert float(data_rows(text)[1][0]["value"]) == pytest.approx(9.038387914e-218, rel=1e-9)
 
 
+@pytest.mark.parametrize("alpha", ["2", "3"])
+def test_outage_tdma_huge_theta_has_zero_value_and_bounds(tmp_path, alpha):
+    """theta'^2 passes the float range at theta 1e200; p_s and the upper
+    bound are 0 and the lower bound exp(-z') is 0 too."""
+    code, text = run(tmp_path, "outage", "--class", "line1", "--alpha", alpha,
+                     "--m", "1", "--theta", "1e200")
+    assert code == 0
+    row = data_rows(text)[1][0]
+    assert (float(row["value"]), float(row["lower"]), float(row["upper"])) == (0.0, 0.0, 0.0)
+
+
+def test_contention_static_explicit_interferer_at_zero_distance(tmp_path):
+    """1e-300^4 underflows to xi = 0; a static interferer there gives the
+    limit 1 - exp(-1/xi) = 1, as a single interferer at that r does."""
+    code, text = run(tmp_path, "contention", "--class", "explicit", "--distances",
+                     "1e-300,2", "--alpha", "4", "--case", "1/0", "--theta", "1")
+    assert code == 0
+    gamma = float(data_rows(text)[1][0]["gamma"])
+    assert gamma == pytest.approx(1.0 - math.expm1(-1.0 / 16.0), rel=1e-9)
+    code, text = run(tmp_path, "outage", "--class", "explicit", "--distances", "1e-300,2",
+                     "--alpha", "4", "--case", "1/0", "--theta", "1", "--p", "0.5")
+    assert code == 0
+    assert float(data_rows(text)[1][0]["value"]) == pytest.approx(
+        0.5 * (1.0 + 0.5 * math.expm1(-1.0 / 16.0)), rel=1e-9)
+
+
+@pytest.mark.parametrize("command", ["outage", "contention"])
+@pytest.mark.parametrize("cls", ["line1", "line2"])
+@pytest.mark.parametrize("case", ["1/1", "1/0", "1/m2"])
+def test_line_at_alpha_3_and_any_interferer_fading(tmp_path, command, cls, case):
+    p = ["--p", "0.1"] if command == "outage" else []
+    code, text = run(tmp_path, command, "--class", cls, "--alpha", "3", "--case", case,
+                     "--theta", "0.3,1,10", *p)
+    assert code == 0
+    _, rows = data_rows(text)
+    assert len(rows) == 3
+    for row in rows:
+        assert row["case"] == case
+        if command == "outage":
+            assert row["method"] == "product"
+            assert float(row["lower"]) <= float(row["value"]) <= float(row["upper"])
+        else:
+            assert float(row["gamma"]) > 0
+
+
+@pytest.mark.parametrize("case", ["0/0", "m2/1", "0/1"])
+def test_line_without_a_rayleigh_desired_link_is_usage_error(capsys, case):
+    for command in ("outage", "contention"):
+        assert main([command, "--class", "line1", "--alpha", "3", "--case", case]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
+
+
 def test_outage_config_file(tmp_path):
     model = NetworkModel(SingleInterferer(1.2), PowerLaw(4.0),
                          FadingCase(Fading.rayleigh(), Fading.rayleigh()))
@@ -189,7 +243,7 @@ def test_validate_quick_reproducible(tmp_path):
 
 
 def test_exit_code_usage_error(tmp_path, capsys):
-    assert main(["contention", "--class", "line1", "--alpha", "3", "--theta", "5",
+    assert main(["contention", "--class", "line1", "--case", "0/0", "--theta", "5",
                  "--out", str(tmp_path / "x.csv")]) == 2
     assert "error:" in capsys.readouterr().err
     assert main(["samples", "--config", str(tmp_path / "missing.cfg"),

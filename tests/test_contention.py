@@ -11,9 +11,9 @@ from sirnet.contention import (
     equivalent_disk_radius,
     gamma_exp_pathloss,
     gamma_explicit,
+    gamma_line,
     gamma_line_alpha2,
     gamma_line_alpha4,
-    gamma_line_taylor,
     gamma_ppp,
     gamma_ppp_nonfading_alpha4,
     gamma_single,
@@ -111,8 +111,10 @@ def test_gamma_explicit():
     assert gamma_explicit([1.0, 1.0], Fading.rayleigh()) == 1.0
     assert gamma_explicit([2.0, 4.0], Fading.none()) == pytest.approx(
         2 - math.exp(-1 / 2) - math.exp(-1 / 4), rel=1e-12)
+    # an interferer at effective distance 0 causes an outage whenever it sends
+    assert gamma_explicit([0.0], Fading.none()) == 1.0
     with pytest.raises(DomainError):
-        gamma_explicit([0.0], Fading.none())
+        gamma_explicit([-1.0], Fading.none())
 
 
 def test_gamma_line_alpha2_against_sum():
@@ -151,20 +153,22 @@ def test_gamma_exp_pathloss_keeps_a_tiny_theta():
 
 
 def test_gamma_line_alpha4_approx():
-    # asymptotic form is good for large theta only
-    exact = gamma_line_alpha4(100.0)
-    approx = gamma_line_alpha4(100.0, mode="approx")
-    assert approx == pytest.approx(exact, rel=1e-2)
+    # the asymptote pi theta^(1/4)/(2 sqrt 2) - 1/2 is good for large theta only
+    approx = math.pi * 100.0 ** 0.25 / (2 * math.sqrt(2.0)) - 0.5
+    assert approx == pytest.approx(gamma_line_alpha4(100.0), rel=1e-2)
 
 
 def test_gamma_line_taylor():
+    """The line sum against the alternating zeta series
+    zeta(alpha) theta - zeta(2 alpha) theta^2 + ..., where it converges."""
     for alpha in (2.0, 3.0, 4.0):
         for theta in (0.1, 0.3):
-            assert gamma_line_taylor(alpha, theta, terms=40) == pytest.approx(
-                brute_line_gamma(alpha, theta), rel=1e-6
-            )
+            series = -sum((-theta) ** k * zeta(alpha * k) for k in range(1, 41))
+            assert gamma_line(alpha, theta, Fading.rayleigh()) == pytest.approx(
+                series, rel=1e-14)
+            assert series == pytest.approx(brute_line_gamma(alpha, theta), rel=1e-6)
     with pytest.raises(DomainError):
-        gamma_line_taylor(2.0, 0.7, terms=10)
+        gamma_line(1.0, 0.7, Fading.rayleigh())
 
 
 def test_gamma_tdma_line():

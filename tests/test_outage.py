@@ -9,7 +9,6 @@ from sirnet.model import Fading, FadingCase
 from sirnet.outage import (
     ps_exp_pathloss,
     ps_explicit,
-    ps_explicit_partial_exact,
     ps_line_alpha2_aloha,
     ps_line_alpha4_aloha,
     ps_ppp,
@@ -107,8 +106,8 @@ def test_ps_explicit_matches_line_product():
 
 
 def test_ps_explicit_partial():
-    with pytest.raises(DomainError):
-        ps_explicit_partial_exact([0.0], 0.5)
+    # a static interferer at effective distance 0 fails the link whenever it sends
+    assert ps_explicit([0.0], 0.5, Fading.none()).value == 0.5
     # static interferers hurt more than fading ones: the 1/0 product is
     # below the full-fading product
     import random
@@ -117,7 +116,7 @@ def test_ps_explicit_partial():
     for _ in range(100):
         xis = [rng.uniform(0.2, 20.0) for _ in range(rng.randint(1, 6))]
         p = rng.uniform(0.0, 1.0)
-        exact = ps_explicit_partial_exact(xis, p)
+        exact = ps_explicit(xis, p, Fading.none()).value
         full = ps_explicit(xis, p).value
         assert exact <= full + 1e-12
 

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from sirnet.contention import c_d_constant
+from sirnet.contention import (
+    c_d_constant,
+    interference_gamma,
+    interference_log_ps,
+    line_sums,
+    power_series,
+)
+from sirnet.model import Fading
 from sirnet.specfun import DomainError
 from sirnet.throughput import (
     aloha_p_opt,
@@ -129,6 +136,22 @@ def test_tdma_ps_array_call_equals_scalar_calls_bit_for_bit():
         scalar = [[tdma_ps_one_sided(alpha, t, m) for m in ms.tolist()]
                   for t in thetas.ravel().tolist()]
         assert grid.tolist() == scalar, alpha
+        # The same sums at p < 1 with static and Nakagami interferers, over
+        # the same head lengths: one call over the grid and the vectorised
+        # terms give exactly what calls on one theta or one x give.
+        ts = tp[~underflow].tolist()
+        for fading in (Fading.none(), Fading.nakagami(0.5), Fading.nakagami(4.0)):
+            for p in (0.3, 1.0):
+                def term(x):
+                    return interference_log_ps(x, p, fading)
+
+                series = power_series(fading, p)
+                shared = line_sums(alpha, ts, term, series)
+                assert shared == [line_sums(alpha, [t], term, series)[0] for t in ts], fading
+                xs = np.array(ts)
+                assert term(xs).tolist() == [float(term(x)) for x in ts]
+                assert (interference_gamma(xs, fading).tolist()
+                        == [float(interference_gamma(x, fading)) for x in ts])
 
 
 def test_tdma_m_opt():
