@@ -81,8 +81,7 @@ def _forms(model: NetworkModel, mac: MacScheme,
         return sides * gamma, lambda p: ps(p) ** sides, method
     if isinstance(g, Explicit):
         xis = [effective_distance(r, pl.alpha, theta) for r in g.distances]
-        return (contention.gamma_explicit(xis, case.interferer),
-                lambda p: outage.ps_explicit(xis, p, case.interferer).value, "closed-form")
+        return (*contention.explicit_sums(xis, case.interferer), "closed-form")
     return (contention.gamma_ppp(g.d, pl.alpha, theta, case.interferer),
             partial(outage.ps_ppp, g.d, pl.alpha, theta, interferer_fading=case.interferer),
             "closed-form")

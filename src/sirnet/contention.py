@@ -7,6 +7,7 @@ with respect to (1/m)^alpha). Its inverse is the spatial efficiency.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -160,58 +161,85 @@ def gamma_exp_pathloss(delta: float, theta: float) -> float:
 def gamma_explicit(xis: list[float], interferer_fading: Fading) -> float:
     """Fixed interferers at effective distances xi_i >= 0, Rayleigh desired
     link: gamma = sum (1 - L_h(1/xi_i)), the single-interferer values."""
-    return math.fsum(interference_gamma(interference_x(xis), interferer_fading).tolist())
+    return explicit_sums(xis, interferer_fading)[0]
+
+
+def explicit_sums(xis: list[float], interferer_fading: Fading):
+    """(gamma_explicit, p -> p_s = prod (1 - p (1 - L_h(1/xi_i)))) of fixed
+    interferers, both from one x = 1/xi."""
+    x = interference_x(xis)
+    return (math.fsum(interference_gamma(x, interferer_fading).tolist()),
+            lambda p: math.exp(-math.fsum(interference_log_ps(x, p, interferer_fading).tolist())))
 
 
 # line_sums' longest head; a larger theta is refused.
 _MAX_HEAD = 1 << 16
 
 
-def power_series(fading: Fading, p: float | None = None) -> list[float]:
+@functools.lru_cache(maxsize=32)
+def power_series(fading: Fading, p: float | None = None) -> tuple[float, ...]:
     """Coefficients c_1 .. c_13 of x^k at x = 0 of 1 - L_h(x) or, given p, of
     -log(1 - p (1 - L_h(x))) = sum_j (p (1 - L_h))^j / j."""
     k = np.arange(1.0, 14.0)
     ratio = -1.0 / k if fading.is_static else ((1.0 - k) / fading.m - 1.0) / k
     g = np.concatenate(([0.0], -np.cumprod(ratio)))  # 1 - L_h, from L_h(0) = 1
     if p is None:
-        return g[1:].tolist()
+        return tuple(g[1:].tolist())
     f, power = np.zeros_like(g), np.ones(1)
     for j in range(1, 14):
         power = np.convolve(power, p * g)[:g.size]
         f[:power.size] += power / j
-    return f[1:].tolist()
+    return tuple(f[1:].tolist())
 
 
-def line_sums(alpha: float, ts: list[float], term, series: list[float]) -> list[float]:
+@functools.lru_cache(maxsize=32)
+def _line_head(alpha: float, n: int, series: tuple[float, ...]):
+    """i^-alpha for i < n (read-only), the tail's (k, c_k zeta(k alpha, n)) and
+    n^alpha; past the float range of n^alpha, inf and c_k n^(k alpha) zeta."""
+    i_pow = np.arange(1, n, dtype=float) ** -alpha
+    i_pow.flags.writeable = False
+    n_alpha = n ** alpha if alpha * math.log2(n) < 1024.0 else math.inf
+    return i_pow, [(k, c * hurwitz_zeta(k * alpha, n, n_alpha == math.inf))
+                   for k, c in enumerate(series, start=1)], n_alpha
+
+
+def line_sums(alpha: float, ts: list[float], term, series) -> list[float]:
     """sum_{i>=1} term(t i^-alpha) for each t in ts, for a vectorised term with
     term(0) = 0 and power series coefficients `series` at 0 (radius >= 1/2).
 
     A head sum over i < N plus the tail sum_k c_k t^k zeta(k alpha, N),
     added by math.fsum. N is the least power of two >= 32 with x = t/N^alpha
     <= 0.05, so the tail converges like x^k; it is summed until x^k < 2^-56,
-    which takes at most the 13 terms of `series`.
-    Each sum depends only on its own t. alpha must be finite and above 1; a
-    t that needs N above 2^16 is refused.
+    which takes at most the 13 terms of `series`. Past the float range of
+    N^alpha, the tail is sum_k c_k N^(k alpha) zeta(k alpha, N) x^k.
+    The ts are grouped by N, with one term() call per 1,024 head terms;
+    N, the tail and math.fsum act per t, so each sum depends only on its
+    own t. The last 32 (alpha, N, series) heads are cached (16 MB at most).
+    alpha must be finite and above 1; a t that needs N above 2^16 is refused.
     """
-    heads, sums = {}, []  # N -> (i^-alpha for i < N, c_k zeta(k alpha, N))
+    series, inv = tuple(series), 1.0 / alpha
+    log_n = []  # log2 N of each t
     for t in ts:
-        q = (t / 0.05) ** (1.0 / alpha) if t < 1e300 else t ** (1.0 / alpha) * 20.0 ** (1.0 / alpha)
+        q = (t / 0.05) ** inv if t < 1e300 else t ** inv * 20.0 ** inv
         if not q < _MAX_HEAD:
             raise DomainError(f"theta {t:g} at alpha {alpha:g} needs over {_MAX_HEAD} line terms")
-        n = 1 << max(math.frexp(q)[1], 5)  # q = f 2^e with f in [0.5, 1), so N = 2^e
-        if n not in heads:
-            heads[n] = (np.arange(1, n, dtype=float) ** -alpha,
-                        [c * hurwitz_zeta(k * alpha, n) for k, c in enumerate(series, start=1)])
-        i_pow, coefs = heads[n]
-        x = t / n ** alpha
-        terms = math.ceil(-56.0 * math.log(2.0) / math.log(x)) if x > 0.0 else 0
-        parts = term(t * i_pow).tolist()
-        try:
-            parts += [c * t ** k for k, c in enumerate(coefs[:terms], start=1)]
-        except OverflowError:  # t^k passes the float range, c t^k does not
-            parts += [math.copysign(math.exp(k * math.log(t) + math.log(abs(c))), c) if c
-                      else 0.0 for k, c in enumerate(coefs[:terms], start=1)]
-        sums.append(math.fsum(parts))
+        log_n.append(max(math.frexp(q)[1], 5))  # q = f 2^e with f in [0.5, 1), so N = 2^e
+    t_all, log_n, sums = np.asarray(ts, dtype=float), np.array(log_n), [0.0] * len(ts)
+    for e in sorted(set(log_n.tolist())):
+        i_pow, tail, n_alpha = _line_head(alpha, 1 << e, series)
+        group, step = np.flatnonzero(log_n == e), max(1, 1024 >> e)
+        for rows in (group[i:i + step] for i in range(0, group.size, step)):
+            for j, t, parts in zip(rows.tolist(), t_all[rows].tolist(),
+                                   term(t_all[rows, None] * i_pow).tolist()):
+                x = t / n_alpha if n_alpha < math.inf else (t ** inv / (1 << e)) ** alpha
+                terms = math.ceil(-56.0 * math.log(2.0) / math.log(x)) if x > 0.0 else 0
+                base = t if n_alpha < math.inf else x
+                try:
+                    parts += [c * base ** k for k, c in tail[:terms]]
+                except OverflowError:  # t^k passes the float range, c t^k does not
+                    parts += [math.copysign(math.exp(k * math.log(t) + math.log(abs(c))), c)
+                              if c else 0.0 for k, c in tail[:terms]]
+                sums[j] = math.fsum(parts)
     return sums
 
 

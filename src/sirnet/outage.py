@@ -101,9 +101,8 @@ def ps_explicit(xis: list[float], p: float,
     link: p_s = prod (1 - p (1 - L_h(1/xi_i))). p_s is convex in p, so
     1 - p*gamma is a lower and exp(-p*gamma) an upper bound."""
     _check_p(p)
-    gamma = contention.gamma_explicit(xis, interferer_fading)
-    terms = contention.interference_log_ps(contention.interference_x(xis), p, interferer_fading)
-    return sandwich(math.exp(-math.fsum(terms.tolist())), p, gamma)
+    gamma, ps = contention.explicit_sums(xis, interferer_fading)
+    return sandwich(ps(p), p, gamma)
 
 
 def ps_line_aloha(alpha: float, theta: float, p: float, interferer_fading: Fading) -> float:

@@ -41,8 +41,10 @@ def zeta(s: float) -> float:
     return hurwitz_zeta(s, 1)
 
 
-def hurwitz_zeta(s: float, n: int) -> float:
-    """Hurwitz zeta sum_{i>=n} i^-s for real s > 1 and integer n >= 1.
+def hurwitz_zeta(s: float, n: int, scaled: bool = False) -> float:
+    """Hurwitz zeta sum_{i>=n} i^-s for real s > 1 and integer n >= 1, or with
+    `scaled` n^s times it, sum_{i>=n} (i/n)^-s, which stays in the float
+    range where zeta(s, n) underflows.
 
     Direct sum up to i = N - 1, N = max(n, 25 (60 when s < 2), 2s), plus
     an Euler-Maclaurin correction at N; the neglected remainder is below
@@ -52,17 +54,18 @@ def hurwitz_zeta(s: float, n: int) -> float:
         raise DomainError(f"zeta requires s > 1, got {s}")
     if not (isinstance(n, int) and n >= 1):
         raise DomainError(f"hurwitz_zeta requires an integer n >= 1, got {n}")
-    if s > 1075:
-        # (n+1)^-s <= 2^-s underflows to 0, so the sum is its first term (and
-        # a huge s does not sum 2s terms).
-        return n ** -s
+    # Where the second term is below 2^-1075 (unscaled) or e^-64 of the first,
+    # the sum is its first term (and a huge s does not sum 2s terms).
+    if s * math.log1p(1.0 / n) > 64.0 if scaled else s > 1075:
+        return 1.0 if scaled else n ** -s
+    unit = n if scaled else 1.0  # every power is taken of i / unit
     big = max(n, 25 if s >= 2 else 60, math.ceil(2.0 * s))
-    total = sum(k ** -s for k in range(n, big))
+    total = sum((k / unit) ** -s for k in range(n, big))
     # Euler-Maclaurin: integral term, half term, and B_2j corrections.
-    total += big ** (1 - s) / (s - 1) + 0.5 * big ** -s
+    total += (big / unit) ** (1 - s) * unit / (s - 1) + 0.5 * (big / unit) ** -s
     rising = s  # s (s+1) ... (s+2j-2)
     fact = 1.0  # (2j)!
-    power = big ** (-s - 1)
+    power = (big / unit) ** (-s - 1) / unit
     for j, b in enumerate(_BERNOULLI, start=1):
         fact *= (2 * j - 1) * (2 * j)
         term = b / fact * rising * power

@@ -78,7 +78,7 @@ def aloha_p_opt(gamma: float, duplex: str = "full") -> ThroughputResult:
     raise DomainError(f"duplex must be 'full' or 'half', got {duplex!r}")
 
 
-_LOG1P_SERIES = [(-1.0) ** (k + 1) / k for k in range(1, 14)]
+_LOG1P_SERIES = tuple((-1.0) ** (k + 1) / k for k in range(1, 14))
 
 
 def tdma_ps_one_sided(

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from sirnet import analytic
+from sirnet import analytic, contention
 from sirnet.contention import UnsupportedClassError
 from sirnet.model import (
     Aloha,
@@ -19,7 +19,9 @@ from sirnet.model import (
     RegularLine,
     SingleInterferer,
     Tdma,
+    effective_distance,
 )
+from sirnet.outage import ps_explicit
 from sirnet.specfun import DomainError
 
 FADINGS = (Fading.none(), Fading.rayleigh(), Fading.nakagami(4.0), Fading.nakagami(0.5))
@@ -107,3 +109,18 @@ def test_unsupported_class_names_the_class():
         analytic.spatial_contention(model, Tdma(2), 1.0)
     with pytest.raises(UnsupportedClassError, match="capacity"):
         analytic.ergodic_capacity(model, Aloha(0.1))
+
+
+def test_explicit_success_probability_takes_x_and_gamma_once(monkeypatch):
+    """The dispatcher forms x = 1/xi once, for gamma and p_s both, and gives
+    ps_explicit's value and bounds."""
+    case = FadingCase(Fading.rayleigh(), Fading.nakagami(4.0))
+    model = NetworkModel(Explicit((1.0, 2.0, 3.0)), PowerLaw(3.0), case)
+    calls = []
+    real = contention.interference_x
+    monkeypatch.setattr(contention, "interference_x", lambda xis: calls.append(xis) or real(xis))
+    got = analytic.success_probability(model, Aloha(0.3), 0.5)
+    assert len(calls) == 1
+    ref = ps_explicit([effective_distance(r, 3.0, 0.5) for r in (1.0, 2.0, 3.0)], 0.3,
+                      case.interferer)
+    assert got == ref

@@ -119,6 +119,19 @@ def test_outage_tdma_tail_power_past_the_float_range(tmp_path):
     assert float(data_rows(text)[1][0]["value"]) == pytest.approx(9.038387914e-218, rel=1e-9)
 
 
+@pytest.mark.parametrize("argv,value", [
+    (("--m", "1"), 0.5),
+    (("--p", "0.5", "--case", "1/0"), 0.5 + 0.5 / math.e),
+])
+def test_outage_line_where_n_alpha_passes_the_float_range(tmp_path, argv, value):
+    """At alpha 300 the head's N^alpha = 32^300 is past the float range; p_s
+    is the first interferer's factor, as the rest add 2^-300."""
+    code, text = run(tmp_path, "outage", "--class", "line1", "--alpha", "300",
+                     "--theta", "1", *argv)
+    assert code == 0
+    assert float(data_rows(text)[1][0]["value"]) == pytest.approx(value, rel=1e-9)
+
+
 @pytest.mark.parametrize("alpha", ["2", "3"])
 def test_outage_tdma_huge_theta_has_zero_value_and_bounds(tmp_path, alpha):
     """theta'^2 passes the float range at theta 1e200; p_s and the upper

@@ -5,14 +5,22 @@ references, the alpha in {2, 4} closed forms, and the simulator."""
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from sirnet import analytic
-from sirnet.contention import gamma_explicit, gamma_line, gamma_line_alpha2, gamma_line_alpha4
+from sirnet.contention import (
+    gamma_explicit,
+    gamma_line,
+    gamma_line_alpha2,
+    gamma_line_alpha4,
+    line_sums,
+)
 from sirnet.model import Aloha, Fading, class_model
 from sirnet.montecarlo import SimConfig, simulate_ps
 from sirnet.outage import ps_explicit, ps_line_aloha, ps_line_alpha2_aloha, ps_line_alpha4_aloha
 from sirnet.specfun import DomainError
+from sirnet.throughput import _LOG1P_SERIES, tdma_ps_one_sided
 
 FADINGS = {"0": Fading.none(), "1": Fading.rayleigh(), "m4": Fading.nakagami(4.0),
            "m0.5": Fading.nakagami(0.5)}
@@ -74,6 +82,40 @@ def test_line_sums_match_mpmath_references():
                             assert abs(got - ref) <= 1e-13 * ref, (alpha, theta, label, p)
                             worst = max(worst, abs(got - ref) / ref)
     assert worst > 0.0  # the comparison ran on values, not only on zeros
+
+
+def test_line_sums_past_the_float_range_of_n_alpha_match_mpmath():
+    """alpha 250 to 1000, where N^alpha passes the float range at N = 32 and
+    the tail coefficients zeta(k alpha, N) underflow; at alpha 103, theta
+    1e308 the head is N = 1024 and the tail, sum_k c_k N^(k alpha)
+    zeta(k alpha, N) x^k with x = 0.0087, is about 1e-6 of the sum. The
+    reference sums term(theta/i^alpha) directly until theta/i^alpha < 1e-50
+    (mpmath.zeta(s, n) itself is off by 1e-9 at s = 103, n = 1024)."""
+    mpmath = pytest.importorskip("mpmath")
+    cases = [(a, t) for a in (250.0, 300.0, 1000.0) for t in (1.0, 1e100, 1e300)]
+    with mpmath.workdps(40):
+        for alpha, theta in cases + [(103.0, 1e308)]:
+            a, t, xs = mpmath.mpf(alpha), mpmath.mpf(theta), []
+            while not xs or xs[-1] > 1e-50:
+                xs.append(t / mpmath.mpf(len(xs) + 1) ** a)
+            log_inv = mpmath.fsum(mpmath.log1p(x) for x in xs)
+            assert line_sums(alpha, [theta], np.log1p, _LOG1P_SERIES)[0] == pytest.approx(
+                float(log_inv), rel=1e-13, abs=0.0), (alpha, theta)
+            ref = float(mpmath.exp(-log_inv))
+            got = tdma_ps_one_sided(alpha, theta, 1)
+            assert got == (0.0 if ref == 0.0 else pytest.approx(ref, rel=1e-13)), (alpha, theta)
+            for label, fading in FADINGS.items():
+                ells = [laplace(mpmath, fading, x) for x in xs]
+                gamma = mpmath.fsum(1 - ell for ell in ells)
+                assert gamma_line(alpha, theta, fading) == pytest.approx(
+                    float(gamma), rel=1e-13), (alpha, theta, label)
+                for p in PS:
+                    q = mpmath.mpf(p)
+                    log_ps = mpmath.fsum(-mpmath.log(1 - q + q * ell) for ell in ells)
+                    ref = float(mpmath.exp(-log_ps))
+                    got = ps_line_aloha(alpha, theta, p, fading)
+                    assert got == (0.0 if ref == 0.0 else pytest.approx(ref, rel=1e-13)), (
+                        alpha, theta, label, p)
 
 
 def test_closed_forms_match_the_line_sum():
