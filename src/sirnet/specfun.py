@@ -54,8 +54,8 @@ def hurwitz_zeta(s: float, n: int, scaled: bool = False) -> float:
         raise DomainError(f"zeta requires s > 1, got {s}")
     if not (isinstance(n, int) and n >= 1):
         raise DomainError(f"hurwitz_zeta requires an integer n >= 1, got {n}")
-    # Where the second term is below 2^-1075 (unscaled) or e^-64 of the first,
-    # the sum is its first term (and a huge s does not sum 2s terms).
+    # The sum is its first term where the second underflows, (n+1)^-s <= 2^-1075,
+    # or (scaled) is below e^-64 of it; a huge s then does not sum 2s terms.
     if s * math.log1p(1.0 / n) > 64.0 if scaled else s > 1075:
         return 1.0 if scaled else n ** -s
     unit = n if scaled else 1.0  # every power is taken of i / unit
