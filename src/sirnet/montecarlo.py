@@ -8,6 +8,9 @@ intensity p, so only transmitters are placed. Lines and explicit sets fade and
 sum only active interferers, and a power-law PPP gain is (R^d u)^(-alpha/d),
 from squared distances in 2-D. Trials fall in 4,096-trial blocks, each with a
 PCG64 stream keyed by (seed, block[, sub]); results do not depend on chunking.
+Within a chunk, numbers are drawn and reduced in cache-sized slabs: k fills of
+a Generator in a row give the numbers of one fill, and each trial sums its
+terms in the same order in any slab, so the slab size changes no result.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ _MAX_TERMS = 10 ** 6
 _BLOCK = 4096  # trials per random-stream block
 # Upper bound on expected interferer points per chunk; blocks above it split.
 _CHUNK_BUDGET = 4_000_000
+_SLAB = 1 << 15  # random draws per slab: 256 KB of doubles, a cache-sized piece
 
 
 @dataclass(frozen=True)
@@ -221,10 +225,11 @@ def resolve_window(model: NetworkModel, mac: MacScheme | None, theta: float, cfg
     return _Window()  # explicit / single interferer: no truncation
 
 
-def _loss_vector(model: NetworkModel, distances: np.ndarray) -> np.ndarray:
+def _loss_vector(model: NetworkModel, distances: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     pl = model.path_loss
     with np.errstate(over="ignore"):  # a gain past the float range is inf: SIR 0
-        return distances ** -pl.alpha if isinstance(pl, PowerLaw) else np.exp(-pl.delta * distances)
+        return distances ** -pl.alpha if isinstance(pl, PowerLaw) else np.exp(
+            np.multiply(-pl.delta, distances, out=out), out=out)
 
 
 def _fixed_distances(model: NetworkModel, mac: MacScheme | None, window: _Window) -> np.ndarray | None:
@@ -243,6 +248,13 @@ def _fixed_distances(model: NetworkModel, mac: MacScheme | None, window: _Window
     return None
 
 
+def _fade(rng: np.random.Generator, f: Fading, gain: np.ndarray) -> np.ndarray:
+    """Multiply interferer fading into `gain` in place, one slab at a time."""
+    for a in range(0, gain.size, _SLAB):
+        gain[a:a + _SLAB] *= _fading_draw(rng, f, gain[a:a + _SLAB].size)
+    return gain
+
+
 def _batch_sir(
     model: NetworkModel,
     p: float,
@@ -252,17 +264,30 @@ def _batch_sir(
     rng: np.random.Generator,
     size: int,
 ) -> np.ndarray:
-    """One chunk of SIR samples; a PPP window holds Poisson(`points`) transmitters."""
+    """One chunk of SIR samples; a PPP window holds Poisson(`points`) transmitters.
+
+    Fixed sets draw, fade and sum whole trial rows of about _SLAB numbers at a
+    time, and PPP points fade in slabs of _SLAB, in the stream's own order.
+    """
     case = model.fading
     if distances is not None:
         loss = _loss_vector(model, distances)
+        n = loss.size
+        rows = max(1, _SLAB // n)
+        slabs = [(a, min(size, a + rows)) for a in range(0, size, rows)]
+        interference = np.empty(size)
         if p < 1.0:  # fade and sum only the active (trial, interferer) entries
-            active = np.flatnonzero(rng.random((size, loss.size)) < p)
-            gain = loss[active % loss.size]
-            gain *= _fading_draw(rng, case.interferer, active.size)
-            interference = np.bincount(active // loss.size, weights=gain, minlength=size)
-        else:
-            interference = _fading_draw(rng, case.interferer, size * loss.size).reshape(size, -1) @ loss
+            active = np.empty((size, n), dtype=bool)  # every uniform precedes any fading
+            for a, b in slabs:
+                np.less(rng.random((b - a, n)), p, out=active[a:b])
+            for a, b in slabs:
+                hit = np.flatnonzero(active[a:b])
+                gain = _fade(rng, case.interferer, loss[hit % n])
+                interference[a:b] = np.bincount(hit // n, weights=gain, minlength=b - a)
+        else:  # a dot per row rounds the same in any slab; a gemv rounds by row position
+            for a, b in slabs:
+                f = _fading_draw(rng, case.interferer, (b - a) * n).reshape(b - a, n)
+                np.vecdot(f, loss, out=interference[a:b])
     else:
         counts = rng.poisson(points, size)
         u = rng.random(int(counts.sum()))
@@ -270,14 +295,14 @@ def _batch_sir(
         if isinstance(pl, PowerLaw):  # |x|^-alpha = (R^d u)^(-alpha/d): no sqrt in 2-D
             u *= r * r if d == 2 else r
             with np.errstate(over="ignore"):
-                gain = np.power(u, -pl.alpha / d, out=u)
-        else:
-            gain = _loss_vector(model, r * np.sqrt(u))
-        gain *= _fading_draw(rng, case.interferer, gain.size)
+                np.power(u, -pl.alpha / d, out=u)
+        else:  # distances R sqrt(u), all in place
+            _loss_vector(model, np.multiply(np.sqrt(u, out=u), r, out=u), out=u)
+        gain = _fade(rng, case.interferer, u)
         busy = np.flatnonzero(counts)  # a trial that drew no point keeps 0
         interference = np.zeros(size)
         interference[busy] = np.add.reduceat(gain, (np.cumsum(counts) - counts)[busy])
-    interference = interference + window.tail_mean  # not +=: an empty bincount is int64
+    interference += window.tail_mean
     desired = _fading_draw(rng, case.desired, size)
     with np.errstate(divide="ignore"):
         return np.where(interference > 0.0, desired / np.maximum(interference, 1e-300), np.inf)
