@@ -66,7 +66,7 @@ def zeta_reference(mp, s, n, terms=20):
 def test_hurwitz_reference_matches_a_direct_sum():
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
-        for s, n in ((30, 1024), (60, 2154), (1.5 * 40, 16), (3.0, 16)):
+        for s, n in ((30, 1024), (60, 2154), (60, 16), (3.0, 16)):
             s = mpmath.mpf(s)
             if s > 10:  # terms fall below 1e-45 of the first within 10^(45/(s-1)) n
                 direct = mpmath.fsum(mpmath.mpf(i) ** -s
