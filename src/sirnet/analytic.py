@@ -31,7 +31,7 @@ from .model import (
     effective_distance,
 )
 
-__all__ = ["spatial_contention", "success_probability", "ergodic_capacity"]
+__all__ = ["spatial_contention", "contention_method", "success_probability", "ergodic_capacity"]
 
 def _named(model: NetworkModel, mac: MacScheme, why: object) -> UnsupportedClassError:
     return UnsupportedClassError(
@@ -94,8 +94,14 @@ def spatial_contention(model: NetworkModel, mac: MacScheme, theta: float) -> flo
     depend on p; under TDMA (line networks) it is the slope with respect
     to (1/m)^alpha. Two-sided lines have twice the one-sided value.
     """
+    return contention_method(model, mac, theta)[0]
+
+
+def contention_method(model: NetworkModel, mac: MacScheme, theta: float) -> tuple[float, str]:
+    """:func:`spatial_contention` and the method that gave it: closed-form or product."""
     try:
-        return _forms(model, mac, theta)[0]
+        gamma, _, method = _forms(model, mac, theta)
+        return gamma, method
     except UnsupportedClassError as exc:
         raise _named(model, mac, exc) from None
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import io
 import math
 import re
@@ -44,23 +43,22 @@ _ALOHA = Aloha(1.0)
 
 
 def _fmt(x: object) -> str:
+    if isinstance(x, float):  # first, as most values are; bool and None never are
+        return f"{x:.10g}"
     if x is None:
         return ""
     if isinstance(x, bool):
         return "yes" if x else "no"
-    if isinstance(x, float):
-        return f"{x:.10g}"
     return str(x)
 
 
 class _Csv:
     def __init__(self, columns: list[str], out) -> None:
         self.out = out
-        print(_CSV_VERSION, file=out)
-        print(",".join(columns), file=out)
+        out.write(f"{_CSV_VERSION}\n{','.join(columns)}\n")
 
     def row(self, *values: object) -> None:
-        print(",".join(_fmt(v) for v in values), file=self.out)
+        self.out.write(",".join(map(_fmt, values)) + "\n")
 
 
 # The most points a grid may hold; a longer one is refused before it is
@@ -122,18 +120,19 @@ _CONTENTION_COLUMNS = ["class", "case", "alpha", "delta", "theta", "xi",
 
 
 def _contention_row(csv: _Csv, cls: str, case: str, alpha, delta, theta, xi,
-                    gamma: float, note: str = "") -> None:
+                    gamma: float, note: str = "", method: str = "closed-form") -> None:
     sigma = math.inf if gamma == 0.0 else 1.0 / gamma
-    csv.row(cls, case, alpha, delta, theta, xi, gamma, sigma, "closed-form", note)
+    csv.row(cls, case, alpha, delta, theta, xi, gamma, sigma, method, note)
 
 
 def _model_row(csv: _Csv, cls: str, model: NetworkModel, mac: MacScheme,
                theta: float) -> None:
     pl = model.path_loss
+    gamma, method = analytic.contention_method(model, mac, theta)
     _contention_row(csv, cls, model.fading.label,
                     pl.alpha if isinstance(pl, PowerLaw) else None,
                     pl.delta if isinstance(pl, ExponentialLaw) else None,
-                    theta, None, analytic.spatial_contention(model, mac, theta))
+                    theta, None, gamma, method=method)
 
 
 def _ppp3_row(csv: _Csv, case: FadingCase, alpha: float, theta: float) -> None:
@@ -295,6 +294,7 @@ def cmd_validate(args, out) -> int:
 
 
 def cmd_samples(args, out) -> int:
+    import hashlib  # here, so that no other command pays for its import
     if not args.config:
         raise DomainError("samples requires --config")
     with open(args.config) as fh:
@@ -326,6 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "interference-limited wireless networks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # name -> subparser, for _parse
 
     def common(p: argparse.ArgumentParser, theta: bool = True) -> None:
         p.add_argument("--out", help="write CSV here instead of stdout")
@@ -417,9 +418,22 @@ def _join_dash_values(argv: list[str]) -> list[str]:
     return joined
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``parse_args`` of the joined argv; a known command's parser reads the rest directly."""
     parser = _build_parser()
-    args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
+    argv = _join_dash_values(argv)
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parse(sys.argv[1:] if argv is None else argv)
     # Output is held until the command succeeds, so an error leaves no
     # partial CSV on stdout or in --out.
     buf = io.StringIO()

@@ -1,13 +1,18 @@
 """CLI surface: exit codes, CSV schema, reproducibility."""
 
+import contextlib
+import io
 import math
+import shlex
 import time
 import warnings
 
+import numpy as np
 import pytest
+from test_readme import sirnet_lines
 
 from sirnet import validation
-from sirnet.cli import _build_parser, _parse_range, main
+from sirnet.cli import _build_parser, _Csv, _join_dash_values, _parse, _parse_range, main
 from sirnet.model import (
     Aloha,
     Fading,
@@ -69,6 +74,8 @@ def test_contention_table_has_conjectured_note(tmp_path):
     _, rows = data_rows(text)
     d3 = [r for r in rows if r["class"] == "ppp3"]
     assert d3 and all(r["note"] == "conjectured" for r in d3)
+    # line1 at alpha 2 and 4 has closed forms, not the line product
+    assert {r["method"] for r in rows} == {"closed-form"}
 
 
 def test_outage_schema_and_validate(tmp_path):
@@ -169,9 +176,8 @@ def test_line_at_alpha_3_and_any_interferer_fading(tmp_path, command, cls, case)
     _, rows = data_rows(text)
     assert len(rows) == 3
     for row in rows:
-        assert row["case"] == case
+        assert (row["case"], row["method"]) == (case, "product")
         if command == "outage":
-            assert row["method"] == "product"
             assert float(row["lower"]) <= float(row["value"]) <= float(row["upper"])
         else:
             assert float(row["gamma"]) > 0
@@ -482,3 +488,74 @@ def test_overlong_grid_is_refused_before_it_is_built():
     with pytest.raises(DomainError, match="more than"):
         _parse_range("0:1:1e308")
     assert time.perf_counter() - start < 0.1
+
+
+# One argv per option of each command, in the shapes the benchmark's cli-mix uses.
+CLI_MIX_ARGV = [
+    "contention --table3 --theta 0.1,0.5,1,2,5,10",
+    "contention --class ppp1 --alpha 2 --case 1/1 --theta-db=-10:5:10",
+    "contention --class ppp3 --alpha 4 --case 1/1 --theta 1 --out c.csv",
+    "contention --class single --xi 2 --case 1/0",
+    "contention --class explicit --alpha 4 --distances 1,2,3 --theta 1",
+    "contention --class exp2 --delta 1 --theta 0.1,1,10",
+    "outage --class ppp2 --alpha 3 --case 1/1 --p 0.1 --theta 0.1,1,10",
+    "outage --class single --r 1.2 --alpha 4 --case 1/1 --p 0.5 --theta 0.1,1,10",
+    "outage --class line1 --alpha 2 --m 4 --theta-db=0:5:20",
+    "outage --config ppp2.cfg --p 0.1 --theta 0.1,1",
+    "outage --class line1 --p 0.2 --theta 1 --validate --trials 2000 --seed 3",
+    "outage --class ppp2 --alpha 4 --theta-db -10:2:10 --p 0.1",
+    "throughput --gamma 0.5,1,2,5 --duplex half",
+    "throughput --rate --alpha-range 2.5:0.5:5 --d 2 --duplex full",
+    "throughput --tdma --alpha 2 --theta-db=0:5:10",
+    "capacity --alpha 4 --d 2 --p 0.05,0.1,0.5",
+    "capacity --tdma --alpha 2 --m 1:8",
+    "validate --quick --seed 7 --class single",
+    "samples --config ppp2.cfg --trials 2000 --seed 3",
+]
+
+
+@pytest.mark.parametrize("line", CLI_MIX_ARGV + [ln[len("sirnet "):] for ln in sirnet_lines()])
+def test_parse_matches_the_top_level_parser(line):
+    argv = shlex.split(line, comments=True)
+    assert vars(_parse(argv)) == vars(_build_parser().parse_args(_join_dash_values(argv)))
+
+
+def refusal(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("line,parser,message", [
+    ("", None, "the following arguments are required: command"),
+    ("-h", None, None),
+    ("bogus", None, "argument command: invalid choice: 'bogus' (choose from 'contention', "
+                    "'outage', 'throughput', 'capacity', 'validate', 'samples')"),
+    ("outage --bogus", None, "unrecognized arguments: --bogus"),
+    ("outage --he", "outage", None),
+    ("outage --alpha x", "outage", "argument --alpha: invalid float value: 'x'"),
+    ("outage -- --theta", None, "unrecognized arguments: -- --theta"),
+    ("capacity --foo=3 bar", None, "unrecognized arguments: --foo=3 bar"),
+    ("samples", "samples", "the following arguments are required: --config"),
+])
+def test_refusals_match_the_top_level_parser(line, parser, message):
+    """Help (message None) goes to stdout with exit 0; an error is the usage
+    of the parser that refuses the argv, then its one error line, and exit 2,
+    exactly as parse_args prints them."""
+    argv = line.split()
+    top = _build_parser()
+    which = top.commands[parser] if parser else top
+    expected = (0, which.format_help(), "") if message is None else (
+        2, "", f"{which.format_usage()}{which.prog}: error: {message}\n")
+    assert refusal(_parse, argv) == expected
+    assert refusal(top.parse_args, argv) == expected
+
+
+def test_csv_golden():
+    out = io.StringIO()
+    csv = _Csv(["a", "b"], out)
+    csv.row(1.5, np.float64(1 / 3), 7, True, False, None, "x", math.inf, math.nan, -0.0)
+    assert out.getvalue() == ("# sirnet csv v1\na,b\n"
+                              "1.5,0.3333333333,7,yes,no,,x,inf,nan,-0\n")
