@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contention import c_d_constant
-from .optimize import golden_section_max
-from .quadrature import integrate_decaying
+from .optimize import _prescan_grid, golden_section_max
+from .quadrature import _decaying_rule, integrate_decaying
 from .specfun import (
     DomainError,
     exp_integral_e1,
@@ -56,6 +56,8 @@ class CapacityResult:
 # Geometric panel counts for the capacity integrals.
 _CP_PANELS = 24
 _TDMA_PANELS = 8
+# c_p values that _capacity_values integrates in one pass: about 100 KB of temporaries.
+_CP_BLOCK = 4
 
 
 def _c_p(alpha: float, d: int, p: float) -> float:
@@ -87,21 +89,50 @@ def ergodic_capacity_cp(boost: float, cp: float) -> CapacityResult:
     if not (boost > 1 and cp > 0):
         raise DomainError(f"need boost > 1 and c_p > 0, got {boost}, {cp}")
     if boost == 2.0:
-        # C = 2 Re[e^(j c_p) E1(j c_p)]
-        value = 2.0 * exp_integral_e1_imag_scaled(cp).real
-        return CapacityResult(value=value, method="closed-form", c_p=cp)
+        return CapacityResult(value=_capacity_boost2(cp), method="closed-form", c_p=cp)
+    _check_integrand(boost, cp)
+    # The integrand behaves like u^boost near 0, which is not analytic for
+    # non-integer boost: geometric panels reach down to 60 * 2^-23.
+    value, err = integrate_decaying(lambda u: _integrand(u, np.exp(-u), boost, cp),
+                                    cutoff=60.0, pieces=_CP_PANELS)
+    return CapacityResult(value=value, method="quadrature", c_p=cp, abs_err=err)
 
-    def integrand(u: np.ndarray) -> np.ndarray:
-        # u = c_p t; C = int log(1 + (u/c_p)^boost) exp(-u) du
-        return np.log1p((u / cp) ** boost) * np.exp(-u)
 
+def _capacity_boost2(cp: float) -> float:
+    # C = 2 Re[e^(j c_p) E1(j c_p)]
+    return 2.0 * exp_integral_e1_imag_scaled(cp).real
+
+
+def _check_integrand(boost: float, cp: float) -> None:
     # Refuse where (u/c_p)^boost would pass the float range (e^709.78) at a node u <= 60.
     if boost * math.log(60.0 / cp) > 709.0:
         raise DomainError(f"capacity integrand overflows at boost {boost}, c_p {cp}")
-    # The integrand behaves like u^boost near 0, which is not analytic for
-    # non-integer boost: geometric panels reach down to 60 * 2^-23.
-    value, err = integrate_decaying(integrand, cutoff=60.0, pieces=_CP_PANELS)
-    return CapacityResult(value=value, method="quadrature", c_p=cp, abs_err=err)
+
+
+def _integrand(u: np.ndarray, exp_minus_u: np.ndarray, boost: float, cp) -> np.ndarray:
+    # u = c_p t; C = int log(1 + (u/c_p)^boost) exp(-u) du
+    return np.log1p((u / cp) ** boost) * exp_minus_u
+
+
+def _capacity_values(boost: float):
+    """c_p values -> [ergodic_capacity_cp(boost, c).value ...], `==` and with the
+    same refusals, from nodes and e^-u built once, _CP_BLOCK c_p at a time."""
+    if boost == 2.0:
+        return lambda cps: [_capacity_boost2(c) for c in cps]
+    nodes, value = _decaying_rule(60.0, _CP_PANELS)
+    exp_minus_nodes = np.exp(-nodes)
+
+    def values(cps) -> list[float]:
+        out = []
+        for i in range(0, len(cps), _CP_BLOCK):
+            block = cps[i:i + _CP_BLOCK]
+            for cp in block:
+                _check_integrand(boost, cp)
+            cp_column = np.array(block, dtype=float)[:, None, None]
+            out += value(_integrand(nodes, exp_minus_nodes, boost, cp_column)).tolist()
+        return out
+
+    return values
 
 
 def ergodic_capacity_ppp_lower(alpha: float, d: int = 2, p: float = 1.0) -> CapacityResult:
@@ -136,17 +167,28 @@ def spatial_capacity_opt(alpha: float, d: int = 2, duplex: str = "full") -> tupl
     """Transmit probability maximizing the spatial capacity p C(p) (or p(1-p)C(p)).
 
     Returns (p_opt, spatial_capacity). The half-duplex optimum sits near
-    p = 1/9 for all alpha.
+    p = 1/9 for all alpha. C(p) is ergodic_capacity_ppp(alpha, d, p).value,
+    from one evaluator built for the search; the prescan's points share one
+    call to it.
     """
     if duplex not in ("full", "half"):
         raise DomainError(f"duplex must be 'full' or 'half', got {duplex!r}")
+    cd = _c_p(alpha, d, 1.0)  # C_d(alpha), so p * cd == _c_p(alpha, d, p)
+    capacities = _capacity_values(alpha / d)
+
+    def weight(p: float) -> float:
+        return p * (1.0 - p) if duplex == "half" else p
+
+    a, b = 1e-6, 1.0 - 1e-6
+    xs = _prescan_grid(a, b)
+    prescanned = {p: weight(p) * c for p, c in zip(xs, capacities([p * cd for p in xs]))}
 
     def objective(p: float) -> float:
-        c = ergodic_capacity_ppp(alpha, d, p).value
-        weight = p * (1.0 - p) if duplex == "half" else p
-        return weight * c
+        if p in prescanned:
+            return prescanned[p]
+        return weight(p) * capacities([p * cd])[0]
 
-    return golden_section_max(objective, 1e-6, 1.0 - 1e-6, tol=1e-7)
+    return golden_section_max(objective, a, b, tol=1e-7)
 
 
 def ergodic_capacity_tdma(alpha: float, m: int) -> CapacityResult:

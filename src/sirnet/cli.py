@@ -309,7 +309,8 @@ def cmd_samples(args, out) -> int:
     samples = simulate_sir_samples(model, mac, cfg)
     if samples.clipped:
         print(f"# clipped = {samples.clipped}", file=out)
-    out.write("sir\n" + "".join(f"{v:.10g}\n" for v in samples.values.tolist()))
+    values = samples.values.tolist()
+    out.write("sir\n" + ("%.10g\n" * len(values)) % tuple(values))
     return 0
 
 

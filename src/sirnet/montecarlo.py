@@ -349,8 +349,10 @@ def simulate_ps(model: NetworkModel, mac: MacScheme | None, theta: float, cfg: S
 def simulate_sir_samples(model: NetworkModel, mac: MacScheme | None, cfg: SimConfig, theta_ref: float = 1.0) -> SirSamples:
     """Draw SIR samples; `theta_ref` sets the tail-truncation operating point.
 
-    Samples with zero in-window interference and no tail compensation are
-    clipped to `cfg.sir_clip` and counted.
+    The window is sized for P(SIR > theta_ref), so samples far above it are
+    biased low (see estimate_capacity). Samples with zero in-window
+    interference and no tail compensation are clipped to `cfg.sir_clip`
+    and counted.
     """
     chunks = []
     clipped = 0
@@ -380,6 +382,10 @@ def estimate_capacity(model: NetworkModel, mac: MacScheme | None, cfg: SimConfig
 
     Zero-interference slots are clipped at cfg.sir_clip, which biases the
     estimate downward; a warning reports the clip count when it is nonzero.
+    The default theta_ref = 1 sizes the window for P(SIR > 1), which also
+    biases it low: line1 at alpha 4, Aloha(0.3), 2e5 trials, seed 9 gives
+    3.63948 +- 0.00594 against 3.66930 (z = -5.0); theta_ref = 100 gives
+    z = -0.7.
     """
     samples = simulate_sir_samples(model, mac, cfg, theta_ref=theta_ref)
     if samples.clipped:

@@ -1,4 +1,5 @@
-"""Small 1-D maximization utilities (golden-section with a unimodality pre-scan)."""
+"""Small 1-D maximization: golden-section search from the best point of an
+equispaced prescan. Nothing checks that the function is unimodal."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ from typing import Callable
 __all__ = ["golden_section_max", "NumericFailure"]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_PRESCAN = 31
 
 
 class NumericFailure(RuntimeError):
@@ -19,7 +21,7 @@ def golden_section_max(
     a: float,
     b: float,
     tol: float = 1e-8,
-    prescan: int = 31,
+    prescan: int = _PRESCAN,
 ) -> tuple[float, float]:
     """Maximize f on [a, b]; returns (x_max, f(x_max)).
 
@@ -31,7 +33,7 @@ def golden_section_max(
     """
     if not b > a:
         raise NumericFailure(f"invalid bracket [{a}, {b}]")
-    xs = [a + (b - a) * i / (prescan - 1) for i in range(prescan)]
+    xs = _prescan_grid(a, b, prescan)
     fs = [f(x) for x in xs]
     k = max(range(prescan), key=fs.__getitem__)
     lo = xs[max(k - 1, 0)]
@@ -50,3 +52,8 @@ def golden_section_max(
             fd = f(d)
     x = 0.5 * (lo + hi)
     return x, f(x)
+
+
+def _prescan_grid(a: float, b: float, prescan: int = _PRESCAN) -> list[float]:
+    """The points at which golden_section_max's prescan evaluates f."""
+    return [a + (b - a) * i / (prescan - 1) for i in range(prescan)]

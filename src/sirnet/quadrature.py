@@ -71,10 +71,14 @@ def gauss_legendre_panels(
     """
     nodes, half = _panel_nodes(tuple(edges), n)
     fx = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    # einsum keeps BLAS (and its resident buffers) out; cumsum adds in panel order.
-    q_n = half * np.einsum("ij,j->i", fx[:, :n], _legendre_rule(n)[1])
-    q_2n = half * np.einsum("ij,j->i", fx[:, n:], _legendre_rule(2 * n)[1])
+    q_n, q_2n = _panel_sums(fx[:, :n], half, n), _panel_sums(fx[:, n:], half, 2 * n)
+    # cumsum adds in panel order.
     return float(np.cumsum(q_2n)[-1]), float(np.cumsum(np.abs(q_2n - q_n))[-1])
+
+
+def _panel_sums(fx: np.ndarray, half: np.ndarray, n: int) -> np.ndarray:
+    """Each panel's n-point rule on fx (panels x n, any leading axes); einsum keeps BLAS out."""
+    return half * np.einsum("...ij,j->...i", fx, _legendre_rule(n)[1])
 
 
 def integrate_decaying(
@@ -87,5 +91,21 @@ def integrate_decaying(
     returns (value, abs_err). The neglected tail must be bounded by the
     caller's choice of cutoff.
     """
-    edges = [0.0] + [cutoff * (2.0 ** (i - pieces + 1)) for i in range(pieces)]
-    return gauss_legendre_panels(f, edges, _NODES)
+    return gauss_legendre_panels(f, _decaying_edges(cutoff, pieces), _NODES)
+
+
+def _decaying_edges(cutoff: float, pieces: int) -> tuple[float, ...]:
+    return (0.0,) + tuple(cutoff * (2.0 ** (i - pieces + 1)) for i in range(pieces))
+
+
+def _decaying_rule(cutoff: float, pieces: int):
+    """integrate_decaying's 2n-point nodes, one row per panel, and the function
+    that sums an integrand's values on them (any leading axes) to the value
+    integrate_decaying returns, without the n-point rule or error estimate."""
+    nodes, half = _panel_nodes(_decaying_edges(cutoff, pieces), _NODES)
+
+    def value(fx: np.ndarray) -> np.ndarray:
+        # add.accumulate is cumsum (panel order) without its Python wrapper.
+        return np.add.accumulate(_panel_sums(fx, half, 2 * _NODES), axis=-1)[..., -1]
+
+    return np.ascontiguousarray(nodes[:, _NODES:]), value

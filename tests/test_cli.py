@@ -252,6 +252,34 @@ def test_samples_header(tmp_path):
     assert all(v > 0 for v in values)
 
 
+@pytest.mark.parametrize("values", [
+    None,  # the simulator's own samples
+    [0.0, -0.0, 5e-324, 2.2e-308, 1 / 3, 1e-300, 123456789012.0, 1.8e308,
+     math.inf, -math.inf, math.nan, 0.1 + 0.2],
+])
+def test_samples_column_bytes(tmp_path, monkeypatch, values):
+    """The sir column is f"{v:.10g}" of each sample, one per line, byte for byte."""
+    from sirnet import cli
+    from sirnet.montecarlo import SirSamples, simulate_sir_samples
+
+    drawn = []
+
+    def samples(model, mac, cfg):
+        result = simulate_sir_samples(model, mac, cfg)
+        if values is not None:
+            result = SirSamples(np.array(values), 0)
+        drawn.append(result.values.tolist())
+        return result
+
+    monkeypatch.setattr(cli, "simulate_sir_samples", samples)
+    cfgfile = tmp_path / "model.cfg"
+    cfgfile.write_text(format_model(NetworkModel(SingleInterferer(1.0), PowerLaw(4.0),
+                                                 FadingCase(Fading.rayleigh(), Fading.rayleigh())), None))
+    code, text = run(tmp_path, "samples", "--config", str(cfgfile), "--trials", "200", "--seed", "3")
+    assert code == 0
+    assert text.endswith("\nsir\n" + "".join(f"{v:.10g}\n" for v in drawn[0]))
+
+
 def test_validate_quick_reproducible(tmp_path):
     args = ["validate", "--quick", "--seed", "7", "--class", "single"]
     _, first = run(tmp_path, *args)

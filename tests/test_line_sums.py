@@ -89,23 +89,28 @@ def test_cached_heads_and_nodes_are_read_only():
 
 
 def test_capacity_calls_stay_small():
-    """A TDMA capacity curve allocates under 256 KB at its peak, and neither
-    it nor the PPP optimum imports numpy.ma (about 1 MB of resident memory)."""
+    """A TDMA capacity curve and a PPP spatial-capacity search each allocate
+    under 256 KB at their peak, and neither imports numpy.ma (about 1 MB of
+    resident memory)."""
     script = (
         "import sys, tracemalloc\n"
         "from sirnet import capacity\n"
         "tracemalloc.start()\n"
         "capacity.tdma_spatial_capacity(4.0, range(2, 5))\n"
         "peak = tracemalloc.get_traced_memory()[1]\n"
+        "tracemalloc.reset_peak()\n"
+        "capacity.spatial_capacity_opt(3.0, 2, 'half')\n"
+        "opt_peak = tracemalloc.get_traced_memory()[1]\n"
         "tracemalloc.stop()\n"
         "capacity.spatial_capacity_opt(3.0)\n"
-        "print(peak, 'numpy.ma' in sys.modules)\n")
+        "print(peak, opt_peak, 'numpy.ma' in sys.modules)\n")
     src = os.path.dirname(os.path.dirname(sirnet.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=env, timeout=120, check=True).stdout.split()
     assert int(out[0]) < 256 * 1024
-    assert out[1] == "False"
+    assert int(out[1]) < 256 * 1024
+    assert out[2] == "False"
 
 
 def test_one_head_per_length_is_built_once(monkeypatch):
