@@ -47,7 +47,10 @@ def _require(condition: bool, why: str) -> None:
 def _forms(model: NetworkModel, mac: MacScheme,
            theta: float) -> tuple[float, Callable[[float], float] | None, str]:
     """(gamma, the ALOHA p_s as a function of p or None under TDMA, and the
-    method of that p_s). Other classes raise a bare
+    method of that p_s). With a Rayleigh desired link and power-law path loss
+    both come from the interferer fading's Laplace transform: the PPP's
+    E[h^(d/alpha)], or a product over the interferers of a line (at p = 1 under
+    TDMA) or an explicit set. Other classes raise a bare
     UnsupportedClassError(reason)."""
     g, pl, case = model.geometry, model.path_loss, model.fading
     if isinstance(pl, ExponentialLaw):
@@ -59,16 +62,15 @@ def _forms(model: NetworkModel, mac: MacScheme,
         xi = effective_distance(g.r, pl.alpha, theta)
         return (contention.gamma_single(case, xi), partial(outage.ps_single, case, xi),
                 "closed-form")
-    sides = 2 if isinstance(g, RegularLine) and g.sided == "two" else 1
-    if isinstance(g, RegularLine) and isinstance(mac, Tdma):
-        _require(case == RAYLEIGH, "TDMA lines need case 1/1")
-        return sides * contention.gamma_tdma_line(pl.alpha, theta), None, "closed-form"
-    _require(isinstance(mac, Aloha), "TDMA needs a line network")
-    if isinstance(g, Ppp) and case.label == "0/0":
+    if isinstance(g, Ppp) and case.label == "0/0" and isinstance(mac, Aloha):
         _require(g.d == 2 and pl.alpha == 4.0, "the non-fading PPP needs d = 2 and alpha = 4")
         return (contention.gamma_ppp_nonfading_alpha4(theta),
                 partial(outage.ps_ppp_nonfading_alpha4, theta), "closed-form")
     _require(case.desired.is_rayleigh, "the desired link must be Rayleigh")
+    sides = 2 if isinstance(g, RegularLine) and g.sided == "two" else 1
+    if isinstance(g, RegularLine) and isinstance(mac, Tdma):
+        return sides * contention.gamma_tdma_line(pl.alpha, theta), None, "closed-form"
+    _require(isinstance(mac, Aloha), "TDMA needs a line network")
     if isinstance(g, RegularLine):
         if case == RAYLEIGH and pl.alpha in (2.0, 4.0):
             four = pl.alpha == 4.0
@@ -117,7 +119,7 @@ def success_probability(model: NetworkModel, mac: MacScheme,
         gamma, ps, method = _forms(model, mac, theta)
         if isinstance(mac, Tdma):
             return outage.ps_tdma_line(model.path_loss.alpha, theta, mac.m,
-                                       sided=model.geometry.sided)
+                                       model.geometry.sided, model.fading.interferer)
         return outage.sandwich(ps(mac.p), mac.p, gamma, method)
     except UnsupportedClassError as exc:
         raise _named(model, mac, exc) from None

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .model import Fading, FadingCase, unit_ball_volume
-from .specfun import DomainError, gamma_fn, hurwitz_zeta, li2, zeta
+from .specfun import DomainError, hurwitz_zeta, li2, zeta
 
 __all__ = [
     "UnsupportedClassError",
@@ -46,6 +46,8 @@ def _log_laplace(x: np.ndarray, fading: Fading) -> np.ndarray:
     """log L_h(x) = log E exp(-x h) of unit-mean fading power h, elementwise."""
     if fading.is_static:
         return -x
+    if fading.is_rayleigh:  # the general form's x/1 and -1 y, with no errstate
+        return -np.log1p(x)
     with np.errstate(over="ignore"):  # x/m = inf gives -inf, the limit
         return -fading.m * np.log1p(x / fading.m)
 
@@ -57,9 +59,11 @@ def interference_gamma(x: np.ndarray, fading: Fading) -> np.ndarray:
 
 
 def interference_log_ps(x: np.ndarray, p: float, fading: Fading) -> np.ndarray:
-    """-log(1 - p (1 - L_h(x))), the same interferer under ALOHA; taken in log
-    space where p (1 - L_h) >= 1/2, so it stays exact at p = 1 and large x."""
+    """-log(1 - p (1 - L_h(x))), the same interferer under ALOHA (-log L_h(x)
+    at p = 1); in log space where p (1 - L_h) >= 1/2, exact at large x."""
     log_l = _log_laplace(x, fading)
+    if p == 1.0:
+        return -log_l
     pg = -p * np.expm1(log_l)
     with np.errstate(divide="ignore"):  # log(0) in the branch not taken
         return np.where(pg < 0.5, -np.log1p(-pg),
@@ -111,30 +115,31 @@ def c_d_constant(d: int, alpha: float) -> float:
 
 
 def gamma_ppp(d: int, alpha: float, theta: float, interferer_fading: Fading) -> float:
-    """PPP spatial contention.
-
-    Rayleigh interferers: theta^(d/alpha) C_d(alpha) for d in {1, 2, 3}
-    (d = 3 uses the conjectured C_d generalization; callers should report
-    it as such). Static interferers (Rayleigh desired link): d = 2 only,
-    pi Gamma(1 - 2/alpha) theta^(2/alpha).
+    """PPP spatial contention with a Rayleigh desired link, any d >= 1:
+    gamma = c_d theta^delta E[h^delta] Gamma(1 - delta), delta = d/alpha, for
+    interferer fading power h. Rayleigh has E[h^delta] Gamma(1 - delta) =
+    pi delta / sin(pi delta), so gamma = C_d(alpha) theta^delta.
     """
     if not theta > 0:
         raise DomainError(f"theta must be positive, got {theta}")
-    if interferer_fading.is_rayleigh:
-        if d not in (1, 2, 3):
-            raise UnsupportedClassError(f"PPP contention supports d in 1..3, got {d}")
-        return _finite(c_d_constant(d, alpha) * theta ** (d / alpha))  # checks alpha first
-    if interferer_fading.is_static:
-        if d != 2:
-            raise UnsupportedClassError(
-                "static-interferer PPP contention is only available for d = 2"
-            )
-        if not 2 < alpha < math.inf:
-            raise DomainError(f"finite alpha > 2 required, got {alpha}")
-        return _finite(math.pi * gamma_fn(1.0 - 2.0 / alpha) * theta ** (2.0 / alpha))
-    raise UnsupportedClassError(
-        f"no PPP contention closed form for interferer fading {interferer_fading.symbol!r}"
-    )
+    c, delta = c_d_constant(d, alpha), d / alpha  # checks d and alpha first
+    if not interferer_fading.is_rayleigh:
+        c = unit_ball_volume(d) * _moment(interferer_fading, delta) * math.gamma(1.0 - delta)
+    return _finite(c * theta ** delta)
+
+
+def _moment(h: Fading, delta: float) -> float:
+    """E[h^delta], 0 < delta < 1: 1 if static, else Gamma(m + delta)/(Gamma(m)
+    m^delta), off by 3e-14 at m = 100 and inf past 171; from m = 100 on, the
+    log of Stirling's series to 1/m^3, whose next term is below 4e-15."""
+    m = h.m
+    if m is None:
+        return 1.0
+    if m < 100.0:
+        return math.gamma(m + delta) / (math.gamma(m) * m ** delta)
+    u = math.log1p(delta / m)
+    return math.exp(m * (u - delta / m) + (delta - 0.5) * u - delta / (12.0 * m * (m + delta))
+                    - ((m + delta) ** -3 - m ** -3) / 360.0)
 
 
 def gamma_ppp_nonfading_alpha4(theta: float) -> float:
@@ -259,9 +264,7 @@ def gamma_line_alpha2(theta: float) -> float:
     (pi sqrt(theta) - 1)/2 and pi sqrt(theta)/2; below theta = 0.01, where
     that difference cancels, the line sum gives it.
     """
-    if not theta > 0:
-        raise DomainError(f"theta must be positive, got {theta}")
-    if theta < 0.01:
+    if not theta >= 0.01:  # the line sum, which refuses theta <= 0 and nan
         return gamma_line(2.0, theta, Fading.rayleigh())
     x = math.pi * math.sqrt(theta)
     return 0.5 * (x / math.tanh(x) - 1.0)
@@ -274,9 +277,7 @@ def gamma_line_alpha4(theta: float) -> float:
     for large theta (the line sum below theta = 0.01, where it cancels). Its
     numerator and denominator are scaled by e^(-2y), so neither overflows.
     """
-    if not theta > 0:
-        raise DomainError(f"theta must be positive, got {theta}")
-    if theta < 0.01:
+    if not theta >= 0.01:  # the line sum, which refuses theta <= 0 and nan
         return gamma_line(4.0, theta, Fading.rayleigh())
     y = math.pi * theta ** 0.25 / math.sqrt(2.0)
     cy, sy, e = math.cos(y), math.sin(y), math.exp(-2.0 * y)
@@ -286,11 +287,10 @@ def gamma_line_alpha4(theta: float) -> float:
 
 
 def gamma_tdma_line(alpha: float, theta: float) -> float:
-    """TDMA line-network contention (slope w.r.t. (1/m)^alpha): zeta(alpha) theta."""
-    if not 1 < alpha < math.inf:
-        raise DomainError(f"alpha must be finite and exceed 1, got {alpha}")
-    if not theta > 0:
-        raise DomainError(f"theta must be positive, got {theta}")
+    """TDMA line-network contention (slope w.r.t. (1/m)^alpha): zeta(alpha)
+    theta, for any unit-mean interferer fading."""
+    if not (1 < alpha < math.inf and theta > 0):
+        raise DomainError(f"TDMA gamma needs finite alpha > 1 and theta > 0, got {alpha}, {theta}")
     return _finite(zeta(alpha) * theta)
 
 

@@ -60,9 +60,9 @@ def sandwich(value: float, p: float, gamma: float, method: str = "closed-form") 
     return SuccessProbability(_clamp_ps(value), lower, upper, method)
 
 
-def _check_p(p: float, upper: float = 1.0) -> None:
-    if not (0.0 <= p <= upper):
-        raise DomainError(f"transmit probability must be in [0, {upper}], got {p}")
+def _check_p(p: float) -> None:
+    if not (0.0 <= p <= 1.0):
+        raise DomainError(f"transmit probability must be in [0, 1], got {p}")
 
 
 def ps_single(case: FadingCase, xi: float, p: float) -> float:
@@ -167,18 +167,20 @@ def ps_line_alpha4_aloha(theta: float, p: float) -> float:
     return _cc_ratio(y * u, y) / (u * u)
 
 
-def ps_tdma_line(alpha: float, theta: float, m: int, sided: str = "one") -> SuccessProbability:
-    """TDMA regular line network with reuse factor m, Rayleigh fading.
+def ps_tdma_line(alpha: float, theta: float, m: int, sided: str = "one",
+                 interferer_fading: Fading = Fading.rayleigh()) -> SuccessProbability:
+    """TDMA regular line network with reuse factor m, a Rayleigh desired link
+    and interferer fading h: p_s = prod_i L_h(theta'/i^alpha), theta' = theta/m^alpha.
 
-    Closed forms for alpha in {2, 4}, else the exact infinite product
-    (method ``product``), with the universal bounds
-    exp(-z') <= p_s <= 1/(1 + z' + (zeta-1) theta'^2), theta' = theta/m^alpha
-    and z' = zeta(alpha) theta'. Two-sided networks square the one-sided results.
+    Closed forms for Rayleigh interferers at alpha in {2, 4}, else the exact
+    infinite product (method ``product``), with the bounds
+    exp(-z') <= p_s <= 1/(1 + z' + (zeta-1) theta'^2), z' = zeta(alpha) theta'.
+    The lower one is Jensen's, for any fading; the upper one needs L_h(x) <=
+    1/(1 + x), as static and Nakagami m >= 1 meet, and is 1 for m < 1.
+    Two-sided networks square the one-sided results.
     """
-    if not alpha > 1:
-        raise DomainError(f"alpha must exceed 1, got {alpha}")
-    if not theta > 0:
-        raise DomainError(f"theta must be positive, got {theta}")
+    if not (alpha > 1 and theta > 0):
+        raise DomainError(f"TDMA p_s needs alpha > 1 and theta > 0, got {alpha}, {theta}")
     if not (isinstance(m, int) and m >= 1):
         raise DomainError(f"reuse factor must be an integer >= 1, got {m}")
     if sided not in ("one", "two"):
@@ -188,13 +190,13 @@ def ps_tdma_line(alpha: float, theta: float, m: int, sided: str = "one") -> Succ
     lower = math.exp(-z * theta_p) if z * theta_p < 690 else 0.0
     # theta_p * theta_p is inf past the float range (upper = 0); ** 2 would raise.
     upper = 1.0 / (1.0 + z * theta_p + (z - 1.0) * (theta_p * theta_p))
-    method = "closed-form"
-    if alpha == 2:
-        value = ps_line_alpha2_aloha(theta_p, 1.0)
-    elif alpha == 4:
-        value = ps_line_alpha4_aloha(theta_p, 1.0)
+    if not interferer_fading.is_static and interferer_fading.m < 1.0:
+        upper = 1.0
+    closed = {2: ps_line_alpha2_aloha, 4: ps_line_alpha4_aloha}.get(alpha)
+    if closed and interferer_fading.is_rayleigh:
+        value, method = closed(theta_p, 1.0), "closed-form"
     else:
-        value, method = tdma_ps_one_sided(alpha, theta, m), "product"
+        value, method = tdma_ps_one_sided(alpha, theta, m, interferer_fading), "product"
     value = _clamp_ps(value)
     if sided == "two":
         value *= value

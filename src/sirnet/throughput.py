@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contention import c_d_constant, line_sums
+from .contention import c_d_constant, interference_log_ps, line_sums, power_series
+from .model import Fading
 from .optimize import golden_section_max
 from .specfun import DomainError, lambert_w0, zeta
 
@@ -78,20 +79,19 @@ def aloha_p_opt(gamma: float, duplex: str = "full") -> ThroughputResult:
     raise DomainError(f"duplex must be 'full' or 'half', got {duplex!r}")
 
 
-_LOG1P_SERIES = tuple((-1.0) ** (k + 1) / k for k in range(1, 14))
-
-
 def tdma_ps_one_sided(
-    alpha: float, theta: float | np.ndarray, m: float | np.ndarray
+    alpha: float, theta: float | np.ndarray, m: float | np.ndarray,
+    interferer_fading: Fading = Fading.rayleigh(),
 ) -> float | np.ndarray:
-    """Exact one-sided TDMA line p_s = 1 / prod_i (1 + theta'/i^alpha), theta' = theta/m^alpha.
+    """Exact one-sided TDMA line p_s = prod_i L_h(theta'/i^alpha), theta' = theta/m^alpha,
+    for interferer fading power h; Rayleigh gives 1 / prod_i (1 + theta'/i^alpha).
 
     Valid for any alpha > 1 and real m >= 1 (m enters only through
     theta/m^alpha). theta and m may be scalars or arrays that broadcast;
     scalars give a float, arrays an array.
 
-    log(1/p_s) = sum_i log1p(theta'/i^alpha) is a contention.line_sums, whose
-    tail has the log1p coefficients (-1)^(k+1)/k. Against an mpmath
+    log(1/p_s) = sum_i -log L_h(theta'/i^alpha) is a contention.line_sums of
+    the ALOHA term interference_log_ps at p = 1. Against an mpmath
     reference the relative error is below 1e-13 for alpha in [1.5, 5] and
     theta' in [1e-6, 1e4]. Each element's sum depends only on its own
     theta', so an array call returns exactly what scalar calls return.
@@ -103,10 +103,13 @@ def tdma_ps_one_sided(
         raise DomainError("theta must be positive and m >= 1")
     with np.errstate(over="ignore"):  # m^alpha = inf gives theta' = 0, its limit
         tp = theta / m ** alpha
-    # The first 1100 factors are each >= 2, so p_s <= 2^-1100 underflows.
+    # -log L_h(x) >= log(1 + 2x)/2 for any m >= 1/2 or static. At q = theta'^(1/alpha)
+    # >= 1100, log(1/p_s) >= sum_{i<=1100} log(1 + 2q/i)/2 > 900, so p_s underflows.
     live = tp ** (1.0 / alpha) < 1100.0
     log_inv = np.full(tp.shape, math.inf)
-    log_inv[live] = line_sums(alpha, tp[live].tolist(), np.log1p, _LOG1P_SERIES)
+    log_inv[live] = line_sums(
+        alpha, tp[live].tolist(), lambda x: interference_log_ps(x, 1.0, interferer_fading),
+        power_series(interferer_fading, 1.0))
     ps = np.exp(-log_inv)
     return float(ps) if ps.ndim == 0 else ps
 
@@ -123,10 +126,8 @@ def tdma_m_opt(alpha: float, theta: float) -> ThroughputResult:
     upper bound) and the closed-form estimate
     m_hat = round((theta zeta(alpha) (2 alpha - 1/2))^(1/alpha)).
     """
-    if not 1 < alpha < math.inf:
-        raise DomainError(f"alpha must be finite and exceed 1, got {alpha}")
-    if not theta > 0:
-        raise DomainError(f"theta must be positive, got {theta}")
+    if not (1 < alpha < math.inf and theta > 0):
+        raise DomainError(f"reuse scan needs finite alpha > 1 and theta > 0, got {alpha}, {theta}")
     z = zeta(alpha)
     m_lower = (theta * z * (2.0 * alpha - 1.0)) ** (1.0 / alpha)
     m_upper = (theta * z * 2.0 * alpha) ** (1.0 / alpha)

@@ -19,8 +19,10 @@ from sirnet.model import (
     RegularLine,
     SingleInterferer,
     Tdma,
+    class_model,
     effective_distance,
 )
+from sirnet.montecarlo import SimConfig, simulate_ps
 from sirnet.outage import ps_explicit
 from sirnet.specfun import DomainError
 
@@ -124,3 +126,53 @@ def test_explicit_success_probability_takes_x_and_gamma_once(monkeypatch):
     ref = ps_explicit([effective_distance(r, 3.0, 0.5) for r in (1.0, 2.0, 3.0)], 0.3,
                       case.interferer)
     assert got == ref
+
+
+def test_class_model_coverage_count():
+    """Of the 81 class_model combinations (7 classes x 9 fading cases under
+    ALOHA, and the 2 line classes x 9 under TDMA), 28 get a p_s: every
+    class with a Rayleigh desired link except exponential path loss with
+    non-Rayleigh interferers, plus single interferers' 0/0, 0/1 and m2/1."""
+    cases = [f"{d}/{i}" for d in ("0", "1", "m2") for i in ("0", "1", "m2")]
+    combos = [(cls, case, Aloha(0.1)) for cls in ("ppp1", "ppp2", "line1", "line2", "single",
+                                                  "explicit", "exp2") for case in cases]
+    combos += [(cls, case, Tdma(2)) for cls in ("line1", "line2") for case in cases]
+    covered = []
+    for cls, case, mac in combos:
+        model = class_model(cls, 3.0, case, delta=1.0, r=1.2, distances=(1.0, 2.0, 3.0))
+        try:
+            analytic.success_probability(model, mac, 1.0)
+        except UnsupportedClassError:
+            continue
+        covered.append((cls, case, type(mac).__name__))
+    print(f"{len(covered)} of {len(combos)} class_model combinations get a p_s")
+    assert len(combos) == 81 and len(covered) == 28, covered
+    assert all(case.startswith("1/") for cls, case, _ in covered if cls != "single")
+
+
+# The classes that the one-exponent PPP form and the TDMA line product for
+# any interferer fading cover, against the simulator at one fixed seed.
+# They are not among the validation sweep's 52 cases.
+NEW_CLASSES = [("ppp1", "1/0", Aloha(0.1)), ("ppp1", "1/m2", Aloha(0.1)),
+               ("ppp2", "1/m2", Aloha(0.1)), ("line1", "1/0", Tdma(2)),
+               ("line1", "1/m2", Tdma(2)), ("line2", "1/0", Tdma(2)), ("line2", "1/m2", Tdma(2))]
+
+
+@pytest.mark.parametrize("cls,case,mac", NEW_CLASSES,
+                         ids=[f"{c}-{k}-{type(m).__name__}" for c, k, m in NEW_CLASSES])
+def test_newly_covered_class_matches_the_simulator(cls, case, mac):
+    model = class_model(cls, 3.0, case)
+    sp = analytic.success_probability(model, mac, 1.0)
+    est = simulate_ps(model, mac, 1.0, SimConfig(trials=50_000, seed=101))
+    assert abs(est.z_score(sp.value)) < 3, (est.mean, est.stderr, sp.value)
+
+
+def test_tdma_gamma_is_the_slope_for_any_interferer_fading():
+    """1 - p_s = gamma (1/m)^alpha + O(m^-2 alpha): sides zeta(alpha) theta
+    for any unit-mean interferer fading."""
+    for cls in ("line1", "line2"):
+        for case in ("1/0", "1/1", "1/m2", "1/m0.5"):
+            model = class_model(cls, 3.0, case)
+            gamma = analytic.spatial_contention(model, Tdma(1000), 2.0)
+            ps = analytic.success_probability(model, Tdma(1000), 2.0).value
+            assert (1.0 - ps) * 1000.0 ** 3 == pytest.approx(gamma, rel=1e-6), (cls, case)

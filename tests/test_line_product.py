@@ -15,12 +15,13 @@ from sirnet.contention import (
     gamma_line_alpha2,
     gamma_line_alpha4,
     line_sums,
+    power_series,
 )
 from sirnet.model import Aloha, Fading, class_model
 from sirnet.montecarlo import SimConfig, simulate_ps
 from sirnet.outage import ps_explicit, ps_line_aloha, ps_line_alpha2_aloha, ps_line_alpha4_aloha
 from sirnet.specfun import DomainError
-from sirnet.throughput import _LOG1P_SERIES, tdma_ps_one_sided
+from sirnet.throughput import tdma_ps_one_sided
 
 FADINGS = {"0": Fading.none(), "1": Fading.rayleigh(), "m4": Fading.nakagami(4.0),
            "m0.5": Fading.nakagami(0.5)}
@@ -126,8 +127,8 @@ def test_line_sums_past_the_float_range_of_n_alpha_match_mpmath():
             while not xs or xs[-1] > 1e-50:
                 xs.append(t / mpmath.mpf(len(xs) + 1) ** a)
             log_inv = mpmath.fsum(mpmath.log1p(x) for x in xs)
-            assert line_sums(alpha, [theta], np.log1p, _LOG1P_SERIES)[0] == pytest.approx(
-                float(log_inv), rel=1e-13, abs=0.0), (alpha, theta)
+            log1p_sum = line_sums(alpha, [theta], np.log1p, power_series(FADINGS["1"], 1.0))[0]
+            assert log1p_sum == pytest.approx(float(log_inv), rel=1e-13, abs=0.0), (alpha, theta)
             ref = float(mpmath.exp(-log_inv))
             got = tdma_ps_one_sided(alpha, theta, 1)
             assert got == (0.0 if ref == 0.0 else pytest.approx(ref, rel=1e-13)), (alpha, theta)

@@ -24,7 +24,7 @@ FADINGS = (Fading.none(), Fading.rayleigh(), Fading.nakagami(0.5), Fading.nakaga
 def grid_terms():
     """(term, series) of every line sum: 1 - L_h and -log(1 - p (1 - L_h))
     for each fading and p, and the TDMA log1p."""
-    yield np.log1p, throughput._LOG1P_SERIES
+    yield np.log1p, power_series(Fading.rayleigh(), 1.0)
     for fading in FADINGS:
         yield (lambda x, f=fading: interference_gamma(x, f)), power_series(fading)
         for p in (0.01, 0.3, 1.0):
@@ -80,7 +80,7 @@ def test_capacities_equal_the_per_theta_loop(monkeypatch):
 
 
 def test_cached_heads_and_nodes_are_read_only():
-    i_pow = contention._line_head(3.0, 32, throughput._LOG1P_SERIES)[0]
+    i_pow = contention._line_head(3.0, 32, power_series(Fading.rayleigh(), 1.0))[0]
     nodes, half = quadrature._panel_nodes((0.0, 1.0, 2.0), 4)
     for array in (i_pow, nodes, half):
         with pytest.raises(ValueError):
@@ -127,7 +127,7 @@ def test_one_head_per_length_is_built_once(monkeypatch):
     contention._line_head.cache_clear()
     thetas = np.logspace(-3, 6, 50).tolist()
     heads = {max(5, math.frexp((t / 0.05) ** (1.0 / 3.0))[1]) for t in thetas}
-    line_sums(3.0, thetas, np.log1p, throughput._LOG1P_SERIES)
+    line_sums(3.0, thetas, np.log1p, power_series(Fading.rayleigh(), 1.0))
     assert len(calls) == 13 * len(heads)
-    line_sums(3.0, thetas, np.log1p, throughput._LOG1P_SERIES)
+    line_sums(3.0, thetas, np.log1p, power_series(Fading.rayleigh(), 1.0))
     assert len(calls) == 13 * len(heads)

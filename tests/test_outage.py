@@ -9,6 +9,7 @@ from sirnet.model import Fading, FadingCase
 from sirnet.outage import (
     ps_exp_pathloss,
     ps_explicit,
+    ps_line_aloha,
     ps_line_alpha2_aloha,
     ps_line_alpha4_aloha,
     ps_ppp,
@@ -198,6 +199,41 @@ def test_ps_tdma_two_sided_squares():
     assert two.value == pytest.approx(one.value ** 2, rel=1e-12)
     assert two.lower_bound == pytest.approx(one.lower_bound ** 2, rel=1e-12)
     assert two.upper_bound == pytest.approx(one.upper_bound ** 2, rel=1e-12)
+
+
+TDMA_FADINGS = {"0": Fading.none(), "1": Fading.rayleigh(), "m0.5": Fading.nakagami(0.5),
+                "m2": Fading.nakagami(2.0), "m4": Fading.nakagami(4.0)}
+
+
+def test_ps_tdma_line_bounds_for_any_interferer_fading():
+    """exp(-z') <= p_s for any unit-mean fading (Jensen; static interferers
+    meet it with equality, so up to 1e-14 relative in log p_s, the accuracy
+    of zeta and the line sums), and p_s <= 1/(1 + z' +
+    (zeta - 1) theta'^2) where L_h(x) <= 1/(1 + x): static and m >= 1; for
+    m < 1 the upper bound is 1."""
+    for alpha in (1.5, 2.5, 3.0, 5.0):
+        for m in (1, 2, 4):
+            for theta in (0.1, 1.0, 10.0, 100.0):
+                for label, fading in TDMA_FADINGS.items():
+                    for sided in ("one", "two"):
+                        r = ps_tdma_line(alpha, theta, m, sided, fading)
+                        where = (alpha, m, theta, label, sided)
+                        slack = 1e-14 * (1.0 - math.log(r.value))
+                        assert r.lower_bound <= r.value * math.exp(slack), where
+                        assert r.value <= r.upper_bound, where
+                        assert (r.upper_bound == 1.0) == (label == "m0.5"), where
+                        assert r.method == ("closed-form" if label == "1" and alpha in (2.0, 4.0)
+                                            else "product")
+
+
+def test_tdma_line_is_the_aloha_product_at_p_1():
+    """The TDMA line is the ALOHA line product at p = 1 and theta' = theta/m^alpha."""
+    for alpha in (2.0, 3.0, 4.0):
+        for label, fading in TDMA_FADINGS.items():
+            for theta, m in ((0.5, 1), (10.0, 2), (300.0, 3)):
+                got = ps_tdma_line(alpha, theta, m, "one", fading).value
+                ref = ps_line_aloha(alpha, theta / m ** alpha, 1.0, fading)
+                assert got == pytest.approx(ref, rel=1e-13), (alpha, label, theta, m)
 
 
 def test_sandwich_bounds_hold():

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from sirnet.model import unit_ball_volume
 from sirnet.specfun import (
     DomainError,
     exp_integral_e1,
@@ -41,6 +42,10 @@ def test_gamma_function():
     assert gamma_fn(x) * gamma_fn(1 - x) == pytest.approx(
         math.pi / math.sin(math.pi * x), rel=1e-12
     )
+    # integers exactly, so the unit disc's area is pi; the 1-D ball is 1 ulp off
+    assert [gamma_fn(n) for n in (1.0, 2.0, 3.0, 4.0)] == [1.0, 1.0, 2.0, 6.0]
+    assert unit_ball_volume(2) == math.pi
+    assert unit_ball_volume(1) == pytest.approx(2.0, rel=2e-16, abs=0.0)
 
 
 def test_lambert_w_defining_identity():
