@@ -23,7 +23,6 @@ from .contention import (
     c_d_constant,
     equivalent_disk_radius,
     gamma_exp_pathloss,
-    gamma_explicit,
     gamma_line,
     gamma_line_alpha2,
     gamma_line_alpha4,
@@ -63,14 +62,9 @@ from .montecarlo import (
 )
 from .outage import (
     SuccessProbability,
-    ps_exp_pathloss,
-    ps_explicit,
-    ps_line_aloha,
     ps_line_alpha2_aloha,
     ps_line_alpha4_aloha,
-    ps_ppp,
     ps_ppp_nonfading_alpha4,
-    ps_single,
     ps_tdma_line,
 )
 from .specfun import DomainError

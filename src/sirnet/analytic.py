@@ -11,6 +11,7 @@ functions, so a label can never be paired with another class's formula.
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from typing import Callable
 
@@ -21,6 +22,7 @@ from .model import (
     Aloha,
     Explicit,
     ExponentialLaw,
+    Fading,
     MacScheme,
     NetworkModel,
     PowerLaw,
@@ -30,6 +32,7 @@ from .model import (
     Tdma,
     effective_distance,
 )
+from .specfun import DomainError
 
 __all__ = ["spatial_contention", "contention_method", "success_probability", "ergodic_capacity"]
 
@@ -44,6 +47,25 @@ def _require(condition: bool, why: str) -> None:
         raise UnsupportedClassError(why)
 
 
+def _interferer_sum(g: RegularLine | Explicit, alpha: float, theta: float, h: Fading):
+    """p -> the sum over the interferers (one side of a line) at x = theta
+    r^-alpha of 1 - L_h(x), which is gamma, for p = None, else of
+    -log(1 - p (1 - L_h(x))), which is -log p_s: line_sums on a line,
+    math.fsum on an explicit set."""
+    if isinstance(g, Explicit):
+        x = contention.interference_x([effective_distance(r, alpha, theta) for r in g.distances])
+    elif not (1 < alpha < math.inf and theta > 0):
+        raise DomainError(f"line sums need finite alpha > 1 and theta > 0, got {alpha}, {theta}")
+
+    def total(p: float | None) -> float:
+        term = (partial(contention.interference_gamma, fading=h) if p is None
+                else partial(contention.interference_log_ps, p=p, fading=h))
+        if isinstance(g, Explicit):
+            return math.fsum(term(x).tolist())
+        return contention.line_sums(alpha, [theta], term, contention.power_series(h, p))[0]
+    return total
+
+
 def _forms(model: NetworkModel, mac: MacScheme,
            theta: float) -> tuple[float, Callable[[float], float] | None, str]:
     """(gamma, the ALOHA p_s as a function of p or None under TDMA, and the
@@ -56,12 +78,11 @@ def _forms(model: NetworkModel, mac: MacScheme,
     if isinstance(pl, ExponentialLaw):
         _require(g == Ppp(2) and case == RAYLEIGH and isinstance(mac, Aloha),
                  "exponential path loss needs the 2-D PPP, case 1/1 and ALOHA")
-        return (contention.gamma_exp_pathloss(pl.delta, theta),
-                partial(outage.ps_exp_pathloss, pl.delta, theta), "closed-form")
+        gamma = contention.gamma_exp_pathloss(pl.delta, theta)
+        return gamma, lambda p: math.exp(-p * gamma), "closed-form"
     if isinstance(g, SingleInterferer) and isinstance(mac, Aloha):
-        xi = effective_distance(g.r, pl.alpha, theta)
-        return (contention.gamma_single(case, xi), partial(outage.ps_single, case, xi),
-                "closed-form")
+        gamma = contention.gamma_single(case, effective_distance(g.r, pl.alpha, theta))
+        return gamma, lambda p: 1.0 - p * gamma, "closed-form"
     if isinstance(g, Ppp) and case.label == "0/0" and isinstance(mac, Aloha):
         _require(g.d == 2 and pl.alpha == 4.0, "the non-fading PPP needs d = 2 and alpha = 4")
         return (contention.gamma_ppp_nonfading_alpha4(theta),
@@ -71,22 +92,19 @@ def _forms(model: NetworkModel, mac: MacScheme,
     if isinstance(g, RegularLine) and isinstance(mac, Tdma):
         return sides * contention.gamma_tdma_line(pl.alpha, theta), None, "closed-form"
     _require(isinstance(mac, Aloha), "TDMA needs a line network")
-    if isinstance(g, RegularLine):
-        if case == RAYLEIGH and pl.alpha in (2.0, 4.0):
-            four = pl.alpha == 4.0
-            gamma = (contention.gamma_line_alpha4 if four else contention.gamma_line_alpha2)(theta)
-            ps = partial(outage.ps_line_alpha4_aloha if four else outage.ps_line_alpha2_aloha, theta)
-            method = "closed-form"
-        else:
-            gamma, method = contention.gamma_line(pl.alpha, theta, case.interferer), "product"
-            ps = partial(outage.ps_line_aloha, pl.alpha, theta, interferer_fading=case.interferer)
-        return sides * gamma, lambda p: ps(p) ** sides, method
-    if isinstance(g, Explicit):
-        xis = [effective_distance(r, pl.alpha, theta) for r in g.distances]
-        return (*contention.explicit_sums(xis, case.interferer), "closed-form")
-    return (contention.gamma_ppp(g.d, pl.alpha, theta, case.interferer),
-            partial(outage.ps_ppp, g.d, pl.alpha, theta, interferer_fading=case.interferer),
-            "closed-form")
+    if isinstance(g, Ppp):
+        gamma = contention.gamma_ppp(g.d, pl.alpha, theta, case.interferer)
+        return gamma, lambda p: math.exp(-p * gamma), "closed-form"
+    if isinstance(g, RegularLine) and case == RAYLEIGH and pl.alpha in (2.0, 4.0):
+        four = pl.alpha == 4.0
+        gamma = (contention.gamma_line_alpha4 if four else contention.gamma_line_alpha2)(theta)
+        ps = partial(outage.ps_line_alpha4_aloha if four else outage.ps_line_alpha2_aloha, theta)
+        method = "closed-form"
+    else:
+        total = _interferer_sum(g, pl.alpha, theta, case.interferer)
+        gamma, ps = total(None), lambda p: math.exp(-total(p))
+        method = "product" if isinstance(g, RegularLine) else "closed-form"
+    return sides * gamma, lambda p: ps(p) ** sides, method
 
 
 def spatial_contention(model: NetworkModel, mac: MacScheme, theta: float) -> float:

@@ -17,6 +17,7 @@ from .optimize import _prescan_grid, golden_section_max
 from .quadrature import _decaying_rule, integrate_decaying
 from .specfun import (
     DomainError,
+    _e1_scaled_cf,
     exp_integral_e1,
     exp_integral_e1_imag_scaled,
     lower_incomplete_gamma,
@@ -252,7 +253,7 @@ def ergodic_capacity_tdma_bounds(alpha: float, m: int) -> tuple[float, float | N
     if not (isinstance(m, int) and m >= 1):
         raise DomainError(f"reuse factor must be an integer >= 1, got {m}")
     z = zeta(alpha) / m ** alpha
-    lower = math.exp(z) * exp_integral_e1(z)
+    lower = _e1_scaled_cf(z) if z >= 1.0 else math.exp(z) * exp_integral_e1(z)
     if alpha == 2:
         lower = max(lower, 2.0 * math.log(2.0 * m / math.pi))
         upper = math.log1p(7.0 * zeta(3.0) * m * m / math.pi ** 2)

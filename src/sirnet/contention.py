@@ -22,7 +22,6 @@ __all__ = [
     "gamma_ppp",
     "gamma_ppp_nonfading_alpha4",
     "gamma_exp_pathloss",
-    "gamma_explicit",
     "gamma_line_alpha2",
     "gamma_line_alpha4",
     "gamma_line",
@@ -161,20 +160,6 @@ def gamma_exp_pathloss(delta: float, theta: float) -> float:
         raise DomainError("delta and theta must be positive")
     d2 = delta ** 2
     return _finite(-2.0 * math.pi * li2(-theta) / d2 if d2 > 0 else math.inf)
-
-
-def gamma_explicit(xis: list[float], interferer_fading: Fading) -> float:
-    """Fixed interferers at effective distances xi_i >= 0, Rayleigh desired
-    link: gamma = sum (1 - L_h(1/xi_i)), the single-interferer values."""
-    return explicit_sums(xis, interferer_fading)[0]
-
-
-def explicit_sums(xis: list[float], interferer_fading: Fading):
-    """(gamma_explicit, p -> p_s = prod (1 - p (1 - L_h(1/xi_i)))) of fixed
-    interferers, both from one x = 1/xi."""
-    x = interference_x(xis)
-    return (math.fsum(interference_gamma(x, interferer_fading).tolist()),
-            lambda p: math.exp(-math.fsum(interference_log_ps(x, p, interferer_fading).tolist())))
 
 
 # line_sums' longest head; a larger theta is refused.

@@ -1,9 +1,8 @@
-"""Closed-form success probabilities p_s (the SIR ccdf) and their bounds.
+"""Success probabilities p_s (the SIR ccdf) with their bounds, and the closed
+forms beyond exp(-p*gamma) and 1 - p*gamma; `sirnet.analytic` gives every p_s.
 
-Under ALOHA the success probability is sandwiched between 1 - p*gamma and
-exp(-p*gamma), where gamma is the spatial contention; TDMA lines have their
-own universal bounds. :class:`SuccessProbability` carries the bounds
-alongside the value.
+Under ALOHA p_s is sandwiched between 1 - p*gamma and exp(-p*gamma), where
+gamma is the spatial contention; TDMA lines have their own universal bounds.
 """
 
 from __future__ import annotations
@@ -11,20 +10,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import contention
-from .model import Fading, FadingCase
+from .model import Fading
 from .specfun import DomainError, zeta
 from .throughput import tdma_ps_one_sided
 
 __all__ = [
     "SuccessProbability",
     "sandwich",
-    "ps_single",
-    "ps_ppp",
     "ps_ppp_nonfading_alpha4",
-    "ps_exp_pathloss",
-    "ps_explicit",
-    "ps_line_aloha",
     "ps_line_alpha2_aloha",
     "ps_line_alpha4_aloha",
     "ps_tdma_line",
@@ -65,55 +58,12 @@ def _check_p(p: float) -> None:
         raise DomainError(f"transmit probability must be in [0, 1], got {p}")
 
 
-def ps_single(case: FadingCase, xi: float, p: float) -> float:
-    """Single-interferer success probability 1 - p gamma_single(case, xi).
-
-    Outage is exactly linear in p in every fading case, Nakagami included.
-    """
-    _check_p(p)
-    return 1.0 - p * contention.gamma_single(case, xi)
-
-
-def ps_ppp(d: int, alpha: float, theta: float, p: float, interferer_fading: Fading) -> float:
-    """PPP success probability exp(-p gamma); exact for Rayleigh desired link."""
-    _check_p(p)
-    gamma = contention.gamma_ppp(d, alpha, theta, interferer_fading)
-    return math.exp(-p * gamma)
-
-
 def ps_ppp_nonfading_alpha4(theta: float, p: float) -> float:
     """Fully non-fading 2-D PPP, alpha = 4: p_s = 1 - erf(pi^(3/2) p sqrt(theta)/2)."""
     _check_p(p)
     if not theta > 0:
         raise DomainError(f"theta must be positive, got {theta}")
     return 1.0 - math.erf(math.pi ** 1.5 * p * math.sqrt(theta) / 2.0)
-
-
-def ps_exp_pathloss(delta: float, theta: float, p: float) -> float:
-    """2-D Rayleigh PPP with exponential path loss: exp(-p gamma_exp)."""
-    _check_p(p)
-    return math.exp(-p * contention.gamma_exp_pathloss(delta, theta))
-
-
-def ps_explicit(xis: list[float], p: float,
-                interferer_fading: Fading = Fading.rayleigh()) -> SuccessProbability:
-    """Fixed interferers at effective distances xi_i >= 0, Rayleigh desired
-    link: p_s = prod (1 - p (1 - L_h(1/xi_i))). p_s is convex in p, so
-    1 - p*gamma is a lower and exp(-p*gamma) an upper bound."""
-    _check_p(p)
-    gamma, ps = contention.explicit_sums(xis, interferer_fading)
-    return sandwich(ps(p), p, gamma)
-
-
-def ps_line_aloha(alpha: float, theta: float, p: float, interferer_fading: Fading) -> float:
-    """One-sided regular line with a Rayleigh desired link under ALOHA, any
-    alpha > 1: p_s = prod_i (1 - p (1 - L_h(theta/i^alpha))), by line_sums."""
-    _check_p(p)
-    if not (1 < alpha < math.inf and theta > 0):
-        raise DomainError(f"line sums need finite alpha > 1 and theta > 0, got {alpha}, {theta}")
-    return math.exp(-contention.line_sums(
-        alpha, [theta], lambda x: contention.interference_log_ps(x, p, interferer_fading),
-        contention.power_series(interferer_fading, p))[0])
 
 
 def ps_line_alpha2_aloha(theta: float, p: float) -> float:
@@ -172,15 +122,15 @@ def ps_tdma_line(alpha: float, theta: float, m: int, sided: str = "one",
     """TDMA regular line network with reuse factor m, a Rayleigh desired link
     and interferer fading h: p_s = prod_i L_h(theta'/i^alpha), theta' = theta/m^alpha.
 
-    Closed forms for Rayleigh interferers at alpha in {2, 4}, else the exact
-    infinite product (method ``product``), with the bounds
-    exp(-z') <= p_s <= 1/(1 + z' + (zeta-1) theta'^2), z' = zeta(alpha) theta'.
+    exp(-z') for static interferers, closed forms for Rayleigh interferers at
+    alpha in {2, 4}, else the exact infinite product (method ``product``), with
+    the bounds exp(-z') <= p_s <= 1/(1 + z' + (zeta-1) theta'^2), z' = zeta(alpha) theta'.
     The lower one is Jensen's, for any fading; the upper one needs L_h(x) <=
     1/(1 + x), as static and Nakagami m >= 1 meet, and is 1 for m < 1.
     Two-sided networks square the one-sided results.
     """
-    if not (alpha > 1 and theta > 0):
-        raise DomainError(f"TDMA p_s needs alpha > 1 and theta > 0, got {alpha}, {theta}")
+    if not (1 < alpha < math.inf and theta > 0):
+        raise DomainError(f"TDMA p_s needs finite alpha > 1 and theta > 0, got {alpha}, {theta}")
     if not (isinstance(m, int) and m >= 1):
         raise DomainError(f"reuse factor must be an integer >= 1, got {m}")
     if sided not in ("one", "two"):
@@ -193,7 +143,9 @@ def ps_tdma_line(alpha: float, theta: float, m: int, sided: str = "one",
     if not interferer_fading.is_static and interferer_fading.m < 1.0:
         upper = 1.0
     closed = {2: ps_line_alpha2_aloha, 4: ps_line_alpha4_aloha}.get(alpha)
-    if closed and interferer_fading.is_rayleigh:
+    if interferer_fading.is_static:  # the lower bound's own expression, so value >= lower
+        value, method = math.exp(-z * theta_p), "closed-form"
+    elif closed and interferer_fading.is_rayleigh:
         value, method = closed(theta_p, 1.0), "closed-form"
     else:
         value, method = tdma_ps_one_sided(alpha, theta, m, interferer_fading), "product"

@@ -160,7 +160,12 @@ def exp_integral_e1(x: float) -> float:
                 break
             k += 1
         return total
-    # Continued fraction E1(x) = e^-x * 1/(x+1- 1/(x+3- 4/(x+5- ...)))
+    return _e1_scaled_cf(x) * math.exp(-x)
+
+
+def _e1_scaled_cf(x: float) -> float:
+    """e^x E1(x) = 1/(x+1- 1/(x+3- 4/(x+5- ...))) by the modified-Lentz
+    continued fraction, for x >= 1; finite where e^x is not."""
     b = x + 1.0
     c = 1.0 / _TINY
     d = 1.0 / b
@@ -174,7 +179,7 @@ def exp_integral_e1(x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < 1e-16:
             break
-    return h * math.exp(-x)
+    return h
 
 
 def _e1_imag_cf(y: float) -> complex:

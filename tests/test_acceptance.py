@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from sirnet import capacity, contention, outage, throughput
+from sirnet import analytic, capacity, contention, outage, throughput
 from sirnet.cli import main as cli_main
 from sirnet.model import (
     Aloha,
@@ -25,7 +25,7 @@ from sirnet.model import (
     RegularLine,
     SingleInterferer,
     Tdma,
-    effective_distance,
+    class_model,
 )
 from sirnet.montecarlo import SimConfig, estimate_gamma, simulate_sir_samples
 from sirnet.optimize import golden_section_max
@@ -71,25 +71,22 @@ def test_criterion_02_monte_carlo_sweep():
 
 def _sandwich_cases(theta, p):
     """(p_s, gamma) pairs for every class with a linearizable outage slope."""
-    r = 1.2
-    xi4 = effective_distance(r, 4.0, theta)
-    xis = [effective_distance(rr, 4.0, theta) for rr in (1.0, 2.0, 3.0)]
+    models = [
+        class_model("ppp2", 3.0),
+        class_model("ppp2", 4.0),
+        class_model("ppp2", 4.0, "1/0"),
+        class_model("ppp1", 2.0),
+        class_model("single", 4.0, r=1.2),
+        class_model("single", 4.0, "1/0", r=1.2),
+        class_model("explicit", 4.0, distances=(1.0, 2.0, 3.0)),
+        class_model("exp2", delta=1.0),
+    ]
     return [
-        (outage.ps_ppp(2, 3.0, theta, p, Fading.rayleigh()),
-         contention.gamma_ppp(2, 3.0, theta, Fading.rayleigh())),
-        (outage.ps_ppp(2, 4.0, theta, p, Fading.rayleigh()),
-         contention.gamma_ppp(2, 4.0, theta, Fading.rayleigh())),
-        (outage.ps_ppp(2, 4.0, theta, p, Fading.none()),
-         contention.gamma_ppp(2, 4.0, theta, Fading.none())),
-        (outage.ps_ppp(1, 2.0, theta, p, Fading.rayleigh()),
-         contention.gamma_ppp(1, 2.0, theta, Fading.rayleigh())),
+        (analytic.success_probability(model, Aloha(p), theta).value,
+         analytic.spatial_contention(model, Aloha(p), theta)) for model in models
+    ] + [
         (outage.ps_line_alpha2_aloha(theta, p), contention.gamma_line_alpha2(theta)),
         (outage.ps_line_alpha4_aloha(theta, p), contention.gamma_line_alpha4(theta)),
-        (outage.ps_single(RAY, xi4, p), contention.gamma_single(RAY, xi4)),
-        (outage.ps_single(RAY_STATIC, xi4, p), contention.gamma_single(RAY_STATIC, xi4)),
-        (outage.ps_explicit(xis, p).value,
-         contention.gamma_explicit(xis, Fading.rayleigh())),
-        (outage.ps_exp_pathloss(1.0, theta, p), contention.gamma_exp_pathloss(1.0, theta)),
         (outage.ps_ppp_nonfading_alpha4(theta, p),
          contention.gamma_ppp_nonfading_alpha4(theta)),
     ]
@@ -118,15 +115,15 @@ def test_criterion_04_partial_fading_ordering():
         > contention.gamma_single(STATIC_RAY, xi)
         for xi in (rng.uniform(1e-9, 100.0) for _ in range(1000))
     )
-    m = 2.0 ** 10
+
+    def single_ps(case, xi):  # at alpha 1 and theta 1 the distance r is xi
+        model = class_model("single", 1.0, case, r=xi)
+        return analytic.success_probability(model, Aloha(1.0), 1.0).value
+
     limits = True
-    for xi in (0.5, 2.0, 10.0):
-        naka_i = FadingCase(Fading.rayleigh(), Fading.nakagami(m))
-        naka_d = FadingCase(Fading.nakagami(m), Fading.rayleigh())
-        limits &= abs(outage.ps_single(naka_i, xi, 1.0)
-                      - outage.ps_single(RAY_STATIC, xi, 1.0)) < 2e-3
-        limits &= abs(outage.ps_single(naka_d, xi, 1.0)
-                      - outage.ps_single(STATIC_RAY, xi, 1.0)) < 2e-3
+    for xi in (0.5, 2.0, 10.0):  # Nakagami m = 2^10
+        limits &= abs(single_ps("1/m1024", xi) - single_ps("1/0", xi)) < 2e-3
+        limits &= abs(single_ps("m1024/1", xi) - single_ps("0/1", xi)) < 2e-3
     report(4, "partial-fading ordering and Nakagami limits", strict and limits)
 
 

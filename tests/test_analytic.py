@@ -23,7 +23,7 @@ from sirnet.model import (
     effective_distance,
 )
 from sirnet.montecarlo import SimConfig, simulate_ps
-from sirnet.outage import ps_explicit
+from sirnet.outage import sandwich
 from sirnet.specfun import DomainError
 
 FADINGS = (Fading.none(), Fading.rayleigh(), Fading.nakagami(4.0), Fading.nakagami(0.5))
@@ -115,7 +115,7 @@ def test_unsupported_class_names_the_class():
 
 def test_explicit_success_probability_takes_x_and_gamma_once(monkeypatch):
     """The dispatcher forms x = 1/xi once, for gamma and p_s both, and gives
-    ps_explicit's value and bounds."""
+    the per-interferer sums' value and bounds."""
     case = FadingCase(Fading.rayleigh(), Fading.nakagami(4.0))
     model = NetworkModel(Explicit((1.0, 2.0, 3.0)), PowerLaw(3.0), case)
     calls = []
@@ -123,8 +123,10 @@ def test_explicit_success_probability_takes_x_and_gamma_once(monkeypatch):
     monkeypatch.setattr(contention, "interference_x", lambda xis: calls.append(xis) or real(xis))
     got = analytic.success_probability(model, Aloha(0.3), 0.5)
     assert len(calls) == 1
-    ref = ps_explicit([effective_distance(r, 3.0, 0.5) for r in (1.0, 2.0, 3.0)], 0.3,
-                      case.interferer)
+    x = real([effective_distance(r, 3.0, 0.5) for r in (1.0, 2.0, 3.0)])
+    h = case.interferer
+    ref = sandwich(math.exp(-math.fsum(contention.interference_log_ps(x, 0.3, h).tolist())), 0.3,
+                   math.fsum(contention.interference_gamma(x, h).tolist()))
     assert got == ref
 
 

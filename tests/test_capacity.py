@@ -106,6 +106,21 @@ def test_tdma_capacity_bounds():
                 assert c < up
 
 
+def test_tdma_capacity_lower_bound_matches_mpmath_past_the_exp_range():
+    """exp(z) E1(z), z = zeta(alpha)/m^alpha, against mpmath, also where e^z
+    overflows (z = 10,000 at alpha 1.0001, m 1), and below the capacity."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for alpha in (1.0001, 1.001, 1.01, 1.1, 1.5, 2.5, 3.0, 4.0, 6.0):
+            for m in range(1, 11):
+                z = zeta(alpha) / m ** alpha
+                lo, up = ergodic_capacity_tdma_bounds(alpha, m)
+                ref = mpmath.exp(z) * mpmath.e1(z)
+                assert lo == pytest.approx(float(ref), rel=1e-14), (alpha, m)
+                assert up is None
+                assert lo <= ergodic_capacity_tdma(alpha, m).value, (alpha, m)
+
+
 def test_tdma_capacity_general_alpha_consistency():
     """The quadrature path at alpha=4 agrees with the ccdf integral."""
     from sirnet.outage import ps_tdma_line

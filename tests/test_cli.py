@@ -23,7 +23,7 @@ from sirnet.model import (
     format_model,
 )
 from sirnet.montecarlo import simulate_ps
-from sirnet.specfun import DomainError
+from sirnet.specfun import DomainError, zeta
 
 
 def run(tmp_path, *argv):
@@ -233,6 +233,17 @@ def test_capacity_commands(tmp_path):
     assert len(rows) == 3
     caps = [float(r["capacity"]) for r in rows]
     assert caps == sorted(caps)
+
+
+def test_capacity_tdma_near_alpha_1(tmp_path):
+    """z = zeta(1.001) = 1000.6 passes the float range of e^z; the bound
+    e^z E1(z) is about 1/(z + 1) and stays below the capacity."""
+    code, text = run(tmp_path, "capacity", "--tdma", "--alpha", "1.001", "--m", "1")
+    assert code == 0
+    _, rows = data_rows(text)
+    assert float(rows[0]["capacity"]) == pytest.approx(0.000998, rel=1e-3)
+    assert float(rows[0]["lower"]) == pytest.approx(1 / (zeta(1.001) + 1), rel=1e-5)
+    assert float(rows[0]["lower"]) <= float(rows[0]["capacity"])
 
 
 def test_samples_header(tmp_path):

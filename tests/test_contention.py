@@ -5,11 +5,11 @@ import random
 
 import pytest
 
+from sirnet.analytic import spatial_contention, success_probability
 from sirnet.contention import (
     c_d_constant,
     equivalent_disk_radius,
     gamma_exp_pathloss,
-    gamma_explicit,
     gamma_line,
     gamma_line_alpha2,
     gamma_line_alpha4,
@@ -19,7 +19,7 @@ from sirnet.contention import (
     gamma_tdma_line,
     transmission_capacity_density,
 )
-from sirnet.model import Fading, FadingCase
+from sirnet.model import Aloha, Fading, FadingCase, class_model
 from sirnet.specfun import DomainError, zeta
 
 RAY = FadingCase(Fading.rayleigh(), Fading.rayleigh())
@@ -133,13 +133,18 @@ def test_gamma_exp_pathloss():
 
 
 def test_gamma_explicit():
-    assert gamma_explicit([1.0, 1.0], Fading.rayleigh()) == 1.0
-    assert gamma_explicit([2.0, 4.0], Fading.none()) == pytest.approx(
+    def gamma(case, xis):  # at alpha 1 and theta 1 the distances are the xis
+        model = class_model("explicit", 1.0, case, distances=xis)
+        return spatial_contention(model, Aloha(0.5), 1.0)
+
+    assert gamma("1/1", (1.0, 1.0)) == 1.0
+    assert gamma("1/0", (2.0, 4.0)) == pytest.approx(
         2 - math.exp(-1 / 2) - math.exp(-1 / 4), rel=1e-12)
-    # an interferer at effective distance 0 causes an outage whenever it sends
-    assert gamma_explicit([0.0], Fading.none()) == 1.0
+    # an interferer at effective distance 0 (x = 1/5e-324 = inf) causes an
+    # outage whenever it sends
+    assert gamma("1/0", (5e-324,)) == 1.0
     with pytest.raises(DomainError):
-        gamma_explicit([-1.0], Fading.none())
+        class_model("explicit", 1.0, "1/0", distances=(-1.0,))
 
 
 def test_gamma_line_alpha2_against_sum():
@@ -211,10 +216,10 @@ def test_transmission_capacity_density():
 
 def test_contention_is_outage_slope():
     """gamma matches the finite-difference slope of outage in p at p=0."""
-    from sirnet.outage import ps_line_alpha2_aloha, ps_ppp
+    from sirnet.outage import ps_line_alpha2_aloha
 
     h = 1e-7
-    slope = (1.0 - ps_ppp(2, 4.0, 1.0, h, Fading.rayleigh())) / h
+    slope = (1.0 - success_probability(class_model("ppp2", 4.0), Aloha(h), 1.0).value) / h
     assert slope == pytest.approx(gamma_ppp(2, 4.0, 1.0, Fading.rayleigh()), rel=1e-5)
     slope = (1.0 - ps_line_alpha2_aloha(1.0, h)) / h
     assert slope == pytest.approx(gamma_line_alpha2(1.0), rel=1e-5)

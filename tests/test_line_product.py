@@ -10,16 +10,16 @@ import pytest
 
 from sirnet import analytic
 from sirnet.contention import (
-    gamma_explicit,
     gamma_line,
     gamma_line_alpha2,
     gamma_line_alpha4,
+    interference_log_ps,
     line_sums,
     power_series,
 )
 from sirnet.model import Aloha, Fading, class_model
 from sirnet.montecarlo import SimConfig, simulate_ps
-from sirnet.outage import ps_explicit, ps_line_aloha, ps_line_alpha2_aloha, ps_line_alpha4_aloha
+from sirnet.outage import ps_line_alpha2_aloha, ps_line_alpha4_aloha
 from sirnet.specfun import DomainError
 from sirnet.throughput import tdma_ps_one_sided
 
@@ -28,6 +28,17 @@ FADINGS = {"0": Fading.none(), "1": Fading.rayleigh(), "m4": Fading.nakagami(4.0
 ALPHAS = (1.5, 2.5, 3.0, 5.0)
 THETAS = (1e-6, 1e-3, 0.3, 1.0, 30.0, 1e4)
 PS = (0.01, 0.3, 1.0)
+
+
+def line_ps(alpha, theta, p, fading):
+    """One-sided line p_s through the dispatcher (the line product off alpha 2, 4)."""
+    model = class_model("line1", alpha, "1/" + fading.symbol)
+    return analytic.success_probability(model, Aloha(p), theta).value
+
+
+def explicit(xis, label):
+    """An explicit set whose distances are its effective distances (alpha 1, theta 1)."""
+    return class_model("explicit", 1.0, "1/" + label, distances=xis)
 
 
 def laplace(mp, fading, x):
@@ -103,7 +114,7 @@ def test_line_sums_match_mpmath_references():
                         q = mpmath.mpf(p)
                         log_inv = mpmath.fsum(-mpmath.log(1 - q + q * ell) for ell in ells)
                         ref = float(mpmath.exp(-log_inv - tail[p]))
-                        got = ps_line_aloha(alpha, theta, p, fading)
+                        got = line_ps(alpha, theta, p, fading)
                         if ref == 0.0:  # below the double range
                             assert got == 0.0
                         else:
@@ -141,7 +152,7 @@ def test_line_sums_past_the_float_range_of_n_alpha_match_mpmath():
                     q = mpmath.mpf(p)
                     log_ps = mpmath.fsum(-mpmath.log(1 - q + q * ell) for ell in ells)
                     ref = float(mpmath.exp(-log_ps))
-                    got = ps_line_aloha(alpha, theta, p, fading)
+                    got = line_ps(alpha, theta, p, fading)
                     assert got == (0.0 if ref == 0.0 else pytest.approx(ref, rel=1e-13)), (
                         alpha, theta, label, p)
 
@@ -155,7 +166,9 @@ def test_closed_forms_match_the_line_sum():
         assert gamma_line_alpha4(theta) == pytest.approx(gamma_line(4.0, theta, ray), rel=1e-13)
         for p in (0.01, 0.1, 0.3, 0.7, 1.0):
             for alpha, closed in ((2.0, ps_line_alpha2_aloha), (4.0, ps_line_alpha4_aloha)):
-                sum_, value = ps_line_aloha(alpha, theta, p, ray), closed(theta, p)
+                log_ps = line_sums(alpha, [theta], lambda x: interference_log_ps(x, p, ray),
+                                   power_series(ray, p))[0]
+                sum_, value = math.exp(-log_ps), closed(theta, p)
                 if sum_ == 0.0:  # below the double range
                     assert value == 0.0
                     continue
@@ -165,10 +178,10 @@ def test_closed_forms_match_the_line_sum():
 
 def test_line_product_limits_and_domain():
     for label, fading in FADINGS.items():
-        assert ps_line_aloha(3.0, 1.0, 0.0, fading) == 1.0
+        assert line_ps(3.0, 1.0, 0.0, fading) == 1.0
         # more interferers or a larger p never help
-        assert ps_line_aloha(3.0, 1.0, 0.5, fading) < ps_line_aloha(3.0, 1.0, 0.1, fading)
-        assert ps_line_aloha(3.0, 2.0, 0.1, fading) < ps_line_aloha(3.0, 1.0, 0.1, fading)
+        assert line_ps(3.0, 1.0, 0.5, fading) < line_ps(3.0, 1.0, 0.1, fading)
+        assert line_ps(3.0, 2.0, 0.1, fading) < line_ps(3.0, 1.0, 0.1, fading)
     # Nakagami-m tends to the static case
     for m in (1e6, 1e300):
         assert gamma_line(3.0, 1.0, Fading.nakagami(m)) == pytest.approx(
@@ -176,7 +189,7 @@ def test_line_product_limits_and_domain():
     with pytest.raises(DomainError):
         gamma_line(3.0, 0.0, Fading.rayleigh())
     with pytest.raises(DomainError):
-        ps_line_aloha(1.0, 1.0, 0.1, Fading.rayleigh())
+        line_ps(1.0, 1.0, 0.1, Fading.rayleigh())
     with pytest.raises(DomainError):  # a head above 2^16 terms
         gamma_line(3.0, 1e20, Fading.none())
 
@@ -186,8 +199,11 @@ def test_explicit_interferer_near_distance_zero():
     warning, and gives the limit L_h = 0."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert ps_explicit([6e-309], 0.5, Fading.nakagami(0.5)).value == 0.5
-        assert gamma_explicit([6e-309, 0.0], Fading.nakagami(0.5)) == 2.0
+        assert analytic.success_probability(
+            explicit((6e-309,), "m0.5"), Aloha(0.5), 1.0).value == 0.5
+        # and 5e-324 gives x = inf
+        assert analytic.spatial_contention(
+            explicit((6e-309, 5e-324), "m0.5"), Aloha(0.5), 1.0) == 2.0
 
 
 def test_explicit_sums_match_mpmath():
@@ -196,11 +212,12 @@ def test_explicit_sums_match_mpmath():
     with mpmath.workdps(30):
         for label, fading in FADINGS.items():
             ells = [laplace(mpmath, fading, 1 / mpmath.mpf(xi)) for xi in xis]
-            assert gamma_explicit(xis, fading) == pytest.approx(
+            model = explicit(xis, label)
+            assert analytic.spatial_contention(model, Aloha(0.5), 1.0) == pytest.approx(
                 float(mpmath.fsum(1 - e for e in ells)), rel=1e-14), label
             for p in PS:
                 ref = mpmath.fprod((1 - mpmath.mpf(p)) + p * e for e in ells)
-                assert ps_explicit(xis, p, fading).value == pytest.approx(
+                assert analytic.success_probability(model, Aloha(p), 1.0).value == pytest.approx(
                     float(ref), rel=1e-14), (label, p)
 
 

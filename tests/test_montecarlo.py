@@ -8,6 +8,7 @@ import pytest
 
 import dense_kernel
 from sirnet import montecarlo, validation
+from sirnet.analytic import success_probability
 from sirnet.contention import gamma_ppp
 from sirnet.model import (
     Aloha,
@@ -32,7 +33,6 @@ from sirnet.montecarlo import (
     simulate_ps,
     simulate_sir_samples,
 )
-from sirnet.outage import ps_single
 from sirnet.specfun import DomainError
 
 RAY = FadingCase(Fading.rayleigh(), Fading.rayleigh())
@@ -101,7 +101,7 @@ def test_single_interferer_matches_closed_form():
     model = NetworkModel(SingleInterferer(1.0), PowerLaw(4.0), RAY)
     cfg = SimConfig(trials=200_000, seed=4)
     est = simulate_ps(model, Aloha(0.5), 1.0, cfg)
-    assert abs(est.z_score(ps_single(RAY, 1.0, 0.5))) < 3.5
+    assert abs(est.z_score(success_probability(model, Aloha(0.5), 1.0).value)) < 3.5
 
 
 def test_clipped_fraction_is_void_probability():

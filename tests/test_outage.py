@@ -4,23 +4,25 @@ import math
 
 import pytest
 
+from sirnet.analytic import success_probability
 from sirnet.contention import gamma_line_alpha2, gamma_line_alpha4, gamma_single
-from sirnet.model import Fading, FadingCase
+from sirnet.model import Aloha, Fading, FadingCase, class_model
 from sirnet.outage import (
-    ps_exp_pathloss,
-    ps_explicit,
-    ps_line_aloha,
     ps_line_alpha2_aloha,
     ps_line_alpha4_aloha,
-    ps_ppp,
     ps_ppp_nonfading_alpha4,
-    ps_single,
     ps_tdma_line,
 )
 from sirnet.specfun import DomainError, zeta
 from sirnet.throughput import tdma_ps_one_sided
 
 RAY = FadingCase(Fading.rayleigh(), Fading.rayleigh())
+
+
+def ps(cls, case, p, alpha=1.0, theta=1.0, **where):
+    """success_probability of class_model(cls, alpha, case, **where) under
+    Aloha(p); at alpha 1 and theta 1 an interferer at r has xi = r."""
+    return success_probability(class_model(cls, alpha, case, **where), Aloha(p), theta)
 
 
 def line_product(alpha, theta, p, n=200000):
@@ -32,8 +34,8 @@ def line_product(alpha, theta, p, n=200000):
 
 
 def test_ps_single_values():
-    assert ps_single(RAY, 1.0, 1.0) == pytest.approx(0.5, rel=1e-12)
-    assert ps_single(RAY, 3.0, 0.5) == pytest.approx(1 - 0.5 / 4, rel=1e-12)
+    assert ps("single", "1/1", 1.0, r=1.0).value == pytest.approx(0.5, rel=1e-12)
+    assert ps("single", "1/1", 0.5, r=3.0).value == pytest.approx(1 - 0.5 / 4, rel=1e-12)
 
 
 def test_ps_single_is_linear_in_p():
@@ -41,36 +43,31 @@ def test_ps_single_is_linear_in_p():
                  FadingCase(Fading.none(), Fading.rayleigh())):
         g = gamma_single(case, 2.0)
         for p in (0.0, 0.3, 1.0):
-            assert ps_single(case, 2.0, p) == pytest.approx(1 - p * g, rel=1e-12)
+            assert ps("single", case.label, p, r=2.0).value == pytest.approx(1 - p * g, rel=1e-12)
 
 
 def test_ps_single_nakagami_limits():
     """Large-m Nakagami converges to the corresponding static case."""
-    m = 2.0 ** 10
-    for xi in (0.5, 2.0, 10.0):
-        naka_i = FadingCase(Fading.rayleigh(), Fading.nakagami(m))
-        static_i = FadingCase(Fading.rayleigh(), Fading.none())
-        assert ps_single(naka_i, xi, 1.0) == pytest.approx(
-            ps_single(static_i, xi, 1.0), abs=2e-3
+    for xi in (0.5, 2.0, 10.0):  # Nakagami m = 2^10
+        assert ps("single", "1/m1024", 1.0, r=xi).value == pytest.approx(
+            ps("single", "1/0", 1.0, r=xi).value, abs=2e-3
         )
-        naka_d = FadingCase(Fading.nakagami(m), Fading.rayleigh())
-        static_d = FadingCase(Fading.none(), Fading.rayleigh())
-        assert ps_single(naka_d, xi, 1.0) == pytest.approx(
-            ps_single(static_d, xi, 1.0), abs=2e-3
+        assert ps("single", "m1024/1", 1.0, r=xi).value == pytest.approx(
+            ps("single", "0/1", 1.0, r=xi).value, abs=2e-3
         )
 
 
 def test_ps_single_nakagami_interpolates():
     # between the Rayleigh and static outage at moderate m
     xi, p = 2.0, 1.0
-    ray = ps_single(RAY, xi, p)
-    static = ps_single(FadingCase(Fading.rayleigh(), Fading.none()), xi, p)
-    naka = ps_single(FadingCase(Fading.rayleigh(), Fading.nakagami(4.0)), xi, p)
+    ray = ps("single", "1/1", p, r=xi).value
+    static = ps("single", "1/0", p, r=xi).value
+    naka = ps("single", "1/m4", p, r=xi).value
     assert static < naka < ray
 
 
 def test_ps_ppp():
-    assert ps_ppp(2, 4.0, 1.0, 0.05, Fading.rayleigh()) == pytest.approx(
+    assert ps("ppp2", "1/1", 0.05, alpha=4.0).value == pytest.approx(
         math.exp(-0.05 * math.pi ** 2 / 2), rel=1e-12
     )
 
@@ -82,33 +79,34 @@ def test_ps_ppp_nonfading():
 
 
 def test_ps_exp_pathloss():
-    assert ps_exp_pathloss(1.0, 1.0, 0.1) == pytest.approx(
+    assert ps("exp2", "1/1", 0.1, delta=1.0).value == pytest.approx(
         math.exp(-0.1 * math.pi ** 3 / 6), rel=1e-12
     )
 
 
 def test_ps_explicit():
-    r = ps_explicit([1.0, 1.0], 0.5)
+    r = ps("explicit", "1/1", 0.5, distances=(1.0, 1.0))
     assert r.value == pytest.approx(0.5625, rel=1e-12)
     assert r.lower_bound == pytest.approx(0.5, rel=1e-12)
     assert r.upper_bound == pytest.approx(math.exp(-0.5), rel=1e-12)
     assert r.lower_bound <= r.value <= r.upper_bound
     # single xi reduces to the single-interferer form
-    assert ps_explicit([2.0], 0.7).value == pytest.approx(ps_single(RAY, 2.0, 0.7), rel=1e-12)
-    assert ps_explicit([], 0.5).value == 1.0
+    assert ps("explicit", "1/1", 0.7, distances=(2.0,)).value == pytest.approx(
+        ps("single", "1/1", 0.7, r=2.0).value, rel=1e-12)
 
 
 def test_ps_explicit_matches_line_product():
     theta, p = 1.0, 0.3
     xis = [i ** 2 / theta for i in range(1, 10001)]
-    assert ps_explicit(xis, p).value == pytest.approx(
+    assert ps("explicit", "1/1", p, theta=theta, distances=xis).value == pytest.approx(
         ps_line_alpha2_aloha(theta, p), rel=1e-3
     )
 
 
 def test_ps_explicit_partial():
     # a static interferer at effective distance 0 fails the link whenever it sends
-    assert ps_explicit([0.0], 0.5, Fading.none()).value == 0.5
+    # (x = 1/5e-324 = inf)
+    assert ps("explicit", "1/0", 0.5, distances=(5e-324,)).value == 0.5
     # static interferers hurt more than fading ones: the 1/0 product is
     # below the full-fading product
     import random
@@ -117,8 +115,8 @@ def test_ps_explicit_partial():
     for _ in range(100):
         xis = [rng.uniform(0.2, 20.0) for _ in range(rng.randint(1, 6))]
         p = rng.uniform(0.0, 1.0)
-        exact = ps_explicit(xis, p, Fading.none()).value
-        full = ps_explicit(xis, p).value
+        exact = ps("explicit", "1/0", p, distances=xis).value
+        full = ps("explicit", "1/1", p, distances=xis).value
         assert exact <= full + 1e-12
 
 
@@ -159,7 +157,7 @@ def test_ps_monotone():
     for p in (0.1, 0.4):
         vals = [ps_line_alpha2_aloha(t, p) for t in (0.1, 0.5, 1.0, 5.0, 20.0)]
         assert vals == sorted(vals, reverse=True)
-    vals = [ps_ppp(2, 4.0, 1.0, p, Fading.rayleigh()) for p in (0.0, 0.2, 0.5, 1.0)]
+    vals = [ps("ppp2", "1/1", p, alpha=4.0).value for p in (0.0, 0.2, 0.5, 1.0)]
     assert vals == sorted(vals, reverse=True)
 
 
@@ -207,8 +205,7 @@ TDMA_FADINGS = {"0": Fading.none(), "1": Fading.rayleigh(), "m0.5": Fading.nakag
 
 def test_ps_tdma_line_bounds_for_any_interferer_fading():
     """exp(-z') <= p_s for any unit-mean fading (Jensen; static interferers
-    meet it with equality, so up to 1e-14 relative in log p_s, the accuracy
-    of zeta and the line sums), and p_s <= 1/(1 + z' +
+    meet it with equality, and their p_s is exp(-z')), and p_s <= 1/(1 + z' +
     (zeta - 1) theta'^2) where L_h(x) <= 1/(1 + x): static and m >= 1; for
     m < 1 the upper bound is 1."""
     for alpha in (1.5, 2.5, 3.0, 5.0):
@@ -218,12 +215,11 @@ def test_ps_tdma_line_bounds_for_any_interferer_fading():
                     for sided in ("one", "two"):
                         r = ps_tdma_line(alpha, theta, m, sided, fading)
                         where = (alpha, m, theta, label, sided)
-                        slack = 1e-14 * (1.0 - math.log(r.value))
-                        assert r.lower_bound <= r.value * math.exp(slack), where
+                        assert r.lower_bound <= r.value, where
                         assert r.value <= r.upper_bound, where
                         assert (r.upper_bound == 1.0) == (label == "m0.5"), where
-                        assert r.method == ("closed-form" if label == "1" and alpha in (2.0, 4.0)
-                                            else "product")
+                        assert r.method == ("closed-form" if label == "0" or (
+                            label == "1" and alpha in (2.0, 4.0)) else "product")
 
 
 def test_tdma_line_is_the_aloha_product_at_p_1():
@@ -232,7 +228,7 @@ def test_tdma_line_is_the_aloha_product_at_p_1():
         for label, fading in TDMA_FADINGS.items():
             for theta, m in ((0.5, 1), (10.0, 2), (300.0, 3)):
                 got = ps_tdma_line(alpha, theta, m, "one", fading).value
-                ref = ps_line_aloha(alpha, theta / m ** alpha, 1.0, fading)
+                ref = ps("line1", "1/" + label, 1.0, alpha, theta / m ** alpha).value
                 assert got == pytest.approx(ref, rel=1e-13), (alpha, label, theta, m)
 
 
@@ -250,6 +246,6 @@ def test_sandwich_bounds_hold():
 
 def test_invalid_p():
     with pytest.raises(DomainError):
-        ps_ppp(2, 4.0, 1.0, 1.5, Fading.rayleigh())
+        ps("ppp2", "1/1", 1.5, alpha=4.0)
     with pytest.raises(DomainError):
         ps_line_alpha2_aloha(1.0, -0.1)
