@@ -20,9 +20,7 @@ from .contention import UnsupportedClassError
 from .model import (
     RAYLEIGH,
     Aloha,
-    Explicit,
     ExponentialLaw,
-    Fading,
     MacScheme,
     NetworkModel,
     PowerLaw,
@@ -32,7 +30,6 @@ from .model import (
     Tdma,
     effective_distance,
 )
-from .specfun import DomainError
 
 __all__ = ["spatial_contention", "contention_method", "success_probability", "ergodic_capacity"]
 
@@ -45,25 +42,6 @@ def _named(model: NetworkModel, mac: MacScheme, why: object) -> UnsupportedClass
 def _require(condition: bool, why: str) -> None:
     if not condition:
         raise UnsupportedClassError(why)
-
-
-def _interferer_sum(g: RegularLine | Explicit, alpha: float, theta: float, h: Fading):
-    """p -> the sum over the interferers (one side of a line) at x = theta
-    r^-alpha of 1 - L_h(x), which is gamma, for p = None, else of
-    -log(1 - p (1 - L_h(x))), which is -log p_s: line_sums on a line,
-    math.fsum on an explicit set."""
-    if isinstance(g, Explicit):
-        x = contention.interference_x([effective_distance(r, alpha, theta) for r in g.distances])
-    elif not (1 < alpha < math.inf and theta > 0):
-        raise DomainError(f"line sums need finite alpha > 1 and theta > 0, got {alpha}, {theta}")
-
-    def total(p: float | None) -> float:
-        term = (partial(contention.interference_gamma, fading=h) if p is None
-                else partial(contention.interference_log_ps, p=p, fading=h))
-        if isinstance(g, Explicit):
-            return math.fsum(term(x).tolist())
-        return contention.line_sums(alpha, [theta], term, contention.power_series(h, p))[0]
-    return total
 
 
 def _forms(model: NetworkModel, mac: MacScheme,
@@ -92,18 +70,25 @@ def _forms(model: NetworkModel, mac: MacScheme,
     if isinstance(g, RegularLine) and isinstance(mac, Tdma):
         return sides * contention.gamma_tdma_line(pl.alpha, theta), None, "closed-form"
     _require(isinstance(mac, Aloha), "TDMA needs a line network")
+    h = case.interferer
     if isinstance(g, Ppp):
-        gamma = contention.gamma_ppp(g.d, pl.alpha, theta, case.interferer)
+        gamma = contention.gamma_ppp(g.d, pl.alpha, theta, h)
         return gamma, lambda p: math.exp(-p * gamma), "closed-form"
     if isinstance(g, RegularLine) and case == RAYLEIGH and pl.alpha in (2.0, 4.0):
         four = pl.alpha == 4.0
         gamma = (contention.gamma_line_alpha4 if four else contention.gamma_line_alpha2)(theta)
         ps = partial(outage.ps_line_alpha4_aloha if four else outage.ps_line_alpha2_aloha, theta)
         method = "closed-form"
-    else:
-        total = _interferer_sum(g, pl.alpha, theta, case.interferer)
-        gamma, ps = total(None), lambda p: math.exp(-total(p))
-        method = "product" if isinstance(g, RegularLine) else "closed-form"
+    elif isinstance(g, RegularLine):  # gamma_line checks alpha and theta
+        gamma, method = contention.gamma_line(pl.alpha, theta, h), "product"
+        ps = lambda p: math.exp(-contention.line_sums(
+            pl.alpha, [theta], partial(contention.interference_log_ps, p=p, fading=h),
+            contention.power_series(h, p))[0])
+    else:  # an explicit set of interferers
+        method = "closed-form"
+        x = contention.interference_x([effective_distance(r, pl.alpha, theta) for r in g.distances])
+        gamma = math.fsum(contention.interference_gamma(x, h).tolist())
+        ps = lambda p: math.exp(-math.fsum(contention.interference_log_ps(x, p, h).tolist()))
     return sides * gamma, lambda p: ps(p) ** sides, method
 
 

@@ -1,11 +1,19 @@
 """Success probability closed forms: values, limits, bounds, consistency."""
 
 import math
+from functools import partial
 
 import pytest
 
 from sirnet.analytic import success_probability
-from sirnet.contention import gamma_line_alpha2, gamma_line_alpha4, gamma_single
+from sirnet.contention import (
+    gamma_line_alpha2,
+    gamma_line_alpha4,
+    gamma_single,
+    interference_log_ps,
+    line_sums,
+    power_series,
+)
 from sirnet.model import Aloha, Fading, FadingCase, class_model
 from sirnet.outage import (
     ps_line_alpha2_aloha,
@@ -228,7 +236,9 @@ def test_tdma_line_is_the_aloha_product_at_p_1():
         for label, fading in TDMA_FADINGS.items():
             for theta, m in ((0.5, 1), (10.0, 2), (300.0, 3)):
                 got = ps_tdma_line(alpha, theta, m, "one", fading).value
-                ref = ps("line1", "1/" + label, 1.0, alpha, theta / m ** alpha).value
+                ref = math.exp(-line_sums(alpha, [theta / m ** alpha],
+                                          partial(interference_log_ps, p=1.0, fading=fading),
+                                          power_series(fading, 1.0))[0])
                 assert got == pytest.approx(ref, rel=1e-13), (alpha, label, theta, m)
 
 
