@@ -161,17 +161,20 @@ _TABLE3 = (
 
 
 def cmd_contention(args, out) -> int:
-    csv = _Csv(_CONTENTION_COLUMNS, out)
     case = FadingCase.parse(args.case or "1/1")
+    if args.cls == "single" and not args.table:
+        # The input is xi itself, not a model, so no threshold is read.
+        if args.theta is not None or args.theta_db is not None:
+            raise DomainError("--class single takes --xi, not --theta or --theta-db")
+        _contention_row(_Csv(_CONTENTION_COLUMNS, out), "single", case.label, None, None,
+                        None, args.xi, contention.gamma_single(case, args.xi))
+        return 0
+    csv = _Csv(_CONTENTION_COLUMNS, out)
     for theta in _thetas(args):
         if args.table:
             for cls, model, mac in _TABLE3:
                 _model_row(csv, cls, model, mac, theta)
             _ppp3_row(csv, RAYLEIGH, 4.0, theta)
-        elif args.cls == "single":
-            # The input is xi itself, not a model.
-            _contention_row(csv, "single", case.label, None, None, None, args.xi,
-                            contention.gamma_single(case, args.xi))
         elif args.cls == "ppp3":
             _ppp3_row(csv, case, args.alpha, theta)
         else:
@@ -366,8 +369,10 @@ def _build_parser() -> argparse.ArgumentParser:
     o.add_argument("--seed", type=int, default=0)
     o.set_defaults(func=cmd_outage)
 
-    t = sub.add_parser("throughput", help="ALOHA/TDMA throughput optima")
-    common(t)
+    # No abbreviations here: --theta would otherwise be read as --theta-db.
+    t = sub.add_parser("throughput", help="ALOHA/TDMA throughput optima", allow_abbrev=False)
+    common(t, theta=False)
+    t.add_argument("--theta-db", help="SIR threshold(s) in dB for --tdma: value, list, or a:step:b")
     t.add_argument("--tdma", action="store_true", help="TDMA reuse-factor sweep")
     t.add_argument("--rate", action="store_true", help="joint (theta, p) rate optimization")
     t.add_argument("--alpha", type=float, default=2.0)

@@ -279,13 +279,11 @@ def gamma_tdma_line(alpha: float, theta: float) -> float:
     return _finite(zeta(alpha) * theta)
 
 
-def equivalent_disk_radius(gamma: float, link_distance: float = 1.0) -> float:
-    """Radius of the equivalent interference-free disk: R sqrt(gamma/pi)."""
+def equivalent_disk_radius(gamma: float) -> float:
+    """Radius sqrt(gamma/pi) of the equivalent interference-free disk (link distance 1)."""
     if not gamma > 0:
         raise DomainError(f"gamma must be positive, got {gamma}")
-    if not link_distance > 0:
-        raise DomainError(f"link distance must be positive, got {link_distance}")
-    return link_distance * math.sqrt(gamma / math.pi)
+    return math.sqrt(gamma / math.pi)
 
 
 def transmission_capacity_density(epsilon: float, sigma: float) -> float:

@@ -197,13 +197,10 @@ class Aloha:
     """Slotted ALOHA: every node transmits independently with probability p."""
 
     p: float
-    duplex: str = "full"
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.p <= 1.0):
             raise DomainError(f"transmit probability must be in [0, 1], got {self.p}")
-        if self.duplex not in ("full", "half"):
-            raise DomainError(f"duplex must be 'full' or 'half', got {self.duplex!r}")
 
 
 @dataclass(frozen=True)
@@ -211,13 +208,10 @@ class Tdma:
     """m-phase TDMA: every m-th node transmits in a given slot."""
 
     m: int
-    duplex: str = "full"
 
     def __post_init__(self) -> None:
         if not (isinstance(self.m, int) and self.m >= 1):
             raise DomainError(f"TDMA reuse factor must be an integer >= 1, got {self.m}")
-        if self.duplex not in ("full", "half"):
-            raise DomainError(f"duplex must be 'full' or 'half', got {self.duplex!r}")
 
 
 MacScheme = Aloha | Tdma
@@ -273,7 +267,8 @@ def unit_ball_volume(d: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Config file schema (line-oriented key=value, '#' comments).
+# Config file schema (line-oriented key=value, '#' comments). A key outside
+# it is refused.
 #
 #   geometry = ppp | line | explicit | single
 #   geometry.d = 1 | 2                  (ppp)
@@ -288,8 +283,13 @@ def unit_ball_volume(d: int) -> float:
 #   fading.interferer = ...             (same keys)
 #   mac = aloha | tdma                  (optional)
 #   mac.p = 0.1 / mac.m = 4
-#   mac.duplex = full | half
 # ---------------------------------------------------------------------------
+
+_KEYS = frozenset({
+    "geometry", "geometry.d", "geometry.sided", "geometry.distances", "geometry.r",
+    "pathloss", "pathloss.alpha", "pathloss.delta", "fading.desired", "fading.desired.m",
+    "fading.interferer", "fading.interferer.m", "mac", "mac.p", "mac.m",
+})
 
 
 def _fading_lines(prefix: str, f: Fading) -> list[str]:
@@ -322,9 +322,9 @@ def format_model(model: NetworkModel, mac: MacScheme | None = None) -> str:
     lines += _fading_lines("fading.interferer", model.fading.interferer)
     if mac is not None:
         if isinstance(mac, Aloha):
-            lines += ["mac = aloha", f"mac.p = {mac.p!r}", f"mac.duplex = {mac.duplex}"]
+            lines += ["mac = aloha", f"mac.p = {mac.p!r}"]
         else:
-            lines += ["mac = tdma", f"mac.m = {mac.m}", f"mac.duplex = {mac.duplex}"]
+            lines += ["mac = tdma", f"mac.m = {mac.m}"]
     return "\n".join(lines) + "\n"
 
 
@@ -341,7 +341,10 @@ def _parse_kv(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
         key, value = line.split("=", 1)
-        kv[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in _KEYS:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        kv[key] = value.strip()
     return kv
 
 
@@ -391,9 +394,9 @@ def parse_model(text: str) -> tuple[NetworkModel, MacScheme | None]:
     mac: MacScheme | None = None
     mkind = kv.get("mac")
     if mkind == "aloha":
-        mac = Aloha(float(_required(kv, "mac.p", "ALOHA")), kv.get("mac.duplex", "full"))
+        mac = Aloha(float(_required(kv, "mac.p", "ALOHA")))
     elif mkind == "tdma":
-        mac = Tdma(int(_required(kv, "mac.m", "TDMA")), kv.get("mac.duplex", "full"))
+        mac = Tdma(int(_required(kv, "mac.m", "TDMA")))
     elif mkind is not None:
         raise ConfigError(f"unknown mac {mkind!r}")
     return NetworkModel(geometry, path_loss, fading), mac

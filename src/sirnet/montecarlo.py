@@ -2,7 +2,7 @@
 
 Interference from outside the simulation window is replaced by its exact
 mean (tail compensation); the window is then sized so that theta times the
-tail standard deviation stays below the truncation tolerance, which bounds
+tail standard deviation stays below the truncation tolerance 1e-3, which bounds
 the residual bias at second order. ALOHA thinning of a PPP leaves a PPP of
 intensity p, so only transmitters are placed. Lines and explicit sets fade and
 sum only active interferers, and a power-law PPP gain is (R^d u)^(-alpha/d),
@@ -47,6 +47,8 @@ __all__ = [
 ]
 
 _MAX_RADIUS = 2000.0
+_TOL = 1e-3  # truncation tolerance: theta times the tail's standard deviation
+_SIR_CLIP = 1e12  # a sample with no interference at all is clipped to this
 _MAX_TERMS = 10 ** 6
 _BLOCK = 4096  # trials per random-stream block
 # Upper bound on expected interferer points per chunk; blocks above it split.
@@ -56,23 +58,16 @@ _SLAB = 1 << 15  # random draws per slab: 256 KB of doubles, a cache-sized piece
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation controls; `window_radius` None means size automatically."""
+    """Trial count and seed; the window is always sized from the inputs."""
 
     trials: int = 100_000
     seed: int = 0
-    window_radius: float | None = None
-    truncation_tol: float = 1e-3
-    sir_clip: float = 1e12
 
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
-        if not 0.0 < self.truncation_tol < 0.1:
-            raise DomainError(
-                f"truncation_tol must be in (0, 0.1), got {self.truncation_tol}"
-            )
 
 
 @dataclass(frozen=True)
@@ -95,7 +90,7 @@ class Estimate:
 @dataclass(frozen=True)
 class SirSamples:
     values: np.ndarray
-    clipped: int  # samples with zero interference, clipped to sir_clip
+    clipped: int  # samples with zero interference, clipped to _SIR_CLIP
 
 
 class WindowError(RuntimeError):
@@ -134,10 +129,9 @@ class _Window:
     tail_mean: float = 0.0  # compensated out-of-window interference
 
 
-def _ppp_window(model: NetworkModel, p: float, theta: float, cfg: SimConfig) -> _Window:
+def _ppp_window(model: NetworkModel, p: float, theta: float) -> _Window:
     d = model.geometry.d
     ef2 = _second_moment(model.fading.interferer)
-    tol = cfg.truncation_tol
     pl = model.path_loss
     if isinstance(pl, PowerLaw):
         alpha = pl.alpha
@@ -146,17 +140,11 @@ def _ppp_window(model: NetworkModel, p: float, theta: float, cfg: SimConfig) -> 
         surface = 2.0 * math.pi if d == 2 else 2.0
         if p == 0.0:
             return _Window(radius=2.0, tail_mean=0.0)
-        # theta^2 Var[I_tail] = theta^2 p * surface * E[F^2] R^(d-2a)/(2a-d) <= tol^2
-        r = (p * surface * ef2 * theta * theta / (tol * tol * (2.0 * alpha - d))) ** (
+        # theta^2 Var[I_tail] = theta^2 p * surface * E[F^2] R^(d-2a)/(2a-d) <= _TOL^2
+        r = (p * surface * ef2 * theta * theta / (_TOL * _TOL * (2.0 * alpha - d))) ** (
             1.0 / (2.0 * alpha - d)
         )
         r = max(r, 2.0)
-        if cfg.window_radius is not None:
-            if cfg.window_radius < r:
-                raise WindowError(
-                    f"window radius {cfg.window_radius} below required {r:.3g}"
-                )
-            r = cfg.window_radius
         if r > _MAX_RADIUS:
             raise WindowError(
                 f"required window radius {r:.3g} exceeds maximum {_MAX_RADIUS}"
@@ -173,30 +161,25 @@ def _ppp_window(model: NetworkModel, p: float, theta: float, cfg: SimConfig) -> 
         )
 
     r = 2.0
-    while theta * math.sqrt(var_tail(r)) > tol:
+    while theta * math.sqrt(var_tail(r)) > _TOL:
         r *= 1.5
         if r > _MAX_RADIUS:
             raise WindowError(f"required window radius exceeds maximum {_MAX_RADIUS}")
-    if cfg.window_radius is not None:
-        if theta * math.sqrt(var_tail(cfg.window_radius)) > tol:
-            raise WindowError(f"window radius {cfg.window_radius} too small")
-        r = cfg.window_radius
     tail = p * 2.0 * math.pi * math.exp(-delta * r) * (r / delta + 1.0 / delta ** 2)
     return _Window(radius=r, tail_mean=tail)
 
 
 def _line_window(
-    alpha: float, p: float, theta: float, spacing: int, cfg: SimConfig, sides: int, ef2: float
+    alpha: float, p: float, theta: float, spacing: int, sides: int, ef2: float
 ) -> _Window:
     """Truncation for a regular line with interferers at spacing*i, i = 1..n."""
     if not alpha > 1:
         raise DomainError(f"alpha must exceed 1 on the line, got {alpha}")
-    tol = cfg.truncation_tol
     # Normalized threshold theta' = theta/spacing^alpha drives the bias.
     tp = theta / spacing ** alpha
     if p == 0.0:
         return _Window(terms=10)
-    n = (sides * p * ef2 * tp * tp / (tol * tol * (2.0 * alpha - 1.0))) ** (
+    n = (sides * p * ef2 * tp * tp / (_TOL * _TOL * (2.0 * alpha - 1.0))) ** (
         1.0 / (2.0 * alpha - 1.0)
     )
     n = max(int(math.ceil(n)), 10)
@@ -206,20 +189,20 @@ def _line_window(
     return _Window(terms=n, tail_mean=tail)
 
 
-def resolve_window(model: NetworkModel, mac: MacScheme | None, theta: float, cfg: SimConfig) -> _Window:
+def resolve_window(model: NetworkModel, mac: MacScheme | None, theta: float) -> _Window:
     """Window radius / truncation terms plus the compensated tail mean."""
     p, spacing = _access(mac)
     g = model.geometry
     if isinstance(g, Ppp):
         if spacing != 1:
             raise DomainError("TDMA scheduling is only defined for line networks")
-        return _ppp_window(model, p, theta, cfg)
+        return _ppp_window(model, p, theta)
     if isinstance(g, RegularLine):
         if not isinstance(model.path_loss, PowerLaw):
             raise DomainError("line networks require power path loss")
         sides = 2 if g.sided == "two" else 1
         return _line_window(
-            model.path_loss.alpha, p, theta, spacing, cfg, sides,
+            model.path_loss.alpha, p, theta, spacing, sides,
             _second_moment(model.fading.interferer),
         )
     return _Window()  # explicit / single interferer: no truncation
@@ -320,7 +303,7 @@ def _chunks(trials: int, points: float):
 
 
 def _sir_chunks(model: NetworkModel, mac: MacScheme | None, theta: float, cfg: SimConfig):
-    window = resolve_window(model, mac, theta, cfg)
+    window = resolve_window(model, mac, theta)
     distances = _fixed_distances(model, mac, window)
     p, _ = _access(mac)
     if distances is None:  # expected transmitters in the PPP window
@@ -351,15 +334,15 @@ def simulate_sir_samples(model: NetworkModel, mac: MacScheme | None, cfg: SimCon
 
     The window is sized for P(SIR > theta_ref), so samples far above it are
     biased low (see estimate_capacity). Samples with zero in-window
-    interference and no tail compensation are clipped to `cfg.sir_clip`
+    interference and no tail compensation are clipped to 1e12 (_SIR_CLIP)
     and counted.
     """
     chunks = []
     clipped = 0
     for sir in _sir_chunks(model, mac, theta_ref, cfg):
-        inf_mask = ~np.isfinite(sir) | (sir > cfg.sir_clip)
+        inf_mask = ~np.isfinite(sir) | (sir > _SIR_CLIP)
         clipped += int(np.count_nonzero(inf_mask))
-        chunks.append(np.where(inf_mask, cfg.sir_clip, sir))
+        chunks.append(np.where(inf_mask, _SIR_CLIP, sir))
     return SirSamples(np.concatenate(chunks), clipped)
 
 
@@ -380,7 +363,7 @@ def estimate_gamma(
 def estimate_capacity(model: NetworkModel, mac: MacScheme | None, cfg: SimConfig, theta_ref: float = 1.0) -> Estimate:
     """Estimate the ergodic capacity E log(1 + SIR) in nats.
 
-    Zero-interference slots are clipped at cfg.sir_clip, which biases the
+    Zero-interference slots are clipped at SIR = 1e12, which biases the
     estimate downward; a warning reports the clip count when it is nonzero.
     The default theta_ref = 1 sizes the window for P(SIR > 1), which also
     biases it low: line1 at alpha 4, Aloha(0.3), 2e5 trials, seed 9 gives
@@ -391,7 +374,7 @@ def estimate_capacity(model: NetworkModel, mac: MacScheme | None, cfg: SimConfig
     if samples.clipped:
         warnings.warn(
             f"{samples.clipped} zero-interference slots clipped at "
-            f"SIR = {cfg.sir_clip:g}; capacity estimate is biased low",
+            f"SIR = {_SIR_CLIP:g}; capacity estimate is biased low",
             stacklevel=2,
         )
     logs = np.log1p(samples.values)

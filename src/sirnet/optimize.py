@@ -21,11 +21,10 @@ def golden_section_max(
     a: float,
     b: float,
     tol: float = 1e-8,
-    prescan: int = _PRESCAN,
 ) -> tuple[float, float]:
     """Maximize f on [a, b]; returns (x_max, f(x_max)).
 
-    A coarse prescan locates the best of `prescan` equispaced points, and
+    A coarse prescan locates the best of 31 (_PRESCAN) equispaced points, and
     golden section refines between its two neighbors (the bracket is cut
     at a or b when the best point is an edge). Nothing checks that f is
     unimodal or that the maximum is interior: a peak narrower than the
@@ -33,11 +32,11 @@ def golden_section_max(
     """
     if not b > a:
         raise NumericFailure(f"invalid bracket [{a}, {b}]")
-    xs = _prescan_grid(a, b, prescan)
+    xs = _prescan_grid(a, b)
     fs = [f(x) for x in xs]
-    k = max(range(prescan), key=fs.__getitem__)
+    k = max(range(_PRESCAN), key=fs.__getitem__)
     lo = xs[max(k - 1, 0)]
-    hi = xs[min(k + 1, prescan - 1)]
+    hi = xs[min(k + 1, _PRESCAN - 1)]
     c = hi - (hi - lo) * _INVPHI
     d = lo + (hi - lo) * _INVPHI
     fc, fd = f(c), f(d)
@@ -54,6 +53,6 @@ def golden_section_max(
     return x, f(x)
 
 
-def _prescan_grid(a: float, b: float, prescan: int = _PRESCAN) -> list[float]:
+def _prescan_grid(a: float, b: float) -> list[float]:
     """The points at which golden_section_max's prescan evaluates f."""
-    return [a + (b - a) * i / (prescan - 1) for i in range(prescan)]
+    return [a + (b - a) * i / (_PRESCAN - 1) for i in range(_PRESCAN)]

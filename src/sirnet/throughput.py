@@ -163,10 +163,10 @@ def theta_opt_fullduplex(alpha: float, d: int) -> float:
     return math.expm1(w + k)
 
 
-def optimize_rate(alpha: float, d: int, duplex: str = "full", c: float | None = None) -> RateOptimum:
+def optimize_rate(alpha: float, d: int, duplex: str = "full") -> RateOptimum:
     """Jointly optimal (theta, p) for throughput p_T log(1 + theta).
 
-    gamma(theta) = c theta^(d/alpha), with c = C_d(alpha) by default.
+    gamma(theta) = c theta^(d/alpha), with c = C_d(alpha) of the Rayleigh PPP.
     Full duplex uses the Lambert-W closed form; half duplex nests the
     closed-form p optimization inside a golden-section search over
     log(theta) on [-40 dB, +60 dB].
@@ -175,10 +175,7 @@ def optimize_rate(alpha: float, d: int, duplex: str = "full", c: float | None = 
         raise DomainError(f"d must be 1 or 2, got {d}")
     if not d < alpha < math.inf:
         raise DomainError(f"finite alpha > d required, got alpha={alpha}, d={d}")
-    if c is None:
-        c = c_d_constant(d, alpha)
-    if not c > 0:
-        raise DomainError(f"contention constant must be positive, got {c}")
+    c = c_d_constant(d, alpha)
 
     def gamma_of(theta: float) -> float:
         return c * theta ** (d / alpha)

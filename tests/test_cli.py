@@ -522,6 +522,24 @@ def test_missing_config_key_is_named(tmp_path, capsys):
     assert capsys.readouterr().err == "error: geometry.r required for a single interferer\n"
 
 
+def test_unknown_config_key_is_named(tmp_path, capsys):
+    """A misspelled key is refused, not ignored: sided = two would otherwise
+    give the one-sided line."""
+    cfgfile = tmp_path / "model.cfg"
+    cfgfile.write_text("geometry = line\ngeometry.sidded = two\nfading.interferrer = none\n")
+    assert main(["outage", "--config", str(cfgfile), "--theta", "1"]) == 2
+    assert capsys.readouterr().err == "error: line 2: unknown key 'geometry.sidded'\n"
+
+
+@pytest.mark.parametrize("theta", [["--theta", "1,2,3"], ["--theta-db", "0"]])
+def test_contention_single_refuses_a_threshold(capsys, theta):
+    """Its input is xi, so a theta grid would only repeat the one row."""
+    assert main(["contention", "--class", "single", "--xi", "2", "--case", "1/0", *theta]) == 2
+    assert one_line_error(capsys)
+    assert main(["contention", "--class", "single", "--xi", "2", "--case", "1/0"]) == 0
+    assert len(data_rows(capsys.readouterr().out)[1]) == 1
+
+
 def test_overlong_grid_is_refused_before_it_is_built():
     start = time.perf_counter()
     with pytest.raises(DomainError, match="more than"):
@@ -577,6 +595,8 @@ def refusal(parse, argv):
     ("outage --alpha x", "outage", "argument --alpha: invalid float value: 'x'"),
     ("outage -- --theta", None, "unrecognized arguments: -- --theta"),
     ("capacity --foo=3 bar", None, "unrecognized arguments: --foo=3 bar"),
+    # throughput reads only --theta-db, and takes no abbreviation of it.
+    ("throughput --tdma --theta 10", None, "unrecognized arguments: --theta 10"),
     ("samples", "samples", "the following arguments are required: --config"),
 ])
 def test_refusals_match_the_top_level_parser(line, parser, message):

@@ -176,7 +176,6 @@ CONFIG_KEYS = {
     "mac": (["aloha", "tdma"], ["csma"]),
     "mac.p": (["0.1", "0.5", "1"], NUMBER_EDGES + ["2"]),
     "mac.m": (["1", "2", "4"], ["0", "-1", "2.5", "", "nan"]),
-    "mac.duplex": (["full", "half"], ["simplex"]),
 }
 
 

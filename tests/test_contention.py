@@ -207,7 +207,6 @@ def test_gamma_tdma_line():
 
 def test_equivalent_disk_radius():
     assert equivalent_disk_radius(math.pi) == pytest.approx(1.0, rel=1e-12)
-    assert equivalent_disk_radius(math.pi, link_distance=2.0) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_transmission_capacity_density():

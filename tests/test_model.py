@@ -87,7 +87,7 @@ def test_unit_ball_volume():
          None),
         (NetworkModel(SingleInterferer(1.3), ExponentialLaw(0.7),
                       FadingCase(Fading.none(), Fading.none())),
-         Aloha(0.123456789012345, "half")),
+         Aloha(0.123456789012345)),
     ],
 )
 def test_config_round_trip(model, mac):
@@ -104,6 +104,39 @@ def test_parse_errors():
         parse_model("geometry = ppp\nnot a key value line\n")
     with pytest.raises(ConfigError):
         parse_model("geometry = ppp\nfading.desired = nakagami\n")
+
+
+# Every key parse_model reads, each with a value it accepts.
+EVERY_KEY = """geometry = explicit
+geometry.d = 1
+geometry.sided = two
+geometry.distances = 1,2
+geometry.r = 2
+pathloss = power
+pathloss.alpha = 3
+pathloss.delta = 0.5
+fading.desired = nakagami
+fading.desired.m = 2
+fading.interferer = nakagami
+fading.interferer.m = 4
+mac = tdma
+mac.p = 0.3
+mac.m = 2
+"""
+
+
+def test_every_schema_key_is_accepted():
+    model, mac = parse_model(EVERY_KEY)
+    assert model == NetworkModel(Explicit((1.0, 2.0)), PowerLaw(3.0),
+                                 FadingCase(Fading.nakagami(2.0), Fading.nakagami(4.0)))
+    assert mac == Tdma(2)
+
+
+@pytest.mark.parametrize("line", ["geometry.sidded = two", "fading.interferrer = none",
+                                  "mac.duplex = half", "alpha = 4"])
+def test_unknown_key_is_refused_with_its_line(line):
+    with pytest.raises(ConfigError, match=rf"^line 3: unknown key '{line.split()[0]}'$"):
+        parse_model(f"geometry = line\n# a comment\n{line}\nbogus = 1\n")
 
 
 def test_parse_comments_and_defaults():

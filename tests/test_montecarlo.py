@@ -48,14 +48,18 @@ def test_deterministic_across_runs():
 
 def test_deterministic_across_batch_sizes():
     # Streams are keyed by trial block, so a run's first 4,096 samples are a
-    # 4,096-trial run's samples whatever the trial count; the radius-30 window
-    # expects enough points per block to split it into keyed sub-chunks.
-    for p, radius in ((0.2, None), (0.5, 30.0)):
-        cfg = SimConfig(trials=10000, seed=9, window_radius=radius)
-        assert simulate_ps(PPP4, Aloha(p), 1.0, cfg) == simulate_ps(PPP4, Aloha(p), 1.0, cfg)
-        long = simulate_sir_samples(PPP4, Aloha(p), cfg).values
+    # 4,096-trial run's samples whatever the trial count; at p = 0.5 and
+    # theta = 20 the window (R = 27.3) expects enough points per block to
+    # split it into keyed sub-chunks.
+    split = resolve_window(PPP4, Aloha(0.5), 20.0)
+    keys = [key for key, _ in montecarlo._chunks(10000, 0.5 * math.pi * split.radius ** 2)]
+    assert keys[:2] == [(0, 0), (0, 1)]
+    for p, theta in ((0.2, 1.0), (0.5, 20.0)):
+        cfg = SimConfig(trials=10000, seed=9)
+        assert simulate_ps(PPP4, Aloha(p), theta, cfg) == simulate_ps(PPP4, Aloha(p), theta, cfg)
+        long = simulate_sir_samples(PPP4, Aloha(p), cfg, theta_ref=theta).values
         short = simulate_sir_samples(
-            PPP4, Aloha(p), SimConfig(trials=4096, seed=9, window_radius=radius)
+            PPP4, Aloha(p), SimConfig(trials=4096, seed=9), theta_ref=theta
         ).values
         assert long.size == 10000
         assert np.array_equal(long[:4096], short)
@@ -67,19 +71,16 @@ def test_p_zero_is_exact():
 
 
 def test_window_errors():
-    cfg = SimConfig(trials=100, window_radius=1.0)
-    with pytest.raises(WindowError):
-        simulate_ps(PPP4, Aloha(0.5), 100.0, cfg)
     # alpha close to d needs an enormous window
     near = NetworkModel(Ppp(2), PowerLaw(2.05), RAY)
     with pytest.raises(WindowError):
         simulate_ps(near, Aloha(0.5), 10.0, SimConfig(trials=100))
 
 
-def test_resolve_window_shrinks_with_tolerance():
-    loose = resolve_window(PPP4, Aloha(0.2), 1.0, SimConfig(trials=1, truncation_tol=1e-2))
-    tight = resolve_window(PPP4, Aloha(0.2), 1.0, SimConfig(trials=1, truncation_tol=1e-4))
-    assert tight.radius > loose.radius
+def test_resolve_window_grows_with_theta():
+    loose = resolve_window(PPP4, Aloha(0.2), 0.1)
+    tight = resolve_window(PPP4, Aloha(0.2), 10.0)
+    assert tight.radius > loose.radius > 2.0
     assert tight.tail_mean < loose.tail_mean
 
 
@@ -93,8 +94,6 @@ def test_simconfig_invariants():
         SimConfig(trials=0)
     with pytest.raises(DomainError):
         SimConfig(seed=-1)
-    with pytest.raises(DomainError):
-        SimConfig(truncation_tol=0.5)
 
 
 def test_single_interferer_matches_closed_form():
@@ -112,7 +111,7 @@ def test_clipped_fraction_is_void_probability():
     frac = samples.clipped / cfg.trials
     void = 0.7 ** 2
     assert frac == pytest.approx(void, abs=3.5 * math.sqrt(void * (1 - void) / cfg.trials))
-    assert samples.values.max() == cfg.sir_clip
+    assert samples.values.max() == montecarlo._SIR_CLIP
 
 
 def test_ppp_samples_never_clip():
@@ -179,7 +178,7 @@ KERNEL_SEEDS = (3, 17, 2024)
 def _chunk_counts(model, mac, cfg):
     """The Poisson point count of every trial, chunk by chunk (each chunk's
     first draw)."""
-    window = resolve_window(model, mac, 1.0, cfg)
+    window = resolve_window(model, mac, 1.0)
     points = mac.p * math.pi * window.radius ** 2
     return [montecarlo._rng(cfg.seed, key).poisson(points, size)
             for key, size in montecarlo._chunks(cfg.trials, points)]
