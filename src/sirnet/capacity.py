@@ -17,7 +17,7 @@ from .optimize import _prescan_grid, golden_section_max
 from .quadrature import _decaying_rule, integrate_decaying
 from .specfun import (
     DomainError,
-    _e1_scaled_cf,
+    _gamma_cf,
     exp_integral_e1,
     exp_integral_e1_imag_scaled,
     lower_incomplete_gamma,
@@ -62,13 +62,10 @@ _CP_BLOCK = 4
 
 
 def _c_p(alpha: float, d: int, p: float) -> float:
-    if d not in (1, 2):
-        raise DomainError(f"d must be 1 or 2, got {d}")
-    if not d < alpha < math.inf:
-        raise DomainError(f"finite alpha > d required, got alpha={alpha}, d={d}")
+    cd = c_d_constant(d, alpha)  # checks d, then alpha
     if not 0.0 < p <= 1.0:
         raise DomainError(f"transmit probability must be in (0, 1], got {p}")
-    return p * c_d_constant(d, alpha)
+    return p * cd
 
 
 def ergodic_capacity_ppp(alpha: float, d: int = 2, p: float = 1.0) -> CapacityResult:
@@ -144,9 +141,8 @@ def ergodic_capacity_ppp_lower(alpha: float, d: int = 2, p: float = 1.0) -> Capa
     + b E1(sqrt(2) c). Also computes the high-SIR bound b E1(c) and
     returns whichever is tighter.
     """
-    cp = _c_p(alpha, d, p)
-    b = alpha / d
-    return ergodic_capacity_cp_lower(b, cp)
+    cp = _c_p(alpha, d, p)  # checks d before alpha / d
+    return ergodic_capacity_cp_lower(alpha / d, cp)
 
 
 def ergodic_capacity_cp_lower(b: float, cp: float) -> CapacityResult:
@@ -253,7 +249,7 @@ def ergodic_capacity_tdma_bounds(alpha: float, m: int) -> tuple[float, float | N
     if not (isinstance(m, int) and m >= 1):
         raise DomainError(f"reuse factor must be an integer >= 1, got {m}")
     z = zeta(alpha) / m ** alpha
-    lower = _e1_scaled_cf(z) if z >= 1.0 else math.exp(z) * exp_integral_e1(z)
+    lower = _gamma_cf(0.0, z) if z >= 1.0 else math.exp(z) * exp_integral_e1(z)
     if alpha == 2:
         lower = max(lower, 2.0 * math.log(2.0 * m / math.pi))
         upper = math.log1p(7.0 * zeta(3.0) * m * m / math.pi ** 2)

@@ -18,17 +18,17 @@ import re
 import sys
 
 from . import analytic, capacity, contention, throughput, validation
-from .contention import UnsupportedClassError
 from .model import (
+    CLASSES,
     RAYLEIGH,
     Aloha,
     ConfigError,
     ExponentialLaw,
-    Fading,
     FadingCase,
     MacScheme,
     NetworkModel,
     PowerLaw,
+    Ppp,
     Tdma,
     class_model,
     format_model,
@@ -106,9 +106,18 @@ def _thetas(args) -> list[float]:
 
 
 def _class_model(args) -> NetworkModel:
-    return class_model(args.cls, args.alpha, args.case or "1/1", delta=args.delta,
-                       r=getattr(args, "r", 1.0),
+    """The model of --class; class_model's defaults stand in for a flag not given."""
+    given = {k: v for k in ("alpha", "case", "delta", "r")
+             if (v := getattr(args, k, None)) is not None}
+    return class_model(args.cls or "ppp2", **given,
                        distances=args.distances.split(",") if args.distances else None)
+
+
+def _refuse_unread(args, mode: str, *flags: str) -> None:
+    """Refuse each of `flags` given (each defaults to None): `mode` never reads it."""
+    for flag in flags:
+        if getattr(args, "cls" if flag == "--class" else flag[2:]) is not None:
+            raise DomainError(f"{mode} does not read {flag}")
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +129,9 @@ _CONTENTION_COLUMNS = ["class", "case", "alpha", "delta", "theta", "xi",
 
 
 def _contention_row(csv: _Csv, cls: str, case: str, alpha, delta, theta, xi,
-                    gamma: float, note: str = "", method: str = "closed-form") -> None:
+                    gamma: float, method: str = "closed-form") -> None:
     sigma = math.inf if gamma == 0.0 else 1.0 / gamma
-    csv.row(cls, case, alpha, delta, theta, xi, gamma, sigma, method, note)
+    csv.row(cls, case, alpha, delta, theta, xi, gamma, sigma, method, "")  # note: kept, empty
 
 
 def _model_row(csv: _Csv, cls: str, model: NetworkModel, mac: MacScheme,
@@ -135,17 +144,7 @@ def _model_row(csv: _Csv, cls: str, model: NetworkModel, mac: MacScheme,
                     theta, None, gamma, method=method)
 
 
-def _ppp3_row(csv: _Csv, case: FadingCase, alpha: float, theta: float) -> None:
-    """The conjectured 3-D PPP value, which no NetworkModel describes."""
-    if case != RAYLEIGH:
-        raise UnsupportedClassError(
-            f"the 3-D PPP contention is conjectured for case 1/1 only, got {case.label}")
-    _contention_row(csv, "ppp3", case.label, alpha, None, theta, None,
-                    contention.gamma_ppp(3, alpha, theta, Fading.rayleigh()), "conjectured")
-
-
-# contention --table3: every closed-form class, repeated for each theta,
-# followed by the conjectured 3-D PPP at alpha = 4.
+# contention --table3: every closed-form class, repeated for each theta.
 _TABLE3 = (
     ("ppp2", class_model("ppp2", 3.0), _ALOHA),
     ("ppp2", class_model("ppp2", 4.0), _ALOHA),
@@ -157,28 +156,27 @@ _TABLE3 = (
     ("line1", class_model("line1", 2.0), _ALOHA),
     ("line1", class_model("line1", 4.0), _ALOHA),
     ("tdma-line", class_model("line1", 2.0), Tdma(1)),
+    ("ppp3", class_model("ppp3", 4.0), _ALOHA),
 )
 
 
 def cmd_contention(args, out) -> int:
-    case = FadingCase.parse(args.case or "1/1")
-    if args.cls == "single" and not args.table:
+    if args.table:
+        _refuse_unread(args, "--table3", "--class", "--case", "--xi", "--distances",
+                       "--alpha", "--delta")
+    elif args.cls == "single":
         # The input is xi itself, not a model, so no threshold is read.
         if args.theta is not None or args.theta_db is not None:
             raise DomainError("--class single takes --xi, not --theta or --theta-db")
+        case, xi = FadingCase.parse(args.case or "1/1"), 1.0 if args.xi is None else args.xi
         _contention_row(_Csv(_CONTENTION_COLUMNS, out), "single", case.label, None, None,
-                        None, args.xi, contention.gamma_single(case, args.xi))
+                        None, xi, contention.gamma_single(case, xi))
         return 0
     csv = _Csv(_CONTENTION_COLUMNS, out)
+    rows = _TABLE3 if args.table else [(args.cls or "ppp2", _class_model(args), _ALOHA)]
     for theta in _thetas(args):
-        if args.table:
-            for cls, model, mac in _TABLE3:
-                _model_row(csv, cls, model, mac, theta)
-            _ppp3_row(csv, RAYLEIGH, 4.0, theta)
-        elif args.cls == "ppp3":
-            _ppp3_row(csv, case, args.alpha, theta)
-        else:
-            _model_row(csv, args.cls, _class_model(args), _ALOHA, theta)
+        for cls, model, mac in rows:
+            _model_row(csv, cls, model, mac, theta)
     return 0
 
 
@@ -227,22 +225,25 @@ def cmd_outage(args, out) -> int:
 
 def cmd_throughput(args, out) -> int:
     if args.tdma:
+        _refuse_unread(args, "--tdma", "--gamma", "--duplex", "--d")
         csv = _Csv(["theta_db", "m_lower", "m_upper", "m_hat", "m_exact", "pT"], out)
         for db in _parse_range(args.theta_db or "0:1:20"):
             theta = 10.0 ** (db / 10.0)
             res = throughput.tdma_m_opt(args.alpha, theta)
             csv.row(db, res.m_bounds[0], res.m_bounds[1], res.m_hat, res.m_opt, res.value)
         return 0
+    duplex = args.duplex or "full"
     if args.rate:
+        d = 2 if args.d is None else args.d
         csv = _Csv(["alpha", "d", "duplex", "theta_opt", "p_opt", "t_max"], out)
         for alpha in _parse_range(args.alpha_range or _fmt(args.alpha)):
-            opt = throughput.optimize_rate(alpha, args.d, args.duplex)
-            csv.row(alpha, args.d, args.duplex, opt.theta_opt, opt.p_opt, opt.t_max)
+            opt = throughput.optimize_rate(alpha, d, duplex)
+            csv.row(alpha, d, duplex, opt.theta_opt, opt.p_opt, opt.t_max)
         return 0
     csv = _Csv(["gamma", "duplex", "p_opt", "throughput", "lower_bound"], out)
-    for gamma in _parse_range(args.gamma):
-        res = throughput.aloha_p_opt(gamma, args.duplex)
-        csv.row(gamma, args.duplex, res.p_opt, res.value, res.lower_bound)
+    for gamma in _parse_range(args.gamma or "1"):
+        res = throughput.aloha_p_opt(gamma, duplex)
+        csv.row(gamma, duplex, res.p_opt, res.value, res.lower_bound)
     return 0
 
 
@@ -252,14 +253,16 @@ def cmd_throughput(args, out) -> int:
 
 
 def cmd_capacity(args, out) -> int:
-    model = class_model("line1" if args.tdma else f"ppp{args.d}", args.alpha)
     if args.tdma:
+        model = class_model("line1", args.alpha)
         csv = _Csv(["alpha", "m", "capacity", "lower", "upper", "method"], out)
         for m in _parse_int_range(args.m or "1:10"):
             res = analytic.ergodic_capacity(model, Tdma(m))
             lo, up = capacity.ergodic_capacity_tdma_bounds(args.alpha, m)
             csv.row(args.alpha, m, res.value, lo, up, res.method)
         return 0
+    _refuse_unread(args, "capacity without --tdma", "--m")
+    model = NetworkModel(Ppp(args.d), PowerLaw(args.alpha), RAYLEIGH)
     csv = _Csv(["alpha", "d", "p", "c_p", "capacity", "lower", "method"], out)
     for p in _parse_range(args.p):
         res = analytic.ergodic_capacity(model, Aloha(p))
@@ -340,12 +343,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("contention", help="spatial contention gamma and efficiency sigma")
     common(c)
-    c.add_argument("--class", dest="cls", default="ppp2",
-                   choices=["ppp1", "ppp2", "ppp3", "line1", "line2", "single",
-                            "explicit", "exp2"])
-    c.add_argument("--alpha", type=float, default=4.0)
-    c.add_argument("--delta", type=float, default=1.0)
-    c.add_argument("--xi", type=float, default=1.0)
+    c.add_argument("--class", dest="cls", choices=CLASSES)
+    c.add_argument("--alpha", type=float)
+    c.add_argument("--delta", type=float)
+    c.add_argument("--xi", type=float)
     c.add_argument("--case", help="fading case, e.g. 1/1, 1/0, 0/1, 0/0, 1/m4")
     c.add_argument("--distances", help="comma-separated interferer distances")
     c.add_argument("--table3", dest="table", action="store_true",
@@ -354,11 +355,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     o = sub.add_parser("outage", help="success probability p_s with bounds")
     common(o)
-    o.add_argument("--class", dest="cls", default="ppp2",
-                   choices=["ppp1", "ppp2", "line1", "line2", "single", "explicit", "exp2"])
-    o.add_argument("--alpha", type=float, default=4.0)
-    o.add_argument("--delta", type=float, default=1.0)
-    o.add_argument("--r", type=float, default=1.0, help="single-interferer distance")
+    o.add_argument("--class", dest="cls", default="ppp2", choices=CLASSES)
+    o.add_argument("--alpha", type=float)
+    o.add_argument("--delta", type=float)
+    o.add_argument("--r", type=float, help="single-interferer distance")
     o.add_argument("--distances")
     o.add_argument("--case")
     o.add_argument("--p", type=float, default=0.1, help="ALOHA transmit probability")
@@ -377,9 +377,9 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--rate", action="store_true", help="joint (theta, p) rate optimization")
     t.add_argument("--alpha", type=float, default=2.0)
     t.add_argument("--alpha-range", help="alpha sweep for --rate: a:step:b")
-    t.add_argument("--d", type=int, default=2)
-    t.add_argument("--duplex", default="full", choices=["full", "half"])
-    t.add_argument("--gamma", default="1", help="spatial contention value(s)")
+    t.add_argument("--d", type=int)
+    t.add_argument("--duplex", choices=["full", "half"])
+    t.add_argument("--gamma", help="spatial contention value(s)")
     t.set_defaults(func=cmd_throughput)
 
     k = sub.add_parser("capacity", help="ergodic capacity (nats)")

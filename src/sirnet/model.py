@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .specfun import DomainError, gamma_fn
 
 __all__ = [
+    "CLASSES",
     "PowerLaw",
     "ExponentialLaw",
     "PathLoss",
@@ -144,13 +145,13 @@ RAYLEIGH = FadingCase(Fading.rayleigh(), Fading.rayleigh())
 
 @dataclass(frozen=True)
 class Ppp:
-    """Poisson point process of unit intensity in d dimensions."""
+    """Poisson point process of unit intensity in d >= 1 dimensions."""
 
     d: int
 
     def __post_init__(self) -> None:
-        if self.d not in (1, 2):
-            raise DomainError(f"Ppp dimension must be 1 or 2, got {self.d}")
+        if not (isinstance(self.d, int) and self.d >= 1):
+            raise DomainError(f"Ppp dimension must be an integer >= 1, got {self.d}")
 
 
 @dataclass(frozen=True)
@@ -226,25 +227,28 @@ class NetworkModel:
     fading: FadingCase
 
 
+CLASSES = ("ppp1", "ppp2", "ppp3", "line1", "line2", "single", "explicit", "exp2")
+
+
 def class_model(cls: str, alpha: float = 4.0, case: str = "1/1", *, delta: float = 1.0,
                 r: float = 1.0, distances: tuple | list | None = None) -> NetworkModel:
-    """The model of a named class with fading case label `case`: ppp1 and
-    ppp2 (1-D and 2-D PPP), line1 and line2 (one- and two-sided line), single
-    (one interferer at r), explicit (interferers at `distances`), all with
-    path loss r^-alpha, and exp2 (2-D PPP with exp(-delta r); alpha unused)."""
+    """The model of a class in CLASSES with fading case label `case`: ppp1 to
+    ppp3 (PPP in 1 to 3 dimensions), line1 and line2 (one- and two-sided line),
+    single (one interferer at r), explicit (interferers at `distances`), all
+    with path loss r^-alpha, and exp2 (2-D PPP with exp(-delta r); alpha unused)."""
+    if cls not in CLASSES:
+        raise DomainError(f"unknown class {cls!r}")
     fading = FadingCase.parse(case)
     if cls == "exp2":
         return NetworkModel(Ppp(2), ExponentialLaw(delta), fading)
-    if cls in ("ppp1", "ppp2"):
+    if cls.startswith("ppp"):
         geometry: Geometry = Ppp(int(cls[-1]))
-    elif cls in ("line1", "line2"):
+    elif cls.startswith("line"):
         geometry = RegularLine("two" if cls == "line2" else "one")
     elif cls == "single":
         geometry = SingleInterferer(r)
-    elif cls == "explicit":
-        geometry = Explicit(tuple(float(d) for d in distances or ()))
     else:
-        raise DomainError(f"unknown class {cls!r}")
+        geometry = Explicit(tuple(float(d) for d in distances or ()))
     return NetworkModel(geometry, PowerLaw(alpha), fading)
 
 
@@ -271,7 +275,7 @@ def unit_ball_volume(d: int) -> float:
 # it is refused.
 #
 #   geometry = ppp | line | explicit | single
-#   geometry.d = 1 | 2                  (ppp)
+#   geometry.d = 1 | 2 | 3 | ...        (ppp; any integer >= 1)
 #   geometry.sided = one | two          (line)
 #   geometry.distances = 1.0,2.0,3.5    (explicit)
 #   geometry.r = 2.0                    (single)

@@ -6,7 +6,7 @@ tail standard deviation stays below the truncation tolerance 1e-3, which bounds
 the residual bias at second order. ALOHA thinning of a PPP leaves a PPP of
 intensity p, so only transmitters are placed. Lines and explicit sets fade and
 sum only active interferers, and a power-law PPP gain is (R^d u)^(-alpha/d),
-from squared distances in 2-D. Trials fall in 4,096-trial blocks, each with a
+with no square root in any d. Trials fall in 4,096-trial blocks, each with a
 PCG64 stream keyed by (seed, block[, sub]); results do not depend on chunking.
 Within a chunk, numbers are drawn and reduced in cache-sized slabs: k fills of
 a Generator in a row give the numbers of one fill, and each trial sums its
@@ -129,6 +129,11 @@ class _Window:
     tail_mean: float = 0.0  # compensated out-of-window interference
 
 
+def _surface(d: int) -> float:
+    """The unit sphere's area d c_d: exactly 2 in 1-D, where d * unit_ball_volume(d) is not."""
+    return 2.0 * math.pi ** (d / 2) / math.gamma(d / 2)
+
+
 def _ppp_window(model: NetworkModel, p: float, theta: float) -> _Window:
     d = model.geometry.d
     ef2 = _second_moment(model.fading.interferer)
@@ -137,7 +142,7 @@ def _ppp_window(model: NetworkModel, p: float, theta: float) -> _Window:
         alpha = pl.alpha
         if not alpha > d:
             raise DomainError(f"alpha > d required for finite interference (alpha={alpha}, d={d})")
-        surface = 2.0 * math.pi if d == 2 else 2.0
+        surface = _surface(d)
         if p == 0.0:
             return _Window(radius=2.0, tail_mean=0.0)
         # theta^2 Var[I_tail] = theta^2 p * surface * E[F^2] R^(d-2a)/(2a-d) <= _TOL^2
@@ -276,7 +281,7 @@ def _batch_sir(
         u = rng.random(int(counts.sum()))
         r, d, pl = window.radius, model.geometry.d, model.path_loss
         if isinstance(pl, PowerLaw):  # |x|^-alpha = (R^d u)^(-alpha/d): no sqrt in 2-D
-            u *= r * r if d == 2 else r
+            u *= math.prod([r] * d)  # r * r in 2-D, which pow(r, 2) is not always
             with np.errstate(over="ignore"):
                 np.power(u, -pl.alpha / d, out=u)
         else:  # distances R sqrt(u), all in place
@@ -307,8 +312,10 @@ def _sir_chunks(model: NetworkModel, mac: MacScheme | None, theta: float, cfg: S
     distances = _fixed_distances(model, mac, window)
     p, _ = _access(mac)
     if distances is None:  # expected transmitters in the PPP window
-        r = window.radius
-        points = p * (math.pi * r * r if model.geometry.d == 2 else 2.0 * r)
+        d = model.geometry.d
+        points = p * math.prod([_surface(d) / d] + [window.radius] * d)
+        if points > math.pi * _MAX_RADIUS * _MAX_RADIUS:  # the largest 2-D window's
+            raise WindowError(f"{d}-D window holds {points:.3g} points, more than any 2-D one")
     else:
         points = distances.size
     for key, size in _chunks(cfg.trials, points):

@@ -160,40 +160,20 @@ def exp_integral_e1(x: float) -> float:
                 break
             k += 1
         return total
-    return _e1_scaled_cf(x) * math.exp(-x)
+    return _gamma_cf(0.0, x) * math.exp(-x)
 
 
-def _e1_scaled_cf(x: float) -> float:
-    """e^x E1(x) = 1/(x+1- 1/(x+3- 4/(x+5- ...))) by the modified-Lentz
-    continued fraction, for x >= 1; finite where e^x is not."""
-    b = x + 1.0
+def _gamma_cf(a: float, z: float | complex) -> float | complex:
+    """e^z z^-a Gamma(a, z) = 1/(z+1-a- 1(1-a)/(z+3-a- ...)) by modified Lentz, for real z >= 1
+    or, at a = 0, z = iy with y >= 2; at a = 0 it is e^z E1(z), finite where e^z is not."""
+    b = z + 1.0 - a
     c = 1.0 / _TINY
-    d = 1.0 / b
-    h = d
-    for i in range(1, 200):
-        a = -i * i
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return h
-
-
-def _e1_imag_cf(y: float) -> complex:
-    """e^(iy) E1(iy) by the modified-Lentz continued fraction, good for y >= 2."""
-    z = complex(0.0, y)
-    b = z + 1.0
-    c = complex(1.0 / _TINY, 0.0)
-    d = 1.0 / b
-    h = d
+    h = d = 1.0 / b
     for i in range(1, 1000):
-        a = complex(-i * i, 0.0)
+        an = -i * (i - a)
         b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
+        d = 1.0 / (an * d + b)
+        c = b + an / c
         delta = c * d
         h *= delta
         if abs(delta - 1.0) < 1e-16:
@@ -222,7 +202,7 @@ def _cisi(y: float) -> tuple[float, float]:
             if k > 120:
                 break
         return ci, si
-    e1 = complex(math.cos(y), -math.sin(y)) * _e1_imag_cf(y)
+    e1 = complex(math.cos(y), -math.sin(y)) * _gamma_cf(0.0, complex(0.0, y))
     return -e1.real, math.pi / 2 + e1.imag
 
 
@@ -245,7 +225,7 @@ def exp_integral_e1_imag_scaled(y: float) -> complex:
     about 1/y) keeps full relative accuracy as y grows.
     """
     if y >= 2.0:
-        return _e1_imag_cf(y)
+        return _gamma_cf(0.0, complex(0.0, y))
     return complex(math.cos(y), math.sin(y)) * exp_integral_e1_imag(y)
 
 
@@ -270,26 +250,7 @@ def lower_incomplete_gamma(a: float, x: float) -> float:
                 break
         return total * math.exp(-x + a * math.log(x))
     # Continued fraction for the upper tail, then subtract from Gamma(a).
-    b = x + 1.0 - a
-    c = 1.0 / _TINY
-    d = 1.0 / b
-    h = d
-    for i in range(1, 500):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    upper = math.exp(-x + a * math.log(x)) * h
-    return gamma_fn(a) - upper
+    return gamma_fn(a) - math.exp(-x + a * math.log(x)) * _gamma_cf(a, x)
 
 
 def gamma_fn(x: float) -> float:

@@ -154,10 +154,7 @@ def theta_opt_fullduplex(alpha: float, d: int) -> float:
     theta_opt = exp(W(-(alpha/d) e^(-alpha/d)) + alpha/d) - 1 via the
     principal Lambert W branch; independent of the constant c.
     """
-    if d not in (1, 2):
-        raise DomainError(f"d must be 1 or 2, got {d}")
-    if not d < alpha < math.inf:
-        raise DomainError(f"finite alpha > d required, got alpha={alpha}, d={d}")
+    c_d_constant(d, alpha)  # checks d, then alpha
     k = alpha / d
     w = lambert_w0(-k * math.exp(-k))
     return math.expm1(w + k)
@@ -171,11 +168,7 @@ def optimize_rate(alpha: float, d: int, duplex: str = "full") -> RateOptimum:
     closed-form p optimization inside a golden-section search over
     log(theta) on [-40 dB, +60 dB].
     """
-    if d not in (1, 2):
-        raise DomainError(f"d must be 1 or 2, got {d}")
-    if not d < alpha < math.inf:
-        raise DomainError(f"finite alpha > d required, got alpha={alpha}, d={d}")
-    c = c_d_constant(d, alpha)
+    c = c_d_constant(d, alpha)  # checks d, then alpha
 
     def gamma_of(theta: float) -> float:
         return c * theta ** (d / alpha)

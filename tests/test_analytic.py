@@ -19,6 +19,7 @@ from sirnet.model import (
     RegularLine,
     SingleInterferer,
     Tdma,
+    CLASSES,
     class_model,
     effective_distance,
 )
@@ -131,24 +132,25 @@ def test_explicit_success_probability_takes_x_and_gamma_once(monkeypatch):
 
 
 def test_class_model_coverage_count():
-    """Of the 81 class_model combinations (7 classes x 9 fading cases under
-    ALOHA, and the 2 line classes x 9 under TDMA), 28 get a p_s: every
+    """Of the 90 class_model combinations (8 classes x 9 fading cases under
+    ALOHA, and the 2 line classes x 9 under TDMA), 31 get a p_s: every
     class with a Rayleigh desired link except exponential path loss with
-    non-Rayleigh interferers, plus single interferers' 0/0, 0/1 and m2/1."""
+    non-Rayleigh interferers, plus single interferers' 0/0, 0/1 and m2/1.
+    All are at alpha = 3 but ppp3, which needs alpha > 3, at alpha = 4."""
     cases = [f"{d}/{i}" for d in ("0", "1", "m2") for i in ("0", "1", "m2")]
-    combos = [(cls, case, Aloha(0.1)) for cls in ("ppp1", "ppp2", "line1", "line2", "single",
-                                                  "explicit", "exp2") for case in cases]
+    combos = [(cls, case, Aloha(0.1)) for cls in CLASSES for case in cases]
     combos += [(cls, case, Tdma(2)) for cls in ("line1", "line2") for case in cases]
     covered = []
     for cls, case, mac in combos:
-        model = class_model(cls, 3.0, case, delta=1.0, r=1.2, distances=(1.0, 2.0, 3.0))
+        model = class_model(cls, 4.0 if cls == "ppp3" else 3.0, case, delta=1.0, r=1.2,
+                            distances=(1.0, 2.0, 3.0))
         try:
             analytic.success_probability(model, mac, 1.0)
         except UnsupportedClassError:
             continue
         covered.append((cls, case, type(mac).__name__))
     print(f"{len(covered)} of {len(combos)} class_model combinations get a p_s")
-    assert len(combos) == 81 and len(covered) == 28, covered
+    assert len(combos) == 90 and len(covered) == 31, covered
     assert all(case.startswith("1/") for cls, case, _ in covered if cls != "single")
 
 
@@ -166,6 +168,16 @@ def test_newly_covered_class_matches_the_simulator(cls, case, mac):
     model = class_model(cls, 3.0, case)
     sp = analytic.success_probability(model, mac, 1.0)
     est = simulate_ps(model, mac, 1.0, SimConfig(trials=50_000, seed=101))
+    assert abs(est.z_score(sp.value)) < 3, (est.mean, est.stderr, sp.value)
+
+
+# The 3-D PPP at alpha 4, at a seed fixed before the first run; not among the
+# validation sweep's 52 cases either.
+@pytest.mark.parametrize("case", ["1/1", "1/0", "1/m2"])
+def test_3d_ppp_matches_the_simulator(case):
+    model = class_model("ppp3", 4.0, case)
+    sp = analytic.success_probability(model, Aloha(0.1), 1.0)
+    est = simulate_ps(model, Aloha(0.1), 1.0, SimConfig(trials=20_000, seed=23))
     assert abs(est.z_score(sp.value)) < 3, (est.mean, est.stderr, sp.value)
 
 

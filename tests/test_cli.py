@@ -68,14 +68,67 @@ def test_contention_theta_db_grid(tmp_path):
     assert float(rows[2]["gamma"]) / float(rows[0]["gamma"]) == pytest.approx(10.0, rel=1e-9)
 
 
-def test_contention_table_has_conjectured_note(tmp_path):
+def test_contention_table_ends_with_the_3d_ppp_and_an_empty_note(tmp_path):
     code, text = run(tmp_path, "contention", "--table3", "--theta", "1")
     assert code == 0
-    _, rows = data_rows(text)
-    d3 = [r for r in rows if r["class"] == "ppp3"]
-    assert d3 and all(r["note"] == "conjectured" for r in d3)
+    header, rows = data_rows(text)
+    assert header[-1] == "note" and {r["note"] for r in rows} == {""}
+    assert [(r["class"], r["case"], r["alpha"]) for r in rows[-1:]] == [("ppp3", "1/1", "4")]
+    assert float(rows[-1]["gamma"]) == pytest.approx(
+        4 / 3 * math.pi * (3 * math.pi / 4) / math.sin(3 * math.pi / 4), rel=1e-9)
     # line1 at alpha 2 and 4 has closed forms, not the line product
     assert {r["method"] for r in rows} == {"closed-form"}
+
+
+@pytest.mark.parametrize("argv", [
+    "contention --class ppp3 --case 1/0",
+    "contention --class ppp3 --case 1/m2 --alpha 5 --theta 0.5,2",
+    "outage --class ppp3 --alpha 4 --theta 1 --p 0.1",
+    "capacity --d 3 --alpha 4",
+    "throughput --rate --d 3 --alpha 4",
+])
+def test_3d_ppp_takes_the_path_of_every_other_model(capsys, argv):
+    assert main(argv.split()) == 0
+    _, rows = data_rows(capsys.readouterr().out)
+    assert rows and all(r.get("class", "ppp3") == "ppp3" and r.get("d", "3") == "3"
+                        for r in rows)
+    assert all(r.get("note", "") == "" for r in rows)
+
+
+@pytest.mark.parametrize("argv,flag", [
+    ("capacity --alpha 3 --m 4 --p 0.1", "--m"),
+    ("contention --table3 --class single", "--class"),
+    ("contention --table3 --class ppp2", "--class"),
+    ("contention --table3 --case 1/1", "--case"),
+    ("contention --table3 --xi 5", "--xi"),
+    ("contention --table3 --distances 1,2", "--distances"),
+    ("contention --table3 --alpha 4 --theta 1", "--alpha"),
+    ("contention --table3 --delta 1", "--delta"),
+    ("throughput --tdma --gamma 7", "--gamma"),
+    ("throughput --tdma --duplex full --theta-db 0", "--duplex"),
+    ("throughput --tdma --d 2", "--d"),
+])
+def test_a_flag_the_mode_never_reads_is_refused(capsys, argv, flag):
+    """Even at its default value, which a mode that reads the flag fills in."""
+    assert main(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: ") and err.endswith(f" does not read {flag}\n")
+
+
+@pytest.mark.parametrize("bare,spelled", [
+    ("contention --class single", "contention --class single --xi 1"),
+    ("contention --theta 2", "contention --class ppp2 --alpha 4 --theta 2"),
+    ("contention --class exp2", "contention --class exp2 --delta 1"),
+    ("outage --class single --theta 2", "outage --class single --r 1 --alpha 4 --theta 2"),
+    ("throughput", "throughput --gamma 1 --duplex full"),
+    ("throughput --rate --alpha 3", "throughput --rate --alpha 3 --d 2 --duplex full"),
+])
+def test_a_flag_not_given_reads_as_its_documented_default(capsys, bare, spelled):
+    assert main(bare.split()) == 0
+    first = capsys.readouterr().out
+    assert main(spelled.split()) == 0
+    assert capsys.readouterr().out == first
 
 
 def test_outage_schema_and_validate(tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sirnet.cli import main
+from sirnet.model import CLASSES
 
 # Ordinary values, drawn as often as edge values and arbitrary floats
 # together, so that many draws get past the first check. The ranges are built
@@ -26,7 +27,8 @@ int_grid = (st.lists(st.sampled_from(["-1", "0", "1", "2", "3"]), max_size=3).ma
             | st.tuples(st.integers(-2, 4), st.integers(-2, 4)).map(lambda t: f"{t[0]}:{t[1]}"))
 CASES = ["1/1", "1/0", "0/1", "0/0", "1/m2", "m2/1", "m0.3/1", "1/mnan", "x/1", "1"]
 case = st.sampled_from(CASES)
-CLASSES = ["ppp1", "ppp2", "line1", "line2", "single", "explicit", "exp2"]
+# Dimensions: 1000 is legal, but its unit-ball volume overflows.
+dimension = st.one_of(st.integers(-1, 3), st.just(1000))
 
 
 def options(**strategies):
@@ -48,7 +50,7 @@ def command(name, *parts):
 contention = command(
     "contention",
     st.sampled_from([[], ["--table3"]]),
-    options(**{"class": st.sampled_from(CLASSES + ["ppp3"]), "case": case, "alpha": number,
+    options(**{"class": st.sampled_from(CLASSES), "case": case, "alpha": number,
                "delta": number, "xi": number, "distances": grid}),
     thetas())
 outage = command(
@@ -60,12 +62,12 @@ outage = command(
 throughput = command(
     "throughput",
     st.sampled_from([[], ["--tdma"], ["--rate"]]),
-    options(alpha=number, d=st.integers(-1, 3), duplex=st.sampled_from(["full", "half"]),
+    options(alpha=number, d=dimension, duplex=st.sampled_from(["full", "half"]),
             gamma=grid, **{"alpha-range": grid, "theta-db": grid}))
 capacity = command(
     "capacity",
     st.sampled_from([[], ["--tdma"]]),
-    options(alpha=number, d=st.integers(-1, 3), m=int_grid, p=grid))
+    options(alpha=number, d=dimension, m=int_grid, p=grid))
 
 
 # The only spellings of a non-finite float in the CSV (see cli._fmt).
@@ -161,7 +163,7 @@ FADING = (["none", "rayleigh", "nakagami", "nakagami"], ["rician"])
 NAKAGAMI_M = (["0.5", "1", "2", "4"], NUMBER_EDGES + ["0.3"])
 CONFIG_KEYS = {
     "geometry": (["ppp", "line", "explicit", "single"], ["grid"]),
-    "geometry.d": (["1", "2"], ["3", "0", "-1", "2.5", "", "nan"]),
+    "geometry.d": (["1", "2", "3"], ["1000", "0", "-1", "2.5", "", "nan"]),
     "geometry.sided": (["one", "two"], ["three", ""]),
     "geometry.distances": (["1", "1,2", "1.5,2.5,4"],
                            ["", ",", "0", "-1,2", "nan", "inf,1", "1e-300", "1e308"]),

@@ -6,6 +6,7 @@ import pytest
 
 from sirnet import validation
 from sirnet.model import (
+    CLASSES,
     RAYLEIGH,
     Aloha,
     ConfigError,
@@ -179,15 +180,35 @@ def test_rayleigh_case():
                   FadingCase(Fading.nakagami(4.0), Fading.rayleigh()))),
     (("explicit",), {"distances": ["1", "2.5"]},
      NetworkModel(Explicit((1.0, 2.5)), PowerLaw(4.0), RAYLEIGH)),
+    (("ppp3", 4.0, "1/m2"), {},
+     NetworkModel(Ppp(3), PowerLaw(4.0), FadingCase(Fading.rayleigh(), Fading.nakagami(2.0)))),
 ])
 def test_class_model_builds_the_named_class(args, kwargs, model):
     assert class_model(*args, **kwargs) == model
 
 
+def test_class_model_builds_every_listed_class():
+    models = [class_model(cls, distances=[2.0]) for cls in CLASSES]
+    assert len(set(models)) == len(CLASSES) == 8
+    assert [m.geometry.d for m in models if isinstance(m.geometry, Ppp)] == [1, 2, 3, 2]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 10, 1000])
+def test_ppp_takes_any_dimension(d):
+    assert Ppp(d).d == d
+    assert parse_model(format_model(NetworkModel(Ppp(d), PowerLaw(d + 1.0), RAYLEIGH)))[0].geometry == Ppp(d)
+
+
+@pytest.mark.parametrize("d", [0, -1, 2.0, 2.5, None])
+def test_ppp_refuses_a_dimension_below_one_or_not_an_integer(d):
+    with pytest.raises(DomainError, match="Ppp dimension must be an integer >= 1"):
+        Ppp(d)
+
+
 @pytest.mark.parametrize("args,kwargs", [
     (("explicit",), {}),
     (("explicit",), {"distances": ()}),
-    (("ppp3",), {}),
+    (("ppp4",), {}),
     (("ppp2", 4.0, "1/q"), {}),
     (("single", 4.0), {"r": 0.0}),
 ])

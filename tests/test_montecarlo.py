@@ -22,6 +22,7 @@ from sirnet.model import (
     SingleInterferer,
     Tdma,
     class_model,
+    unit_ball_volume,
 )
 from sirnet.montecarlo import (
     Estimate,
@@ -75,6 +76,24 @@ def test_window_errors():
     near = NetworkModel(Ppp(2), PowerLaw(2.05), RAY)
     with pytest.raises(WindowError):
         simulate_ps(near, Aloha(0.5), 10.0, SimConfig(trials=100))
+
+
+def test_a_3d_window_past_the_point_cap_is_refused_before_drawing(monkeypatch):
+    """alpha 3.2 in 3-D at theta 10 needs a window of radius 406: 2.8e8 points
+    per trial, past pi 2000^2 = 1.26e7, the most a legal 2-D window holds."""
+    model = class_model("ppp3", 3.2)
+    assert resolve_window(model, Aloha(1.0), 10.0).radius < montecarlo._MAX_RADIUS
+    monkeypatch.setattr(montecarlo, "_batch_sir", None)  # a draw would raise TypeError
+    with pytest.raises(WindowError, match=r"3-D window holds 2.8e\+08 points, more than any 2-D one"):
+        simulate_ps(model, Aloha(1.0), 10.0, SimConfig(trials=10))
+
+
+def test_window_surface_is_exact_in_1d_and_2d():
+    """The unit sphere's area d c_d, exactly 2 and 2 pi where the windows of
+    the 52-case sweep are sized, and within an ulp or two of d c_d above."""
+    assert (montecarlo._surface(1), montecarlo._surface(2)) == (2.0, 2.0 * math.pi)
+    for d in range(1, 12):
+        assert montecarlo._surface(d) == pytest.approx(d * unit_ball_volume(d), rel=1e-15)
 
 
 def test_resolve_window_grows_with_theta():

@@ -209,4 +209,6 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         theta_opt_fullduplex(2.0, 2)
     with pytest.raises(DomainError):
-        optimize_rate(4.0, 3)
+        optimize_rate(3.0, 3)
+    with pytest.raises(DomainError):
+        optimize_rate(4.0, 0)
