@@ -116,7 +116,7 @@ def _class_model(args) -> NetworkModel:
 def _refuse_unread(args, mode: str, *flags: str) -> None:
     """Refuse each of `flags` given (each defaults to None): `mode` never reads it."""
     for flag in flags:
-        if getattr(args, "cls" if flag == "--class" else flag[2:]) is not None:
+        if getattr(args, "cls" if flag == "--class" else flag[2:].replace("-", "_")) is not None:
             raise DomainError(f"{mode} does not read {flag}")
 
 
@@ -192,10 +192,12 @@ def _model_from_args(args) -> tuple[NetworkModel, MacScheme, str]:
     """Model, MAC scheme and class label; a config's mac block beats --p/--m."""
     mac = Tdma(args.m) if args.m is not None else Aloha(args.p)
     if args.config:
+        _refuse_unread(args, "outage --config", "--class", "--alpha", "--delta", "--r",
+                       "--distances", "--case")
         with open(args.config) as fh:
             model, config_mac = parse_model(fh.read())
         return model, config_mac or mac, "config"
-    return _class_model(args), mac, args.cls
+    return _class_model(args), mac, args.cls or "ppp2"
 
 
 def cmd_outage(args, out) -> int:
@@ -224,22 +226,28 @@ def cmd_outage(args, out) -> int:
 
 
 def cmd_throughput(args, out) -> int:
+    alpha = 2.0 if args.alpha is None else args.alpha
     if args.tdma:
-        _refuse_unread(args, "--tdma", "--gamma", "--duplex", "--d")
+        _refuse_unread(args, "--tdma", "--gamma", "--duplex", "--d", "--rate", "--alpha-range")
         csv = _Csv(["theta_db", "m_lower", "m_upper", "m_hat", "m_exact", "pT"], out)
         for db in _parse_range(args.theta_db or "0:1:20"):
             theta = 10.0 ** (db / 10.0)
-            res = throughput.tdma_m_opt(args.alpha, theta)
+            res = throughput.tdma_m_opt(alpha, theta)
             csv.row(db, res.m_bounds[0], res.m_bounds[1], res.m_hat, res.m_opt, res.value)
         return 0
     duplex = args.duplex or "full"
     if args.rate:
+        _refuse_unread(args, "--rate", "--gamma", "--theta-db")
+        if args.alpha_range:
+            _refuse_unread(args, "--alpha-range", "--alpha")
         d = 2 if args.d is None else args.d
         csv = _Csv(["alpha", "d", "duplex", "theta_opt", "p_opt", "t_max"], out)
-        for alpha in _parse_range(args.alpha_range or _fmt(args.alpha)):
-            opt = throughput.optimize_rate(alpha, d, duplex)
-            csv.row(alpha, d, duplex, opt.theta_opt, opt.p_opt, opt.t_max)
+        for a in _parse_range(args.alpha_range or _fmt(alpha)):
+            opt = throughput.optimize_rate(a, d, duplex)
+            csv.row(a, d, duplex, opt.theta_opt, opt.p_opt, opt.t_max)
         return 0
+    _refuse_unread(args, "throughput without --tdma or --rate", "--alpha", "--alpha-range",
+                   "--d", "--theta-db")
     csv = _Csv(["gamma", "duplex", "p_opt", "throughput", "lower_bound"], out)
     for gamma in _parse_range(args.gamma or "1"):
         res = throughput.aloha_p_opt(gamma, duplex)
@@ -254,6 +262,7 @@ def cmd_throughput(args, out) -> int:
 
 def cmd_capacity(args, out) -> int:
     if args.tdma:
+        _refuse_unread(args, "capacity --tdma", "--p", "--d")
         model = class_model("line1", args.alpha)
         csv = _Csv(["alpha", "m", "capacity", "lower", "upper", "method"], out)
         for m in _parse_int_range(args.m or "1:10"):
@@ -262,12 +271,13 @@ def cmd_capacity(args, out) -> int:
             csv.row(args.alpha, m, res.value, lo, up, res.method)
         return 0
     _refuse_unread(args, "capacity without --tdma", "--m")
-    model = NetworkModel(Ppp(args.d), PowerLaw(args.alpha), RAYLEIGH)
+    d = 2 if args.d is None else args.d
+    model = NetworkModel(Ppp(d), PowerLaw(args.alpha), RAYLEIGH)
     csv = _Csv(["alpha", "d", "p", "c_p", "capacity", "lower", "method"], out)
-    for p in _parse_range(args.p):
+    for p in _parse_range(args.p or "0.1"):
         res = analytic.ergodic_capacity(model, Aloha(p))
-        low = capacity.ergodic_capacity_ppp_lower(args.alpha, args.d, p)
-        csv.row(args.alpha, args.d, p, res.c_p, res.value, low.value, res.method)
+        low = capacity.ergodic_capacity_ppp_lower(args.alpha, d, p)
+        csv.row(args.alpha, d, p, res.c_p, res.value, low.value, res.method)
     return 0
 
 
@@ -355,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     o = sub.add_parser("outage", help="success probability p_s with bounds")
     common(o)
-    o.add_argument("--class", dest="cls", default="ppp2", choices=CLASSES)
+    o.add_argument("--class", dest="cls", choices=CLASSES, help="model class (default ppp2)")
     o.add_argument("--alpha", type=float)
     o.add_argument("--delta", type=float)
     o.add_argument("--r", type=float, help="single-interferer distance")
@@ -374,8 +384,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common(t, theta=False)
     t.add_argument("--theta-db", help="SIR threshold(s) in dB for --tdma: value, list, or a:step:b")
     t.add_argument("--tdma", action="store_true", help="TDMA reuse-factor sweep")
-    t.add_argument("--rate", action="store_true", help="joint (theta, p) rate optimization")
-    t.add_argument("--alpha", type=float, default=2.0)
+    t.add_argument("--rate", action="store_true", default=None,
+                   help="joint (theta, p) rate optimization")
+    t.add_argument("--alpha", type=float, help="path-loss exponent (default 2)")
     t.add_argument("--alpha-range", help="alpha sweep for --rate: a:step:b")
     t.add_argument("--d", type=int)
     t.add_argument("--duplex", choices=["full", "half"])
@@ -386,9 +397,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common(k, theta=False)
     k.add_argument("--tdma", action="store_true")
     k.add_argument("--alpha", type=float, default=4.0)
-    k.add_argument("--d", type=int, default=2)
+    k.add_argument("--d", type=int, help="PPP dimension (default 2)")
     k.add_argument("--m", help="TDMA reuse factor(s): value, list, or a:b")
-    k.add_argument("--p", default="0.1", help="ALOHA transmit probability(ies)")
+    k.add_argument("--p", help="ALOHA transmit probability(ies) (default 0.1)")
     k.set_defaults(func=cmd_capacity)
 
     v = sub.add_parser("validate", help="analytic-vs-Monte-Carlo sweep")

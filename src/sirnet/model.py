@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .specfun import DomainError, gamma_fn
+from .specfun import DomainError
 
 __all__ = [
     "CLASSES",
@@ -264,10 +264,11 @@ def effective_distance(r: float, alpha: float, theta: float) -> float:
 
 
 def unit_ball_volume(d: int) -> float:
-    """Volume of the unit ball in d dimensions: pi^(d/2) / Gamma(1 + d/2)."""
+    """Volume of the unit ball in d dimensions: 2 pi^(d/2) / Gamma(d/2) / d,
+    in this order exactly 2, pi and 4 pi/3 at d = 1, 2, 3."""
     if not (isinstance(d, int) and d >= 1):
         raise DomainError(f"dimension must be an integer >= 1, got {d}")
-    return math.pi ** (d / 2) / gamma_fn(1.0 + d / 2)
+    return 2 * math.pi ** (d / 2) / math.gamma(d / 2) / d
 
 
 # ---------------------------------------------------------------------------

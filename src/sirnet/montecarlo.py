@@ -130,7 +130,7 @@ class _Window:
 
 
 def _surface(d: int) -> float:
-    """The unit sphere's area d c_d: exactly 2 in 1-D, where d * unit_ball_volume(d) is not."""
+    """The unit sphere's area d c_d, which d * unit_ball_volume(d) can miss by an ulp."""
     return 2.0 * math.pi ** (d / 2) / math.gamma(d / 2)
 
 

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 from .model import Fading
 from .specfun import DomainError, zeta
-from .throughput import tdma_ps_one_sided
+from .throughput import (_ps_line_tdma_alpha2, _ps_line_tdma_alpha4, _tdma_closed_form,
+                         tdma_ps_one_sided)
 
 __all__ = [
     "SuccessProbability",
@@ -75,9 +76,9 @@ def ps_line_alpha2_aloha(theta: float, p: float) -> float:
     _check_p(p)
     if not theta > 0:
         raise DomainError(f"theta must be positive, got {theta}")
-    y = math.pi * math.sqrt(theta)
     if p == 1.0:
-        return y / math.sinh(y) if y <= 690 else 0.0
+        return _ps_line_tdma_alpha2(theta)
+    y = math.pi * math.sqrt(theta)
     q = math.sqrt(1.0 - p)
     if y <= 30.0:
         return math.sinh(y * q) / math.sinh(y) / q
@@ -109,10 +110,9 @@ def ps_line_alpha4_aloha(theta: float, p: float) -> float:
     _check_p(p)
     if not theta > 0:
         raise DomainError(f"theta must be positive, got {theta}")
-    y = math.pi * theta ** 0.25 / math.sqrt(2.0)
     if p == 1.0:
-        den = math.sinh(y) ** 2 + math.sin(y) ** 2
-        return 2.0 * y * y / den if y <= 345 else 0.0
+        return _ps_line_tdma_alpha4(theta)
+    y = math.pi * theta ** 0.25 / math.sqrt(2.0)
     u = (1.0 - p) ** 0.25
     return _cc_ratio(y * u, y) / (u * u)
 
@@ -122,8 +122,9 @@ def ps_tdma_line(alpha: float, theta: float, m: int, sided: str = "one",
     """TDMA regular line network with reuse factor m, a Rayleigh desired link
     and interferer fading h: p_s = prod_i L_h(theta'/i^alpha), theta' = theta/m^alpha.
 
-    exp(-z') for static interferers, closed forms for Rayleigh interferers at
-    alpha in {2, 4}, else the exact infinite product (method ``product``), with
+    exp(-z') for static interferers, the closed forms that tdma_ps_one_sided
+    also takes for Rayleigh interferers at alpha in {2, 4} (so both give the
+    same bits), else the exact infinite product (method ``product``), with
     the bounds exp(-z') <= p_s <= 1/(1 + z' + (zeta-1) theta'^2), z' = zeta(alpha) theta'.
     The lower one is Jensen's, for any fading; the upper one needs L_h(x) <=
     1/(1 + x), as static and Nakagami m >= 1 meet, and is 1 for m < 1.
@@ -142,11 +143,11 @@ def ps_tdma_line(alpha: float, theta: float, m: int, sided: str = "one",
     upper = 1.0 / (1.0 + z * theta_p + (z - 1.0) * (theta_p * theta_p))
     if not interferer_fading.is_static and interferer_fading.m < 1.0:
         upper = 1.0
-    closed = {2: ps_line_alpha2_aloha, 4: ps_line_alpha4_aloha}.get(alpha)
+    closed = _tdma_closed_form(alpha, interferer_fading)
     if interferer_fading.is_static:  # the lower bound's own expression, so value >= lower
         value, method = math.exp(-z * theta_p), "closed-form"
-    elif closed and interferer_fading.is_rayleigh:
-        value, method = closed(theta_p, 1.0), "closed-form"
+    elif closed:
+        value, method = closed(theta_p), "closed-form"
     else:
         value, method = tdma_ps_one_sided(alpha, theta, m, interferer_fading), "product"
     value = _clamp_ps(value)

@@ -107,6 +107,24 @@ def test_3d_ppp_takes_the_path_of_every_other_model(capsys, argv):
     ("throughput --tdma --gamma 7", "--gamma"),
     ("throughput --tdma --duplex full --theta-db 0", "--duplex"),
     ("throughput --tdma --d 2", "--d"),
+    ("capacity --tdma --m 1 --p 0.7 --d 5", "--p"),
+    ("capacity --tdma --m 1 --d 2", "--d"),
+    ("throughput --rate --alpha 3 --gamma 9 --theta-db 4", "--gamma"),
+    ("throughput --rate --alpha 3 --theta-db 4", "--theta-db"),
+    ("throughput --rate --alpha-range 3:1:4 --alpha 3", "--alpha"),
+    ("throughput --gamma 2 --alpha 9 --d 7", "--alpha"),
+    ("throughput --gamma 2 --d 7", "--d"),
+    ("throughput --alpha-range 3:1:4", "--alpha-range"),
+    ("throughput --theta-db 4", "--theta-db"),
+    ("throughput --tdma --theta-db 0 --rate", "--rate"),
+    ("throughput --tdma --alpha-range 3:1:4", "--alpha-range"),
+    # Refused before the file is opened, so it need not exist.
+    ("outage --config model.cfg --class ppp2", "--class"),
+    ("outage --config model.cfg --alpha 4", "--alpha"),
+    ("outage --config model.cfg --case 1/1", "--case"),
+    ("outage --config model.cfg --delta 1", "--delta"),
+    ("outage --config model.cfg --r 2", "--r"),
+    ("outage --config model.cfg --distances 1,2", "--distances"),
 ])
 def test_a_flag_the_mode_never_reads_is_refused(capsys, argv, flag):
     """Even at its default value, which a mode that reads the flag fills in."""
@@ -123,6 +141,9 @@ def test_a_flag_the_mode_never_reads_is_refused(capsys, argv, flag):
     ("outage --class single --theta 2", "outage --class single --r 1 --alpha 4 --theta 2"),
     ("throughput", "throughput --gamma 1 --duplex full"),
     ("throughput --rate --alpha 3", "throughput --rate --alpha 3 --d 2 --duplex full"),
+    ("throughput --tdma", "throughput --tdma --alpha 2 --theta-db 0:1:20"),
+    ("outage --theta 2", "outage --class ppp2 --theta 2"),
+    ("capacity", "capacity --alpha 4 --d 2 --p 0.1"),
 ])
 def test_a_flag_not_given_reads_as_its_documented_default(capsys, bare, spelled):
     assert main(bare.split()) == 0
@@ -192,10 +213,11 @@ def test_outage_line_where_n_alpha_passes_the_float_range(tmp_path, argv, value)
     assert float(data_rows(text)[1][0]["value"]) == pytest.approx(value, rel=1e-9)
 
 
-@pytest.mark.parametrize("alpha", ["2", "3"])
+@pytest.mark.parametrize("alpha", ["2", "3", "4"])
 def test_outage_tdma_huge_theta_has_zero_value_and_bounds(tmp_path, alpha):
     """theta'^2 passes the float range at theta 1e200; p_s and the upper
-    bound are 0 and the lower bound exp(-z') is 0 too."""
+    bound are 0 and the lower bound exp(-z') is 0 too. At alpha 4 the closed
+    form is 0 past its cut, with no sinh(y)^2 to overflow."""
     code, text = run(tmp_path, "outage", "--class", "line1", "--alpha", alpha,
                      "--m", "1", "--theta", "1e200")
     assert code == 0

@@ -159,9 +159,11 @@ def test_line_sums_past_the_float_range_of_n_alpha_match_mpmath():
 
 def test_closed_forms_match_the_line_sum():
     """Within 1e-13 in log p_s, relative where |log p_s| > 1: p_s = exp(-L)
-    carries the rounding of L (at theta 1e6, alpha 2, L is 500 and more)."""
+    carries the rounding of L (at theta 1e6, alpha 2, L is 500 and more).
+    The thresholds reach down to 1e-8, where the first panel of a TDMA
+    capacity integral lies."""
     ray = Fading.rayleigh()
-    for theta in (0.01, 0.03, 0.3, 1.0, 10.0, 300.0, 1e4, 1e6):
+    for theta in (1e-8, 1e-6, 1e-4, 1e-3, 0.01, 0.03, 0.3, 1.0, 10.0, 300.0, 1e4, 1e6):
         assert gamma_line_alpha2(theta) == pytest.approx(gamma_line(2.0, theta, ray), rel=1e-13)
         assert gamma_line_alpha4(theta) == pytest.approx(gamma_line(4.0, theta, ray), rel=1e-13)
         for p in (0.01, 0.1, 0.3, 0.7, 1.0):

@@ -89,14 +89,15 @@ def test_cached_heads_and_nodes_are_read_only():
 
 
 def test_capacity_calls_stay_small():
-    """A TDMA capacity curve and a PPP spatial-capacity search each allocate
-    under 256 KB at their peak, and neither imports numpy.ma (about 1 MB of
+    """A TDMA capacity curve on the line product (alpha 3; alpha 2 and 4 take
+    closed forms) and a PPP spatial-capacity search each allocate under
+    256 KB at their peak, and neither imports numpy.ma (about 1 MB of
     resident memory)."""
     script = (
         "import sys, tracemalloc\n"
         "from sirnet import capacity\n"
         "tracemalloc.start()\n"
-        "capacity.tdma_spatial_capacity(4.0, range(2, 5))\n"
+        "capacity.tdma_spatial_capacity(3.0, range(2, 5))\n"
         "peak = tracemalloc.get_traced_memory()[1]\n"
         "tracemalloc.reset_peak()\n"
         "capacity.spatial_capacity_opt(3.0, 2, 'half')\n"

@@ -55,13 +55,62 @@ def test_half_duplex_bound_close():
 
 
 def test_tdma_ps_product_matches_closed_forms():
+    """At alpha 2 and 4 the capacity path and the outage path take the same
+    closed form, bit for bit."""
     from sirnet.outage import ps_tdma_line
 
     for alpha in (2.0, 4.0):
-        for theta in (0.5, 2.0):
-            for m in (1, 3):
+        for theta in (1e-8, 1e-3, 0.5, 2.0, 10.0, 1e3, 1e6, 1e9):
+            for m in (1, 3, 8):
                 exact = ps_tdma_line(alpha, theta, m).value
-                assert tdma_ps_one_sided(alpha, theta, m) == pytest.approx(exact, rel=1e-12)
+                assert tdma_ps_one_sided(alpha, theta, m) == exact, (alpha, theta, m)
+
+
+def test_tdma_ps_takes_the_line_sums_only_off_the_closed_forms(monkeypatch):
+    """Rayleigh interferers at alpha 2 and 4 take the closed forms, in a
+    capacity integral and a reuse scan too; alpha 3 and Nakagami interferers
+    still take the line product."""
+    from sirnet import capacity, throughput
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return line_sums(*args)
+
+    monkeypatch.setattr(throughput, "line_sums", counted)
+    for alpha in (2.0, 4.0):
+        tdma_ps_one_sided(alpha, np.array(TDMA_THETAS), 2)
+        tdma_m_opt(alpha, 10.0)
+    capacity.ergodic_capacity_tdma(4.0, 2)
+    assert calls == []
+    tdma_ps_one_sided(3.0, 1.0, 2)
+    tdma_ps_one_sided(2.0, 1.0, 2, Fading.nakagami(2.0))
+    tdma_ps_one_sided(4.0, 1.0, 2, Fading.none())
+    assert calls == [3.0, 2.0, 4.0]
+
+
+def test_tdma_closed_forms_match_mpmath_down_to_1e_200():
+    """y / sinh y and 2 y^2 / (sinh^2 y + sin^2 y) within 1e-13 of 40-digit
+    mpmath wherever p_s > 1e-200 (y up to 466 and 237). p_s carries y's
+    rounding times y (alpha 2) or 2y (alpha 4), so the grid is dense where y
+    is large. Rounded as written there, y = pi theta'^(1/4)/sqrt(2) misses
+    1e-13 on this grid."""
+    mpmath = pytest.importorskip("mpmath")
+    thetas = np.concatenate([np.logspace(-8, 3, 300), np.logspace(3, 10, 1500)])
+    with mpmath.workdps(40):
+        for alpha in (2.0, 4.0):
+            values = tdma_ps_one_sided(alpha, thetas, 1).tolist()
+            for theta, value in zip(thetas.tolist(), values):
+                t = mpmath.mpf(theta)
+                if alpha == 2.0:
+                    y = mpmath.pi * mpmath.sqrt(t)
+                    ref = y / mpmath.sinh(y)
+                else:
+                    y = mpmath.pi * mpmath.root(t / 4, 4)
+                    ref = 2 * y * y / (mpmath.sinh(y) ** 2 + mpmath.sin(y) ** 2)
+                if ref > mpmath.mpf("1e-200"):
+                    assert abs(value - ref) <= 1e-13 * ref, (alpha, theta, value)
 
 
 TDMA_ALPHAS = (1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 5.0)
