@@ -90,6 +90,14 @@ def test_tdma_ps_takes_the_line_sums_only_off_the_closed_forms(monkeypatch):
     assert calls == [3.0, 2.0, 4.0]
 
 
+def test_tdma_ps_is_one_where_m_alpha_overflows():
+    """theta' = theta/m^alpha is 0 once m^alpha passes the float range, and
+    the closed forms give its limit 1 as the line product does."""
+    for alpha in (2.0, 3.0, 4.0):
+        assert tdma_ps_one_sided(alpha, 1.0, 1e200) == 1.0
+        assert tdma_ps_one_sided(alpha, np.array([1.0, 1e-300]), 1e200).tolist() == [1.0, 1.0]
+
+
 def test_tdma_closed_forms_match_mpmath_down_to_1e_200():
     """y / sinh y and 2 y^2 / (sinh^2 y + sin^2 y) within 1e-13 of 40-digit
     mpmath wherever p_s > 1e-200 (y up to 466 and 237). p_s carries y's
