@@ -195,8 +195,8 @@ def ergodic_capacity_tdma(alpha: float, m: int) -> CapacityResult:
     C = int log(1 + (m t/pi)^2) (t cosh t - sinh t)/sinh^2 t dt (the SIR
     density under the substitution t = pi sqrt(theta)/m); other alpha fall
     back to quadrature of p_s(theta)/(1+theta) with throughput's
-    tdma_ps_one_sided: its closed form at alpha = 4, the line product
-    elsewhere. Both report the panel error estimate in abs_err.
+    tdma_ps_one_sided: its closed form at alpha 4, Gamma product at alpha 3,
+    line sums elsewhere. Both report the panel error estimate in abs_err.
     """
     if not (isinstance(m, int) and m >= 1):
         raise DomainError(f"reuse factor must be an integer >= 1, got {m}")

@@ -226,9 +226,9 @@ def cmd_outage(args, out) -> int:
 
 
 def cmd_throughput(args, out) -> int:
-    alpha = 2.0 if args.alpha is None else args.alpha
     if args.tdma:
         _refuse_unread(args, "--tdma", "--gamma", "--duplex", "--d", "--rate", "--alpha-range")
+        alpha = 2.0 if args.alpha is None else args.alpha
         csv = _Csv(["theta_db", "m_lower", "m_upper", "m_hat", "m_exact", "pT"], out)
         for db in _parse_range(args.theta_db or "0:1:20"):
             theta = 10.0 ** (db / 10.0)
@@ -242,6 +242,7 @@ def cmd_throughput(args, out) -> int:
             _refuse_unread(args, "--alpha-range", "--alpha")
         d = 2 if args.d is None else args.d
         csv = _Csv(["alpha", "d", "duplex", "theta_opt", "p_opt", "t_max"], out)
+        alpha = 4.0 if args.alpha is None else args.alpha
         for a in _parse_range(args.alpha_range or _fmt(alpha)):
             opt = throughput.optimize_rate(a, d, duplex)
             csv.row(a, d, duplex, opt.theta_opt, opt.p_opt, opt.t_max)
@@ -386,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--tdma", action="store_true", help="TDMA reuse-factor sweep")
     t.add_argument("--rate", action="store_true", default=None,
                    help="joint (theta, p) rate optimization")
-    t.add_argument("--alpha", type=float, help="path-loss exponent (default 2)")
+    t.add_argument("--alpha", type=float, help="path-loss exponent (default 2, 4 for --rate)")
     t.add_argument("--alpha-range", help="alpha sweep for --rate: a:step:b")
     t.add_argument("--d", type=int)
     t.add_argument("--duplex", choices=["full", "half"])

@@ -264,11 +264,12 @@ def effective_distance(r: float, alpha: float, theta: float) -> float:
 
 
 def unit_ball_volume(d: int) -> float:
-    """Volume of the unit ball in d dimensions: 2 pi^(d/2) / Gamma(d/2) / d,
-    in this order exactly 2, pi and 4 pi/3 at d = 1, 2, 3."""
+    """Volume of the unit ball in d dimensions: 2 pi^(d/2) / Gamma(d/2) / d, exactly 2, pi
+    and 4 pi/3 at d = 1, 2, 3, or past d = 343, exp(d/2 log pi - lgamma(d/2 + 1))."""
     if not (isinstance(d, int) and d >= 1):
         raise DomainError(f"dimension must be an integer >= 1, got {d}")
-    return 2 * math.pi ** (d / 2) / math.gamma(d / 2) / d
+    return (2 * math.pi ** (d / 2) / math.gamma(d / 2) / d if d < 344
+            else math.exp(d / 2 * math.log(math.pi) - math.lgamma(d / 2 + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,9 @@ _CLAMP = 1e-300
 class SuccessProbability:
     """Success probability with its bounds and the method that produced it.
 
-    ``method`` is ``closed-form``, or ``product`` for a line's infinite
-    product where the alpha in {2, 4} closed forms do not apply. Values
-    below 1e-300 are clamped to zero.
+    ``method`` is ``closed-form``, or ``product`` for a line's infinite product
+    (at alpha 3 on a Rayleigh TDMA line, its Gamma product) where the alpha in
+    {2, 4} closed forms do not apply. Values below 1e-300 are clamped to zero.
     """
 
     value: float
@@ -124,7 +124,7 @@ def ps_tdma_line(alpha: float, theta: float, m: int, sided: str = "one",
 
     exp(-z') for static interferers, the closed forms that tdma_ps_one_sided
     also takes for Rayleigh interferers at alpha in {2, 4} (so both give the
-    same bits), else the exact infinite product (method ``product``), with
+    same bits), else its exact infinite product (method ``product``), with
     the bounds exp(-z') <= p_s <= 1/(1 + z' + (zeta-1) theta'^2), z' = zeta(alpha) theta'.
     The lower one is Jensen's, for any fading; the upper one needs L_h(x) <=
     1/(1 + x), as static and Nakagami m >= 1 meet, and is 1 for m < 1.

@@ -11,7 +11,7 @@ import numpy as np
 from .contention import c_d_constant, interference_log_ps, line_sums, power_series
 from .model import Fading
 from .optimize import golden_section_max
-from .specfun import DomainError, lambert_w0, zeta
+from .specfun import DomainError, _log_cube_product, lambert_w0, zeta
 
 __all__ = [
     "ThroughputResult",
@@ -118,13 +118,13 @@ def tdma_ps_one_sided(
     theta/m^alpha). theta and m may be scalars or arrays that broadcast;
     scalars give a float, arrays an array.
 
-    Rayleigh interferers at alpha = 2 and 4 take the closed forms y/sinh y
-    and 2y^2/(sinh^2 y + sin^2 y), element by element in `math`. Otherwise
-    log(1/p_s) = sum_i -log L_h(theta'/i^alpha) is a contention.line_sums of
-    the ALOHA term interference_log_ps at p = 1. Against an mpmath
-    reference the relative error is below 1e-13 for alpha in [1.5, 5] and
-    theta' in [1e-6, 1e4]. Each element depends only on its own theta', so
-    an array call returns exactly what scalar calls return.
+    Rayleigh interferers take the closed forms y/sinh y and 2y^2/(sinh^2 y + sin^2 y)
+    at alpha 2 and 4, element by element in `math`, and at alpha 3 the Gamma product of
+    specfun._log_cube_product in numpy. Otherwise log(1/p_s) = sum_i -log L_h(theta'/i^alpha)
+    is a contention.line_sums of the ALOHA term interference_log_ps at p = 1. Against an
+    mpmath reference the relative error is below 1e-13 for alpha in [1.5, 5] and theta' in
+    [1e-6, 1e4], and at alpha 3 wherever p_s > 1e-200. Each element depends only on its
+    own theta', so an array call returns exactly what scalar calls return.
     """
     if not 1 < alpha < math.inf:
         raise DomainError(f"alpha must be finite and exceed 1, got {alpha}")
@@ -141,9 +141,12 @@ def tdma_ps_one_sided(
         # >= 1100, log(1/p_s) >= sum_{i<=1100} log(1 + 2q/i)/2 > 900, so p_s underflows.
         live = tp ** (1.0 / alpha) < 1100.0
         log_inv = np.full(tp.shape, math.inf)
-        log_inv[live] = line_sums(
-            alpha, tp[live].tolist(), lambda x: interference_log_ps(x, 1.0, interferer_fading),
-            power_series(interferer_fading, 1.0))
+        if alpha == 3 and interferer_fading.is_rayleigh:
+            log_inv[live] = _log_cube_product(tp[live])
+        else:
+            log_inv[live] = line_sums(
+                alpha, tp[live].tolist(), lambda x: interference_log_ps(x, 1.0, interferer_fading),
+                power_series(interferer_fading, 1.0))
         ps = np.exp(-log_inv)
     return float(ps) if ps.ndim == 0 else ps
 
@@ -156,9 +159,9 @@ def tdma_m_opt(alpha: float, theta: float) -> ThroughputResult:
     """Optimal TDMA reuse factor for a two-sided line network.
 
     p_T(m) = p_s(m)^2 / m with the exact one-sided p_s of tdma_ps_one_sided
-    (closed forms at alpha = 2 and 4, the line product elsewhere). Reports both the
-    exact integer maximizer (exhaustive scan up to twice the analytic
-    upper bound) and the closed-form estimate
+    (closed forms at alpha = 2 and 4, the Gamma product at alpha = 3, the line
+    sums elsewhere). Reports both the exact integer maximizer (exhaustive scan
+    up to twice the analytic upper bound) and the closed-form estimate
     m_hat = round((theta zeta(alpha) (2 alpha - 1/2))^(1/alpha)).
     """
     if not (1 < alpha < math.inf and theta > 0):

@@ -287,6 +287,19 @@ def test_throughput_rate_example(tmp_path):
     assert float(rows[0]["theta_opt"]) == pytest.approx(3.9215536, rel=1e-5)
 
 
+def test_throughput_rate_alone_reads_alpha_4_and_tdma_alone_alpha_2(capsys):
+    """With neither --alpha nor --alpha-range, --rate prints its alpha 4 row
+    (alpha 2 is not above d = 2) and --tdma keeps alpha 2."""
+    assert main(["throughput", "--rate"]) == 0
+    bare = capsys.readouterr().out
+    assert main("throughput --rate --alpha 4 --d 2 --duplex full".split()) == 0
+    assert capsys.readouterr().out == bare and len(bare.splitlines()) == 3
+    assert main(["throughput", "--tdma", "--theta-db", "3"]) == 0
+    bare = capsys.readouterr().out
+    assert main("throughput --tdma --alpha 2 --theta-db 3".split()) == 0
+    assert capsys.readouterr().out == bare
+
+
 def test_throughput_gamma_sweep(tmp_path):
     code, text = run(tmp_path, "throughput", "--gamma", "0.5,2", "--duplex", "full")
     assert code == 0

@@ -222,3 +222,18 @@ def test_validation_case_names_match_the_benchmark_references():
     names = [c.name for c in validation.validation_cases()]
     assert len(names) == 52
     assert set(names) == set(json.loads(refs.read_text())["mc"]["cases"])
+
+
+def test_unit_ball_volume_past_the_gamma_overflow():
+    """From d = 344 on math.gamma(d/2) overflows; the volume itself is representable
+    to d = 452 and underflows to 0 after. Below 344 the closed form is unchanged."""
+    import math
+
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for d in (343, 344, 400, 1000):
+            ref = float(mpmath.pi ** (mpmath.mpf(d) / 2) / mpmath.gamma(mpmath.mpf(d) / 2 + 1))
+            assert unit_ball_volume(d) == pytest.approx(ref, rel=1e-12, abs=0.0), d
+    assert unit_ball_volume(1000) == 0.0 < unit_ball_volume(452)
+    for d in (1, 2, 3, 10, 100, 343):
+        assert unit_ball_volume(d) == 2 * math.pi ** (d / 2) / math.gamma(d / 2) / d

@@ -121,3 +121,36 @@ def test_lower_incomplete_gamma():
     assert lower_incomplete_gamma(3.0, 80.0) == pytest.approx(2.0, rel=1e-12)
     assert lower_incomplete_gamma(2.5, 1.3) == pytest.approx(0.3172267874759336, rel=1e-10)
 
+
+
+def test_log_cube_product_matches_mpmath_loggamma_to_y_1100():
+    """log prod_i (1 + t/i^3) = -(log Gamma(1+y) + log Gamma(1 - y w) + log Gamma(1 - y w*)),
+    w = e^(i pi/3), y = t^(1/3): against mpmath.loggamma at the three points, on both
+    sides of the series switch at t = 0.02 and out to y = 1100 (values near 4,000)."""
+    import numpy as np
+
+    from sirnet.specfun import _log_cube_product
+
+    mpmath = pytest.importorskip("mpmath")
+    ys = np.concatenate([[0.0], np.geomspace(1e-4, 1.0, 40), np.linspace(1.0, 30.0, 150),
+                         np.linspace(30.0, 1100.0, 150)])
+    values = _log_cube_product(ys ** 3)
+    assert values[0] == 0.0
+    with mpmath.workdps(40):
+        w = mpmath.exp(1j * mpmath.pi / 3)
+        for t, value in zip((ys ** 3).tolist(), values.tolist()):
+            y = mpmath.cbrt(mpmath.mpf(t))
+            ref = -(mpmath.loggamma(1 + y) + mpmath.loggamma(1 - y * w)
+                    + mpmath.loggamma(1 - y * mpmath.conj(w)))
+            assert abs(ref.imag) < 1e-30
+            assert abs(value - ref.real) <= 2e-15 * max(1.0, abs(ref.real)), (t, value)
+
+
+def test_cube_series_is_zeta_3l_over_l():
+    from sirnet.specfun import _cube_series
+
+    mpmath = pytest.importorskip("mpmath")
+    coefficients = _cube_series()[::-1]
+    assert len(coefficients) == 10
+    for l, c in enumerate(coefficients, start=1):
+        assert c == pytest.approx((-1) ** (l + 1) * float(mpmath.zeta(3 * l)) / l, rel=1e-15)

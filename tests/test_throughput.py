@@ -67,9 +67,9 @@ def test_tdma_ps_product_matches_closed_forms():
 
 
 def test_tdma_ps_takes_the_line_sums_only_off_the_closed_forms(monkeypatch):
-    """Rayleigh interferers at alpha 2 and 4 take the closed forms, in a
-    capacity integral and a reuse scan too; alpha 3 and Nakagami interferers
-    still take the line product."""
+    """Rayleigh interferers at alpha 2, 3 and 4 take the closed forms (alpha 3
+    its Gamma product), in a capacity integral and a reuse scan too; alpha 2.5
+    and Nakagami interferers still take the line product."""
     from sirnet import capacity, throughput
 
     calls = []
@@ -79,15 +79,16 @@ def test_tdma_ps_takes_the_line_sums_only_off_the_closed_forms(monkeypatch):
         return line_sums(*args)
 
     monkeypatch.setattr(throughput, "line_sums", counted)
-    for alpha in (2.0, 4.0):
+    for alpha in (2.0, 3.0, 4.0):
         tdma_ps_one_sided(alpha, np.array(TDMA_THETAS), 2)
         tdma_m_opt(alpha, 10.0)
+    capacity.ergodic_capacity_tdma(3.0, 2)
     capacity.ergodic_capacity_tdma(4.0, 2)
     assert calls == []
-    tdma_ps_one_sided(3.0, 1.0, 2)
+    tdma_ps_one_sided(2.5, 1.0, 2)
     tdma_ps_one_sided(2.0, 1.0, 2, Fading.nakagami(2.0))
     tdma_ps_one_sided(4.0, 1.0, 2, Fading.none())
-    assert calls == [3.0, 2.0, 4.0]
+    assert calls == [2.5, 2.0, 4.0]
 
 
 def test_tdma_ps_is_one_where_m_alpha_overflows():
@@ -119,6 +120,45 @@ def test_tdma_closed_forms_match_mpmath_down_to_1e_200():
                     ref = 2 * y * y / (mpmath.sinh(y) ** 2 + mpmath.sin(y) ** 2)
                 if ref > mpmath.mpf("1e-200"):
                     assert abs(value - ref) <= 1e-13 * ref, (alpha, theta, value)
+
+
+def test_tdma_alpha3_matches_the_gamma_product_down_to_1e_200():
+    """At alpha 3, p_s = Gamma(1+y) |Gamma(1 - y e^(i pi/3))|^2 with y = theta'^(1/3),
+    within 1e-13 of 40-digit mpmath wherever p_s > 1e-200 (theta' up to 2e6, y 127),
+    through the series below theta' = 0.02 and the Gamma product above."""
+    mpmath = pytest.importorskip("mpmath")
+    thetas = np.logspace(-12, 9, 200)
+    values = tdma_ps_one_sided(3.0, thetas, 1).tolist()
+    checked = 0
+    with mpmath.workdps(40):
+        w = mpmath.exp(1j * mpmath.pi / 3)
+        for theta, value in zip(thetas.tolist(), values):
+            y = mpmath.cbrt(mpmath.mpf(theta))
+            ref = mpmath.gamma(1 + y) * abs(mpmath.gamma(1 - y * w)) ** 2
+            if ref > mpmath.mpf("1e-200"):
+                assert abs(value - ref) <= 1e-13 * ref, (theta, value)
+                checked += 1
+            else:
+                assert value < 1e-199
+    assert checked > 170
+
+
+def test_tdma_alpha3_series_and_gamma_product_agree_at_the_switch():
+    """-log p_s = sum_l (-1)^(l+1) zeta(3l) theta'^l / l below theta' = 0.02, the
+    Gamma product from there on: on both sides of 0.02 the two give p_s within 1e-15."""
+    from sirnet.specfun import _cube_series, _log_cube_product
+
+    below = np.nextafter(0.02, 0.0)
+    ts = np.array([0.015, 0.019, below, 0.02, 0.0201, 0.021, 0.025, 0.03])
+    series = ts * np.polyval(_cube_series(), ts)
+    gamma = _log_cube_product(ts)
+    assert (gamma[ts < 0.02] == series[ts < 0.02]).all()
+    for t in ts[ts >= 0.02].tolist():
+        s = t * np.polyval(_cube_series(), t)
+        g = _log_cube_product(np.array([t]))[0]
+        assert abs(math.exp(-g) - math.exp(-s)) <= 1e-15 * math.exp(-s), t
+    ps = tdma_ps_one_sided(3.0, np.array([below, 0.02]), 1)
+    assert abs(ps[1] - ps[0]) <= 1e-15
 
 
 TDMA_ALPHAS = (1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 5.0)
