@@ -292,8 +292,8 @@ def _log_cube_product(t: np.ndarray) -> np.ndarray:
     rest = (np.log1p(e) - 0.5 * np.log1p(t / 1331.0) + 0.022721026463855522
             - 0.5 * y * np.log1p(33.0 * y / (121.0 - 11.0 * y + y * y))
             - math.sqrt(3.0) * y * np.arctan2(5.5 * math.sqrt(3.0), y - 5.5))
-    for w, k in ((11.0 + y, 1.0), (11.0 - y * complex(0.5, 0.5 * math.sqrt(3.0)), 2.0)):
-        rest = rest - k * (np.polyval(_STIRLING, 1.0 / (w * w)) / w).real
+    w = np.concatenate((11.0 + y, 11.0 - y * complex(0.5, 0.5 * math.sqrt(3.0))))
+    s = (np.polyval(_STIRLING, 1.0 / (w * w)) / w).real  # at 11 + y, then 11 - y w
     # The largest term, 2 pi y/sqrt(3), comes last; cbrt((2 pi/sqrt 3)^3 t) rounds once less.
-    log[~small] = rest + np.cbrt(47.73728583450431 * t)
+    log[~small] = rest - s[:t.size] - 2.0 * s[t.size:] + np.cbrt(47.73728583450431 * t)
     return log

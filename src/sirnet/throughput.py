@@ -101,7 +101,7 @@ def _ps_line_tdma_alpha4(theta_p: float) -> float:
 
 
 def _tdma_closed_form(alpha: float, interferer_fading: Fading):
-    """The p_s(theta') closed form of a one-sided TDMA line, or None where there is none."""
+    """p_s(theta') of a one-sided Rayleigh TDMA line at alpha 2 or 4 (closed-form), else None."""
     if not interferer_fading.is_rayleigh:
         return None
     return {2: _ps_line_tdma_alpha2, 4: _ps_line_tdma_alpha4}.get(alpha)
