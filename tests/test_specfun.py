@@ -122,7 +122,6 @@ def test_lower_incomplete_gamma():
     assert lower_incomplete_gamma(2.5, 1.3) == pytest.approx(0.3172267874759336, rel=1e-10)
 
 
-
 def test_log_cube_product_matches_mpmath_loggamma_to_y_1100():
     """log prod_i (1 + t/i^3) = -(log Gamma(1+y) + log Gamma(1 - y w) + log Gamma(1 - y w*)),
     w = e^(i pi/3), y = t^(1/3): against mpmath.loggamma at the three points, on both
