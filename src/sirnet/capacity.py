@@ -65,7 +65,10 @@ def _c_p(alpha: float, d: int, p: float) -> float:
     cd = c_d_constant(d, alpha)  # checks d, then alpha
     if not 0.0 < p <= 1.0:
         raise DomainError(f"transmit probability must be in (0, 1], got {p}")
-    return p * cd
+    cp = p * cd
+    if cp == 0.0:
+        raise DomainError(f"c_p = p C_d(alpha) underflows to 0 at d = {d}, alpha = {alpha}")
+    return cp
 
 
 def ergodic_capacity_ppp(alpha: float, d: int = 2, p: float = 1.0) -> CapacityResult:
@@ -196,7 +199,10 @@ def ergodic_capacity_tdma(alpha: float, m: int) -> CapacityResult:
     density under the substitution t = pi sqrt(theta)/m); other alpha fall
     back to quadrature of p_s(theta)/(1+theta) with throughput's
     tdma_ps_one_sided: its closed form at alpha 4, Gamma product at alpha 3,
-    line sums elsewhere. Both report the panel error estimate in abs_err.
+    line sums elsewhere. That integral calls tdma_ps_one_sided twice: once on
+    the candidate cutoffs, to pick the first where p_s is negligible, and once
+    on the nodes of all its panels. Both report the panel error estimate in
+    abs_err.
     """
     if not (isinstance(m, int) and m >= 1):
         raise DomainError(f"reuse factor must be an integer >= 1, got {m}")
@@ -228,11 +234,17 @@ def _tdma_capacity_ccdf(alpha: float, m: int) -> CapacityResult:
     def integrand_v(v):
         return tdma_ps_one_sided(alpha, np.expm1(v), m)
 
-    # p_s decays like exp(-const theta^(1/alpha)); grow the cutoff until the
-    # integrand is negligible (its tail then decays faster than e^-v).
-    cutoff = math.log1p(60.0 * m ** alpha / zeta(alpha))
-    while integrand_v(cutoff) > 1e-13 and cutoff < 1e4:
-        cutoff *= 1.5
+    # p_s decays like exp(-const theta^(1/alpha)); grow the cutoff by 1.5 until the
+    # integrand is negligible (its tail then decays faster than e^-v) or the cutoff
+    # reaches 1e4. One probe call evaluates every candidate; e^v - 1 = inf past
+    # v = 709.78 gives p_s = 0.
+    candidates = [math.log1p(60.0 * m ** alpha / zeta(alpha))]
+    while candidates[-1] < 1e4:
+        candidates.append(candidates[-1] * 1.5)
+    with np.errstate(over="ignore"):
+        probe = integrand_v(np.array(candidates))
+    cutoff = next((c for c, ps in zip(candidates, probe.tolist()) if not ps > 1e-13),
+                  candidates[-1])
     value, err = integrate_decaying(integrand_v, cutoff=cutoff, pieces=_TDMA_PANELS)
     return CapacityResult(value=value, method="quadrature", abs_err=err)
 

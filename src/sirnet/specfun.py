@@ -282,8 +282,11 @@ def _log_cube_product(t: np.ndarray) -> np.ndarray:
     sum to 21/2 log(1331 + t) - 33 + y/2 log1p(33y/(121 - 11y + y^2)) - sqrt(3) y (2 pi/3
     - atan2(11 sqrt(3)/2, y - 11/2)), in which no y log y is left to cancel."""
     log, small = np.empty_like(t), t < 0.02
-    log[small] = t[small] * np.polyval(_cube_series(), t[small])
+    if small.any():  # each branch is skipped when empty: np.polyval alone is ~20 calls
+        log[small] = t[small] * np.polyval(_cube_series(), t[small])
     t = t[~small]
+    if not t.size:
+        return log
     y, v = np.cbrt(t), t / (1331.0 + t)
     e = np.zeros_like(t)  # prod_{i<=10} (1 + t/i^3) / (1 + t/1331)^10 - 1
     for x in (v * ((1331 - i ** 3) / i ** 3) for i in range(1, 11)):

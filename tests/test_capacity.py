@@ -21,6 +21,7 @@ from sirnet.capacity import (
 from sirnet.contention import c_d_constant
 from sirnet.quadrature import integrate_decaying
 from sirnet.specfun import DomainError, zeta
+from sirnet.throughput import tdma_ps_one_sided
 
 import simpson
 
@@ -59,6 +60,49 @@ def test_abs_err_bounds_the_tdma_alpha2_paths():
         assert kernel.method == "closed-kernel" and product.method == "quadrature"
         assert abs(kernel.value - product.value) <= (
             kernel.abs_err + product.abs_err + 1e-14 * abs(product.value)), m
+
+
+def loop_cutoff(alpha, m):
+    """The TDMA capacity cutoff as a loop of one-theta p_s calls picks it: grow by
+    1.5 from log1p(60 m^alpha / zeta(alpha)) until p_s(e^v - 1) <= 1e-13 or v >= 1e4."""
+    cutoff = math.log1p(60.0 * m ** alpha / zeta(alpha))
+    while tdma_ps_one_sided(alpha, np.expm1(cutoff), m) > 1e-13 and cutoff < 1e4:
+        cutoff *= 1.5
+    return cutoff
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.5, 3.0, 4.0, 5.0])
+def test_tdma_capacity_probe_picks_the_loops_cutoff(alpha):
+    grown = 0
+    for m in range(1, 11):
+        cutoff = loop_cutoff(alpha, m)
+        grown += cutoff != math.log1p(60.0 * m ** alpha / zeta(alpha))
+        expected = integrate_decaying(lambda v: tdma_ps_one_sided(alpha, np.expm1(v), m),
+                                      cutoff=cutoff, pieces=capacity._TDMA_PANELS)
+        r = ergodic_capacity_tdma(alpha, m)
+        assert (r.value, r.abs_err) == expected, m
+    assert grown > 0, alpha
+
+
+@pytest.mark.filterwarnings("error")
+def test_tdma_capacity_calls_p_s_twice(monkeypatch):
+    """One probe call on the cutoff candidates, whose e^v - 1 overflows to inf
+    without a warning, then one call on the nodes of every panel."""
+    shapes = []
+
+    def counted(alpha, theta, m):
+        shapes.append(np.shape(theta))
+        return tdma_ps_one_sided(alpha, theta, m)
+
+    monkeypatch.setattr(capacity, "tdma_ps_one_sided", counted)
+    for alpha in (1.5, 3.0, 4.0, 5.0):
+        for m in range(1, 11):
+            shapes.clear()
+            ergodic_capacity_tdma(alpha, m)
+            assert len(shapes) == 2 and len(shapes[0]) == 1 and shapes[0] != shapes[1], (alpha, m)
+    shapes.clear()
+    capacity._tdma_capacity_ccdf(2.0, 3)
+    assert len(shapes) == 2
 
 
 def test_quadrature_branch():

@@ -571,6 +571,14 @@ def test_non_finite_or_overlong_input_is_usage_error(capsys, argv):
     assert one_line_error(capsys)
 
 
+def test_capacity_names_the_c_p_underflow(capsys):
+    """C_d(alpha) holds the unit-ball volume, 1e-886 at d = 1000, so c_p is 0."""
+    assert main("capacity --d 1000 --alpha 1500 --p 0.1".split()) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "error: c_p = p C_d(alpha) underflows to 0 at d = 1000, alpha = 1500.0\n")
+
+
 @pytest.mark.parametrize("config", [
     "geometry = single",
     "geometry = explicit",

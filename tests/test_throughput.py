@@ -99,6 +99,27 @@ def test_tdma_ps_is_one_where_m_alpha_overflows():
         assert tdma_ps_one_sided(alpha, np.array([1.0, 1e-300]), 1e200).tolist() == [1.0, 1.0]
 
 
+@pytest.mark.filterwarnings("error")
+def test_tdma_closed_forms_in_numpy_keep_their_edges():
+    """The alpha 2 and 4 forms over arrays raise no warning at theta' = 0 (m^alpha
+    overflows), at tiny theta', past their y cuts (690 and 345) or at theta = inf
+    (the capacity probe's e^v - 1 past v = 709.78), and a float in gives a float."""
+    from sirnet.throughput import _ps_line_tdma_alpha2, _ps_line_tdma_alpha4
+
+    for alpha, form, cut in ((2.0, _ps_line_tdma_alpha2, (690.0 / math.pi) ** 2),
+                             (4.0, _ps_line_tdma_alpha4, 4.0 * (345.0 / math.pi) ** 4)):
+        tiny = np.array([5e-324, 1e-300, 1e-200, 1e-30])
+        assert tdma_ps_one_sided(alpha, tiny, 1).tolist() == [1.0] * 4
+        assert form(np.array([0.0, 5e-324])).tolist() == [1.0, 1.0]
+        ps = tdma_ps_one_sided(alpha, np.array([0.999 * cut, 1.001 * cut, 1e300, math.inf]), 1)
+        assert 0.0 < ps[0] < 1e-290 and ps[1:].tolist() == [0.0] * 3
+        assert tdma_ps_one_sided(alpha, math.inf, 3) == 0.0
+        for theta_p in (0.0, 1e-300, 0.5, 1.001 * cut, math.inf):
+            assert type(form(theta_p)) is float, (alpha, theta_p)
+        assert type(tdma_ps_one_sided(alpha, 2.0, 3)) is float
+        assert form(0.5) == form(np.array([0.5]))[0]
+
+
 def test_tdma_closed_forms_match_mpmath_down_to_1e_200():
     """y / sinh y and 2 y^2 / (sinh^2 y + sin^2 y) within 1e-13 of 40-digit
     mpmath wherever p_s > 1e-200 (y up to 466 and 237). p_s carries y's
