@@ -59,6 +59,13 @@ _CP_PANELS = 24
 _TDMA_PANELS = 8
 # c_p values that _capacity_values integrates in one pass: about 100 KB of temporaries.
 _CP_BLOCK = 4
+# Reuse factors that tdma_spatial_capacity integrates in one pass at alpha 2: as many.
+_TDMA_M_BLOCK = 12
+
+
+def _check_reuse(m) -> None:
+    if not (isinstance(m, int) and m >= 1):
+        raise DomainError(f"reuse factor must be an integer >= 1, got {m}")
 
 
 def _c_p(alpha: float, d: int, p: float) -> float:
@@ -204,8 +211,7 @@ def ergodic_capacity_tdma(alpha: float, m: int) -> CapacityResult:
     on the nodes of all its panels. Both report the panel error estimate in
     abs_err.
     """
-    if not (isinstance(m, int) and m >= 1):
-        raise DomainError(f"reuse factor must be an integer >= 1, got {m}")
+    _check_reuse(m)
     if alpha == 2:
         return _tdma_capacity_alpha2(m)
     if not 1 < alpha < math.inf:
@@ -213,18 +219,20 @@ def ergodic_capacity_tdma(alpha: float, m: int) -> CapacityResult:
     return _tdma_capacity_ccdf(alpha, m)
 
 
-def _tdma_capacity_alpha2(m: int) -> CapacityResult:
-    def integrand(t: np.ndarray) -> np.ndarray:
-        # (t cosh t - sinh t)/sinh^2 t = 2 e^-t (t (2 + e) + e)/e^2 with
-        # e = expm1(-2t), which cancels for small t: there the series is used.
-        small = t < 1e-3
-        ts = np.where(small, 1.0, t)
-        em = np.expm1(-2.0 * ts)
-        kernel = np.where(small, t / 3.0 - t ** 3 / 30.0,
-                          2.0 * np.exp(-ts) * (ts * (2.0 + em) + em) / em ** 2)
-        return np.log1p((m * t / math.pi) ** 2) * kernel
+def _tdma_alpha2_integrand(t: np.ndarray, m) -> np.ndarray:
+    # (t cosh t - sinh t)/sinh^2 t = 2 e^-t (t (2 + e) + e)/e^2 with
+    # e = expm1(-2t), which cancels for small t: there the series is used.
+    small = t < 1e-3
+    ts = np.where(small, 1.0, t)
+    em = np.expm1(-2.0 * ts)
+    kernel = np.where(small, t / 3.0 - t ** 3 / 30.0,
+                      2.0 * np.exp(-ts) * (ts * (2.0 + em) + em) / em ** 2)
+    return np.log1p((m * t / math.pi) ** 2) * kernel
 
-    value, err = integrate_decaying(integrand, cutoff=60.0, pieces=_TDMA_PANELS)
+
+def _tdma_capacity_alpha2(m: int) -> CapacityResult:
+    value, err = integrate_decaying(lambda t: _tdma_alpha2_integrand(t, m),
+                                    cutoff=60.0, pieces=_TDMA_PANELS)
     return CapacityResult(value=value, method="closed-kernel", abs_err=err)
 
 
@@ -259,8 +267,7 @@ def ergodic_capacity_tdma_bounds(alpha: float, m: int) -> tuple[float, float | N
     """
     if not 1 < alpha < math.inf:
         raise DomainError(f"alpha must be finite and exceed 1, got {alpha}")
-    if not (isinstance(m, int) and m >= 1):
-        raise DomainError(f"reuse factor must be an integer >= 1, got {m}")
+    _check_reuse(m)
     z = zeta(alpha) / m ** alpha
     lower = _gamma_cf(0.0, z) if z >= 1.0 else math.exp(z) * exp_integral_e1(z)
     if alpha == 2:
@@ -275,8 +282,7 @@ def tdma_sir_moments(m: int) -> tuple[float, float]:
 
     E sqrt(SIR) = pi m / 4 and E SIR = 7 zeta(3) m^2 / pi^2.
     """
-    if not (isinstance(m, int) and m >= 1):
-        raise DomainError(f"reuse factor must be an integer >= 1, got {m}")
+    _check_reuse(m)
     return math.pi * m / 4.0, 7.0 * zeta(3.0) * m * m / math.pi ** 2
 
 
@@ -296,8 +302,22 @@ def tdma_spatial_capacity(alpha: float, m_range: range = range(1, 11)) -> tuple[
     """Reuse factor maximizing the spatial capacity C(m)/m of a TDMA line.
 
     Returns (m_opt, C/m at the optimum, the full {m: C/m} table). The
-    optimum is m = 2 for alpha = 2 and m = 3 for alpha = 4.
+    optimum is m = 2 for alpha = 2 and m = 3 for alpha = 4. C(m) is
+    ergodic_capacity_tdma(alpha, m).value; at alpha = 2, whose kernel has the
+    same nodes for every m, a block of m is integrated in one pass.
     """
-    table = {m: ergodic_capacity_tdma(alpha, m).value / m for m in m_range}
+    if alpha == 2:
+        # The alpha 2 kernel has one cutoff for every m, so each block of m takes one
+        # pass over the same nodes for ergodic_capacity_tdma(2, m).value, `==`.
+        nodes, value = _decaying_rule(60.0, _TDMA_PANELS)
+        caps = []
+        for i in range(0, len(m_range), _TDMA_M_BLOCK):
+            block = m_range[i:i + _TDMA_M_BLOCK]
+            for m in block:
+                _check_reuse(m)
+            caps += value(_tdma_alpha2_integrand(nodes, np.array(block, float)[:, None, None])).tolist()
+    else:
+        caps = [ergodic_capacity_tdma(alpha, m).value for m in m_range]
+    table = {m: c / m for m, c in zip(m_range, caps)}
     m_opt = max(table, key=table.__getitem__)
     return m_opt, table[m_opt], table

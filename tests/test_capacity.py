@@ -205,6 +205,16 @@ def test_spatial_capacity_argmax():
     assert table2[2] > table2[1] and table2[2] > table2[3]
 
 
+def test_tdma_spatial_capacity_alpha2_blocks_equal_the_single_integrals():
+    """The alpha 2 table, integrated a block of m at a time, over several blocks."""
+    ms = range(1, 2 * capacity._TDMA_M_BLOCK + 4)
+    _, _, table = tdma_spatial_capacity(2.0, ms)
+    assert table == {m: ergodic_capacity_tdma(2.0, m).value / m for m in ms}
+    for bad in (range(0, 3), [1, 2.0]):
+        with pytest.raises(DomainError, match="reuse factor"):
+            tdma_spatial_capacity(2.0, bad)
+
+
 def test_spatial_capacity_opt_half():
     p, value = spatial_capacity_opt(4.0, 2, "half")
     assert 0.09 < p < 0.13

@@ -120,6 +120,29 @@ def test_tdma_closed_forms_in_numpy_keep_their_edges():
         assert form(0.5) == form(np.array([0.5]))[0]
 
 
+def math_closed_form(alpha, theta_p):
+    """The alpha 2 and 4 closed forms one theta' at a time in `math`, whose libm
+    sinh and pow numpy's SIMD loops may round apart from."""
+    y = math.pi * (math.sqrt(theta_p) if alpha == 2.0 else (theta_p / 4.0) ** 0.25)
+    if y == 0.0:
+        return 1.0
+    if alpha == 2.0:
+        return y / math.sinh(y) if y <= 690 else 0.0
+    return 2.0 * y * y / (math.sinh(y) ** 2 + math.sin(y) ** 2) if y <= 345 else 0.0
+
+
+def test_tdma_closed_forms_match_the_math_loop():
+    """Within 1e-12 relative on theta' in [1e-9, 1e10], and equal at 0 and past the cuts."""
+    from sirnet.throughput import _ps_line_tdma_alpha2, _ps_line_tdma_alpha4
+
+    thetas = np.concatenate([[0.0, 5e-324], np.logspace(-9, 10, 3000), [1e300, math.inf]])
+    for alpha, form in ((2.0, _ps_line_tdma_alpha2), (4.0, _ps_line_tdma_alpha4)):
+        got = form(thetas).tolist()
+        want = [math_closed_form(alpha, t) for t in thetas.tolist()]
+        assert got[:2] == want[:2] == [1.0, 1.0] and got[-2:] == want[-2:] == [0.0, 0.0]
+        assert max(abs(g - w) / w for g, w in zip(got, want) if w) <= 1e-12, alpha
+
+
 def test_tdma_closed_forms_match_mpmath_down_to_1e_200():
     """y / sinh y and 2 y^2 / (sinh^2 y + sin^2 y) within 1e-13 of 40-digit
     mpmath wherever p_s > 1e-200 (y up to 466 and 237). p_s carries y's
