@@ -59,7 +59,7 @@ _CP_PANELS = 24
 _TDMA_PANELS = 8
 # c_p values that _capacity_values integrates in one pass: about 100 KB of temporaries.
 _CP_BLOCK = 4
-# Reuse factors that tdma_spatial_capacity integrates in one pass at alpha 2: as many.
+# Reuse factors that tdma_spatial_capacity integrates in one pass at alpha 2: under 100 KB.
 _TDMA_M_BLOCK = 12
 
 
@@ -306,16 +306,15 @@ def tdma_spatial_capacity(alpha: float, m_range: range = range(1, 11)) -> tuple[
     ergodic_capacity_tdma(alpha, m).value; at alpha = 2, whose kernel has the
     same nodes for every m, a block of m is integrated in one pass.
     """
-    if alpha == 2:
-        # The alpha 2 kernel has one cutoff for every m, so each block of m takes one
-        # pass over the same nodes for ergodic_capacity_tdma(2, m).value, `==`.
+    if alpha == 2:  # `==` to ergodic_capacity_tdma(2, m).value, whose nodes these are
         nodes, value = _decaying_rule(60.0, _TDMA_PANELS)
         caps = []
         for i in range(0, len(m_range), _TDMA_M_BLOCK):
             block = m_range[i:i + _TDMA_M_BLOCK]
             for m in block:
                 _check_reuse(m)
-            caps += value(_tdma_alpha2_integrand(nodes, np.array(block, float)[:, None, None])).tolist()
+            ms = np.array(block, dtype=float)[:, None, None]
+            caps += value(_tdma_alpha2_integrand(nodes, ms)).tolist()
     else:
         caps = [ergodic_capacity_tdma(alpha, m).value for m in m_range]
     table = {m: c / m for m, c in zip(m_range, caps)}
