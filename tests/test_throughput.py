@@ -108,6 +108,7 @@ def test_tdma_closed_forms_in_numpy_keep_their_edges():
 
     for alpha, form, cut in ((2.0, _ps_line_tdma_alpha2, (690.0 / math.pi) ** 2),
                              (4.0, _ps_line_tdma_alpha4, 4.0 * (345.0 / math.pi) ** 4)):
+        assert tdma_ps_one_sided(alpha, np.array([1.0, 1e300]), 1e200).tolist() == [1.0, 1.0]
         tiny = np.array([5e-324, 1e-300, 1e-200, 1e-30])
         assert tdma_ps_one_sided(alpha, tiny, 1).tolist() == [1.0] * 4
         assert form(np.array([0.0, 5e-324])).tolist() == [1.0, 1.0]
