@@ -112,8 +112,10 @@ def _capacity_boost2(cp: float) -> float:
 
 
 def _check_integrand(boost: float, cp: float) -> None:
-    # Refuse where (u/c_p)^boost would pass the float range (e^709.78) at a node u <= 60.
-    if boost * math.log(60.0 / cp) > 709.0:
+    # Refuse where (u/c_p)^boost would pass the float range (e^709.78) at a node u <= 60;
+    # 60/c_p is 0 at c_p = inf, where the integrand is 0.
+    ratio = 60.0 / cp
+    if ratio > 1.0 and boost * math.log(ratio) > 709.0:
         raise DomainError(f"capacity integrand overflows at boost {boost}, c_p {cp}")
 
 

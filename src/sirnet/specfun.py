@@ -28,8 +28,6 @@ __all__ = [
 
 EULER_GAMMA = 0.5772156649015328606
 
-_TINY = 1e-300
-
 
 class DomainError(ValueError):
     """Argument outside the mathematical domain of a function."""
@@ -40,7 +38,13 @@ _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)
 
 
 def zeta(s: float) -> float:
-    """Riemann zeta function for real s > 1 (hurwitz_zeta(s, 1))."""
+    """Riemann zeta function for real s > 1 (hurwitz_zeta(s, 1)), computed once per
+    float(s) for the last 64 values of s."""
+    return _zeta(float(s))
+
+
+@functools.lru_cache(maxsize=64)
+def _zeta(s: float) -> float:
     return hurwitz_zeta(s, 1)
 
 
@@ -146,8 +150,8 @@ def li2(z: float) -> float:
 def exp_integral_e1(x: float) -> float:
     """Exponential integral E1(x) = integral from 1 to inf of exp(-x t)/t dt, x > 0.
 
-    Power series below the switchover at 1, modified-Lentz continued
-    fraction above it.
+    Power series below the switchover at 1, the continued fraction _gamma_cf
+    above it; E1(inf) = 0.
     """
     if not x > 0:
         raise DomainError(f"exp_integral_e1 requires x > 0, got {x}")
@@ -167,56 +171,46 @@ def exp_integral_e1(x: float) -> float:
 
 
 def _gamma_cf(a: float, z: float | complex) -> float | complex:
-    """e^z z^-a Gamma(a, z) = 1/(z+1-a- 1(1-a)/(z+3-a- ...)) by modified Lentz, for real z >= 1
-    or, at a = 0, z = iy with y >= 2; at a = 0 it is e^z E1(z), finite where e^z is not."""
-    b = z + 1.0 - a
-    c = 1.0 / _TINY
-    h = d = 1.0 / b
-    for i in range(1, 1000):
-        an = -i * (i - a)
-        b += 2.0
-        d = 1.0 / (an * d + b)
-        c = b + an / c
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return h
-
-
-def _cisi(y: float) -> tuple[float, float]:
-    """Cosine and sine integrals (Ci(y), Si(y)) for y > 0."""
-    if y < 2.0:
-        # Power series; no appreciable cancellation for y < 2.
-        ci = EULER_GAMMA + math.log(y)
-        si = 0.0
-        y2 = y * y
-        term_c = 1.0  # y^(2k) / (2k)!, starting k=0
-        term_s = y
-        k = 1
-        while True:
-            term_c *= -y2 / ((2 * k - 1) * (2 * k))
-            ci += term_c / (2 * k)
-            si += term_s / (2 * k - 1)
-            term_s *= -y2 / ((2 * k) * (2 * k + 1))
-            if abs(term_c) < 1e-18 and abs(term_s) < 1e-18:
-                break
-            k += 1
-            if k > 120:
-                break
-        return ci, si
-    e1 = complex(math.cos(y), -math.sin(y)) * _gamma_cf(0.0, complex(0.0, y))
-    return -e1.real, math.pi / 2 + e1.imag
+    """e^z z^-a Gamma(a, z) = 1/(z+1-a- 1(1-a)/(z+3-a- 2(2-a)/(z+5-a- ...))) for real z >= 1
+    or, at a = 0, z = iy with y >= 2; at a = 0 it is e^z E1(z), finite where e^z is not.
+    Evaluated backward from a depth n set in advance: the n-th approximant is the n-point
+    Gauss-Laguerre rule for int_0^inf t^-a e^-t/(z+t) dt (Gautschi, SIAM Review 1967), whose
+    error falls like exp(-4 Re sqrt(n z)), so n = 90/(Re sqrt z)^2 + a/2 + 6 reaches double
+    precision (within 1e-15 of mpmath on iy, 1e-14 on real z; the a/2 checked to a = 51)."""
+    n = math.ceil(180.0 / (abs(z) + z.real) + 0.5 * a) + 6  # (Re sqrt z)^2 = (|z| + Re z)/2
+    if a >= 1 and a % 1 == 0:  # the fraction ends before i = a, whose numerator is 0
+        n = min(n, int(a) - 1)
+    z1 = z + 1.0 - a
+    t = z1 + 2 * n
+    for i in range(n, 0, -1):  # b_(i-1) afresh: a running b -= 2 would carry b_n's rounding
+        t = z1 + (2 * i - 2) - i * (i - a) / t
+    return 1.0 / t
 
 
 def exp_integral_e1_imag(y: float) -> complex:
-    """E1 evaluated on the positive imaginary axis: E1(i y) for y > 0.
+    """E1 evaluated on the positive imaginary axis: E1(i y) for y > 0; E1(i inf) = 0.
 
-    Uses the identity E1(iy) = -Ci(y) + i (Si(y) - pi/2).
+    e^(-iy) times the continued fraction from y = 2; below it, the power series of
+    Ci and Si in E1(iy) = -Ci(y) + i (Si(y) - pi/2), whose terms cancel little there.
     """
     if not y > 0:
         raise DomainError(f"exp_integral_e1_imag requires y > 0, got {y}")
-    ci, si = _cisi(y)
+    if y == math.inf:
+        return 0j
+    if y >= 2.0:
+        return complex(math.cos(y), -math.sin(y)) * _gamma_cf(0.0, complex(0.0, y))
+    ci = EULER_GAMMA + math.log(y)
+    si = 0.0
+    y2 = y * y
+    term_c = 1.0  # y^(2k) / (2k)!, starting k=0
+    term_s = y
+    for k in range(1, 121):
+        term_c *= -y2 / ((2 * k - 1) * (2 * k))
+        ci += term_c / (2 * k)
+        si += term_s / (2 * k - 1)
+        term_s *= -y2 / ((2 * k) * (2 * k + 1))
+        if abs(term_c) < 1e-18 and abs(term_s) < 1e-18:
+            break
     return complex(-ci, si - math.pi / 2)
 
 
@@ -225,7 +219,7 @@ def exp_integral_e1_imag_scaled(y: float) -> complex:
 
     For y >= 2 this is the continued fraction itself, never multiplied by
     e^(-iy) and back, so its real part (about 1/y^2 against a modulus of
-    about 1/y) keeps full relative accuracy as y grows.
+    about 1/y) keeps full relative accuracy as y grows, to 0 at y = inf.
     """
     if y >= 2.0:
         return _gamma_cf(0.0, complex(0.0, y))
@@ -233,13 +227,15 @@ def exp_integral_e1_imag_scaled(y: float) -> complex:
 
 
 def lower_incomplete_gamma(a: float, x: float) -> float:
-    """Lower incomplete gamma gamma(a, x) for a > 0, x >= 0."""
+    """Lower incomplete gamma gamma(a, x) for a > 0, x >= 0; gamma(a, inf) = Gamma(a)."""
     if not a > 0:
         raise DomainError(f"lower_incomplete_gamma requires a > 0, got a={a}")
-    if x < 0:
+    if not x >= 0:
         raise DomainError(f"lower_incomplete_gamma requires x >= 0, got x={x}")
     if x == 0.0:
         return 0.0
+    if x == math.inf:
+        return gamma_fn(a)
     if x < a + 1.0:
         # Series gamma(a,x) = x^a e^-x sum x^n / (a (a+1) ... (a+n))
         ap = a

@@ -1,12 +1,16 @@
 """Special-function accuracy checks against independent identities."""
 
+import inspect
 import math
 
+import numpy as np
 import pytest
 
+from sirnet.capacity import ergodic_capacity_cp, ergodic_capacity_cp_lower
 from sirnet.model import unit_ball_volume
 from sirnet.specfun import (
     DomainError,
+    _gamma_cf,
     exp_integral_e1,
     exp_integral_e1_imag,
     exp_integral_e1_imag_scaled,
@@ -31,6 +35,15 @@ def test_zeta_known_values():
 def test_zeta_domain():
     with pytest.raises(DomainError):
         zeta(1.0)
+
+
+def test_zeta_is_a_plain_function_with_hurwitz_zetas_bits():
+    """zeta caches per float(s) behind a plain def, which a tracer that wraps
+    functions can still time; its values are hurwitz_zeta's to the bit."""
+    assert inspect.isfunction(zeta)
+    for s in (2, 2.0, np.float64(3.0), 4.5, 1.5, 30.0, 2000.0):
+        assert zeta(s) == zeta(s) == hurwitz_zeta(float(s), 1)
+        assert type(zeta(s)) is float
 
 
 def test_gamma_function():
@@ -96,6 +109,43 @@ def test_e1_imaginary_scaled_keeps_its_real_part():
             q = exp_integral_e1_imag_scaled(y)
             assert q.real == pytest.approx(float(ref.real), rel=1e-14)
             assert q.imag == pytest.approx(float(ref.imag), rel=1e-14)
+
+
+def test_gamma_cf_matches_mpmath_on_its_callers_arguments():
+    """The backward continued fraction e^z z^-a Gamma(a, z) on dense grids of what
+    its callers pass: iy (boost-2 capacity), real x at a = 0 (E1) and real
+    x >= a + 1 at a = 1 + alpha/d (lower_incomplete_gamma in the lower bound)."""
+    mpmath = pytest.importorskip("mpmath")
+    imag = [complex(0.0, y) for y in np.geomspace(2.0, 1e4, 400)]
+    real = [float(x) for x in np.geomspace(1.0, 1e3, 200)]
+    # a = 2 and 3 (alpha/d = 1, 2) end the fraction early: its numerator i (i - a) is 0 at i = a
+    shifted = [(float(a), float(a + 1.0 + x)) for a in [*np.linspace(1.25, 51.0, 14), 2.0, 3.0]
+               for x in np.geomspace(1e-3, 1e3, 12)]
+    with mpmath.workdps(30):
+        for z in imag:
+            ref = complex(mpmath.exp(z) * mpmath.e1(z))
+            assert abs(_gamma_cf(0.0, z) - ref) <= 1e-15 * abs(ref), z
+        for x in real:
+            ref = float(mpmath.exp(x) * mpmath.e1(x))
+            assert abs(_gamma_cf(0.0, x) - ref) <= 1e-14 * ref, x
+        for a, x in shifted:
+            ref = float(mpmath.exp(x) * mpmath.mpf(x) ** -a * mpmath.gammainc(a, x))
+            assert abs(_gamma_cf(a, x) - ref) <= 1e-14 * ref, (a, x)
+
+
+def test_continued_fraction_paths_take_limits_at_inf_and_refuse_nan():
+    inf, nan = math.inf, math.nan
+    assert exp_integral_e1(inf) == 0.0
+    assert exp_integral_e1_imag(inf) == 0j
+    assert exp_integral_e1_imag_scaled(inf) == 0j
+    assert lower_incomplete_gamma(2.5, inf) == gamma_fn(2.5)
+    for boost in (1.5, 2.0, 3.0):
+        assert ergodic_capacity_cp(boost, inf).value == 0.0
+        assert ergodic_capacity_cp_lower(boost, inf).value == 0.0
+    for f in (exp_integral_e1, exp_integral_e1_imag, exp_integral_e1_imag_scaled,
+              lambda x: lower_incomplete_gamma(2.5, x)):
+        with pytest.raises(DomainError):
+            f(nan)
 
 
 def test_hurwitz_zeta_matches_direct_sums():
