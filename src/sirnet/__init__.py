@@ -30,7 +30,6 @@ from .contention import (
     gamma_ppp_nonfading_alpha4,
     gamma_single,
     gamma_tdma_line,
-    transmission_capacity_density,
 )
 from .model import (
     Aloha,
@@ -66,6 +65,7 @@ from .outage import (
     ps_line_alpha4_aloha,
     ps_ppp_nonfading_alpha4,
     ps_tdma_line,
+    tdma_ps_one_sided,
 )
 from .specfun import DomainError
 from .throughput import (
@@ -74,7 +74,6 @@ from .throughput import (
     aloha_p_opt,
     optimize_rate,
     tdma_m_opt,
-    tdma_ps_one_sided,
     theta_opt_fullduplex,
 )
 

@@ -74,16 +74,15 @@ def _forms(model: NetworkModel, mac: MacScheme,
     if isinstance(g, Ppp):
         gamma = contention.gamma_ppp(g.d, pl.alpha, theta, h)
         return gamma, lambda p: math.exp(-p * gamma), "closed-form"
-    if isinstance(g, RegularLine) and case == RAYLEIGH and pl.alpha in (2.0, 4.0):
-        four = pl.alpha == 4.0
-        gamma = (contention.gamma_line_alpha4 if four else contention.gamma_line_alpha2)(theta)
-        ps = partial(outage.ps_line_alpha4_aloha if four else outage.ps_line_alpha2_aloha, theta)
-        method = "closed-form"
-    elif isinstance(g, RegularLine):  # gamma_line checks alpha and theta
-        gamma, method = contention.gamma_line(pl.alpha, theta, h), "product"
-        ps = lambda p: math.exp(-contention.line_sums(
-            pl.alpha, [theta], partial(contention.interference_log_ps, p=p, fading=h),
-            contention.power_series(h, p))[0])
+    if isinstance(g, RegularLine):
+        _, aloha_ps, line_gamma = outage._line_forms(pl.alpha, h)
+        if aloha_ps:
+            gamma, ps, method = line_gamma(theta), partial(aloha_ps, theta), "closed-form"
+        else:  # gamma_line checks alpha and theta
+            gamma, method = contention.gamma_line(pl.alpha, theta, h), "product"
+            ps = lambda p: math.exp(-contention.line_sums(
+                pl.alpha, [theta], partial(contention.interference_log_ps, p=p, fading=h),
+                contention.power_series(h, p))[0])
     else:  # an explicit set of interferers
         method = "closed-form"
         x = contention.interference_x([effective_distance(r, pl.alpha, theta) for r in g.distances])

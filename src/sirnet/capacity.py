@@ -14,6 +14,7 @@ import numpy as np
 
 from .contention import c_d_constant
 from .optimize import _prescan_grid, golden_section_max
+from .outage import tdma_ps_one_sided
 from .quadrature import _decaying_rule, integrate_decaying
 from .specfun import (
     DomainError,
@@ -23,7 +24,6 @@ from .specfun import (
     lower_incomplete_gamma,
     zeta,
 )
-from .throughput import tdma_ps_one_sided
 
 __all__ = [
     "CapacityResult",
@@ -206,7 +206,7 @@ def ergodic_capacity_tdma(alpha: float, m: int) -> CapacityResult:
     alpha = 2 has the exact kernel
     C = int log(1 + (m t/pi)^2) (t cosh t - sinh t)/sinh^2 t dt (the SIR
     density under the substitution t = pi sqrt(theta)/m); other alpha fall
-    back to quadrature of p_s(theta)/(1+theta) with throughput's
+    back to quadrature of p_s(theta)/(1+theta) with outage's
     tdma_ps_one_sided: its closed form at alpha 4, Gamma product at alpha 3,
     line sums elsewhere. That integral calls tdma_ps_one_sided twice: once on
     the candidate cutoffs, to pick the first where p_s is negligible, and once

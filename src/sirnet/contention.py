@@ -27,7 +27,6 @@ __all__ = [
     "gamma_line",
     "gamma_tdma_line",
     "equivalent_disk_radius",
-    "transmission_capacity_density",
 ]
 
 
@@ -285,14 +284,3 @@ def equivalent_disk_radius(gamma: float) -> float:
         raise DomainError(f"gamma must be positive, got {gamma}")
     return math.sqrt(gamma / math.pi)
 
-
-def transmission_capacity_density(epsilon: float, sigma: float) -> float:
-    """Maximum density of concurrent transmitters at outage constraint epsilon.
-
-    Small-epsilon linearization: p = epsilon sigma.
-    """
-    if not (0.0 < epsilon < 1.0):
-        raise DomainError(f"epsilon must be in (0, 1), got {epsilon}")
-    if not sigma > 0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    return epsilon * sigma

@@ -1,5 +1,6 @@
 """Probabilistic throughput optima: ALOHA transmit probability, TDMA reuse
-factor, and the optimal SIR threshold / transmission rate."""
+factor, and the optimal SIR threshold / transmission rate. The p_s they
+optimize comes from `sirnet.outage`; this module defines no p_s."""
 
 from __future__ import annotations
 
@@ -8,10 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contention import c_d_constant, interference_log_ps, line_sums, power_series
-from .model import Fading
+from .contention import c_d_constant
 from .optimize import golden_section_max
-from .specfun import DomainError, _log_cube_product, lambert_w0, zeta
+from .outage import tdma_ps_one_sided
+from .specfun import DomainError, lambert_w0, zeta
 
 __all__ = [
     "ThroughputResult",
@@ -19,7 +20,6 @@ __all__ = [
     "aloha_p_opt",
     "aloha_p_opt_half",
     "tdma_m_opt",
-    "tdma_ps_one_sided",
     "theta_opt_fullduplex",
     "optimize_rate",
 ]
@@ -79,82 +79,6 @@ def aloha_p_opt(gamma: float, duplex: str = "full") -> ThroughputResult:
     raise DomainError(f"duplex must be 'full' or 'half', got {duplex!r}")
 
 
-def _ps_line_tdma_alpha2(theta_p: float | np.ndarray) -> float | np.ndarray:
-    """One-sided Rayleigh line, alpha = 2, every node transmitting (ALOHA's p = 1):
-    p_s = y / sinh y with y = pi sqrt(theta'), for a float (giving a float) or an array."""
-    y = np.pi * np.sqrt(theta_p)
-    # sinh sees y in [1e-300, 690], so nothing warns: y = 0 (theta' = 0, where m^alpha
-    # overflows) gives 1, adding 1e-300 moves no other y (the least is 7e-162), and
-    # past 690 p_s is 0.
-    ys = np.fmin(y, 690.0) + 1e-300
-    ps = ys / np.sinh(ys) * (y <= 690.0)
-    return ps if isinstance(ps, np.ndarray) else float(ps)
-
-
-def _ps_line_tdma_alpha4(theta_p: float | np.ndarray) -> float | np.ndarray:
-    """One-sided Rayleigh line, alpha = 4, every node transmitting (ALOHA's p = 1):
-    p_s = 2 y^2 / (sinh^2 y + sin^2 y) with y = pi theta'^(1/4) / sqrt(2), for a float
-    (giving a float) or an array."""
-    # pi (theta'/4)^(1/4) rounds y once less: p_s carries 2y times y's rounding.
-    y = np.pi * np.power(theta_p / 4.0, 0.25)
-    # As at alpha 2; 1e-100 keeps y^2 from underflowing and moves no other y (the
-    # least is 4.7e-81), and the cut at 345 comes before sinh(y)^2 overflows at 355.
-    ys = np.fmin(y, 345.0) + 1e-100
-    sh, sn = np.sinh(ys), np.sin(ys)
-    ps = 2.0 * ys * ys / (sh * sh + sn * sn) * (y <= 345.0)
-    return ps if isinstance(ps, np.ndarray) else float(ps)
-
-
-def _tdma_closed_form(alpha: float, interferer_fading: Fading):
-    """p_s(theta') of a one-sided Rayleigh TDMA line at alpha 2 or 4 (closed-form), else None."""
-    if not interferer_fading.is_rayleigh:
-        return None
-    return {2: _ps_line_tdma_alpha2, 4: _ps_line_tdma_alpha4}.get(alpha)
-
-
-def tdma_ps_one_sided(
-    alpha: float, theta: float | np.ndarray, m: float | np.ndarray,
-    interferer_fading: Fading = Fading.rayleigh(),
-) -> float | np.ndarray:
-    """Exact one-sided TDMA line p_s = prod_i L_h(theta'/i^alpha), theta' = theta/m^alpha,
-    for interferer fading power h; Rayleigh gives 1 / prod_i (1 + theta'/i^alpha).
-
-    Valid for any alpha > 1 and real m >= 1 (m enters only through
-    theta/m^alpha). theta and m may be scalars or arrays that broadcast;
-    scalars give a float, arrays an array.
-
-    Rayleigh interferers take the closed forms y/sinh y and 2y^2/(sinh^2 y + sin^2 y)
-    at alpha 2 and 4 and the Gamma product of specfun._log_cube_product at alpha 3, each
-    in numpy over the whole array. Otherwise log(1/p_s) = sum_i -log L_h(theta'/i^alpha)
-    is a contention.line_sums of the ALOHA term interference_log_ps at p = 1. Against an
-    mpmath reference the relative error is below 1e-13 for alpha in [1.5, 5] and theta' in
-    [1e-6, 1e4], and at alpha 3 wherever p_s > 1e-200. Each element depends only on its
-    own theta', so an array call returns exactly what scalar calls return.
-    """
-    if not 1 < alpha < math.inf:
-        raise DomainError(f"alpha must be finite and exceed 1, got {alpha}")
-    theta, m = np.asarray(theta, dtype=float), np.asarray(m, dtype=float)
-    if not (np.all(theta > 0) and np.all(m >= 1)):
-        raise DomainError("theta must be positive and m >= 1")
-    with np.errstate(over="ignore"):  # m^alpha = inf gives theta' = 0, its limit
-        tp = theta / m ** alpha
-    closed = _tdma_closed_form(alpha, interferer_fading)
-    if closed:
-        return closed(tp)
-    # -log L_h(x) >= log(1 + 2x)/2 for any m >= 1/2 or static. At q = theta'^(1/alpha)
-    # >= 1100, log(1/p_s) >= sum_{i<=1100} log(1 + 2q/i)/2 > 900, so p_s underflows.
-    live = tp ** (1.0 / alpha) < 1100.0
-    log_inv = np.full(tp.shape, math.inf)
-    if alpha == 3 and interferer_fading.is_rayleigh:
-        log_inv[live] = _log_cube_product(tp[live])
-    else:
-        log_inv[live] = line_sums(
-            alpha, tp[live].tolist(), lambda x: interference_log_ps(x, 1.0, interferer_fading),
-            power_series(interferer_fading, 1.0))
-    ps = np.exp(-log_inv)
-    return float(ps) if ps.ndim == 0 else ps
-
-
 # The largest reuse factor tdma_m_opt scans (its arrays grow with it).
 _M_SCAN_MAX = 1_000_000
 
@@ -162,7 +86,7 @@ _M_SCAN_MAX = 1_000_000
 def tdma_m_opt(alpha: float, theta: float) -> ThroughputResult:
     """Optimal TDMA reuse factor for a two-sided line network.
 
-    p_T(m) = p_s(m)^2 / m with the exact one-sided p_s of tdma_ps_one_sided
+    p_T(m) = p_s(m)^2 / m with the exact one-sided p_s of outage.tdma_ps_one_sided
     (closed forms at alpha = 2 and 4, the Gamma product at alpha = 3, the line
     sums elsewhere). Reports both the exact integer maximizer (exhaustive scan
     up to twice the analytic upper bound) and the closed-form estimate

@@ -16,7 +16,7 @@ from sirnet.model import CLASSES
 # together, so that many draws get past the first check. The ranges are built
 # from these lists only: a valid a:step:b spec stays short, and a long one is
 # refused at once.
-ORDINARY = ["0.1", "0.5", "1", "2", "2.5", "3", "4"]
+ORDINARY = ["0.1", "0.5", "1", "2", "2.5", "3", "4", "5"]
 EDGES = ["-1", "0", "1e-300", "1e308", "-1e308", "nan", "inf", "-inf"]
 ordinary = st.sampled_from(ORDINARY)
 number = st.one_of(ordinary, ordinary, st.sampled_from(EDGES), st.floats().map(repr))
@@ -68,6 +68,12 @@ capacity = command(
     "capacity",
     st.sampled_from([[], ["--tdma"]]),
     options(alpha=number, d=dimension, m=int_grid, p=grid))
+# The 3-D PPP by name: drawn among CLASSES, it seldom gets past the first check.
+ppp3 = command(
+    "outage",
+    st.just(["--class=ppp3"]),
+    options(case=case, alpha=number, p=number),
+    thetas())
 
 
 # The only spellings of a non-finite float in the CSV (see cli._fmt).
@@ -114,12 +120,30 @@ def run(argv):
     return code, out.getvalue()
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(argv=st.one_of(contention, outage, throughput, capacity))
-def test_cli_exits_with_csv_or_one_error_line(argv):
-    code, out = run(argv)
-    assert code != 0 or is_finite_csv(out), out
+def counting(ppp3_ok):
+    """run, appending each argv on the 3-D PPP that exits 0 to ppp3_ok."""
+    def counted(argv):
+        code, out = run(argv)
+        if code == 0 and "--class=ppp3" in argv:
+            ppp3_ok.append(argv)
+        return code, out
+    return counted
+
+
+def test_cli_exits_with_csv_or_one_error_line():
+    """Over 300 argv, at least 5 of which run the 3-D PPP."""
+    ppp3_ok = []
+    run_counted = counting(ppp3_ok)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(argv=st.one_of(contention, outage, throughput, capacity, ppp3))
+    def check(argv):
+        code, out = run_counted(argv)
+        assert code != 0 or is_finite_csv(out), out
+
+    check()
+    assert len(ppp3_ok) >= 5, ppp3_ok
 
 
 # outage --validate always names its trials (the default is 10^5) and draws
@@ -130,29 +154,50 @@ def mostly(values, edges=EDGES):
     return st.sampled_from(values * 3 + edges)
 
 
+validate_runs = (
+    st.tuples(mostly(["1", "20", "200"], ["-1", "0"]), mostly(["0", "1", "7"], ["-1"]))
+    .map(lambda t: ["--validate", f"--trials={t[0]}", f"--seed={t[1]}"]))
+validate_case = st.sampled_from(["1/1"] * 9 + CASES)
+validate_p = mostly(["0.05", "0.1", "0.5", "1"])
+validate_thetas = (st.lists(mostly(["0.1", "1", "4"]), min_size=1, max_size=3)
+                   .map(lambda ts: [f"--theta={','.join(ts)}"]))
 outage_validate = command(
     "outage",
-    st.tuples(mostly(["1", "20", "200"], ["-1", "0"]), mostly(["0", "1", "7"], ["-1"]))
-    .map(lambda t: ["--validate", f"--trials={t[0]}", f"--seed={t[1]}"]),
-    options(**{"class": st.sampled_from(CLASSES), "case": st.sampled_from(["1/1"] * 9 + CASES),
-               "alpha": mostly(["2", "3", "4"]), "delta": mostly(["0.5", "1", "2"]),
-               "r": mostly(["0.5", "1", "2"]), "p": mostly(["0.05", "0.1", "0.5", "1"]),
+    validate_runs,
+    options(**{"class": st.sampled_from(CLASSES), "case": validate_case,
+               "alpha": mostly(["2", "3", "4", "5"]), "delta": mostly(["0.5", "1", "2"]),
+               "r": mostly(["0.5", "1", "2"]), "p": validate_p,
                "distances": st.lists(mostly(["1", "1.5", "3"]), max_size=3).map(",".join)}),
     st.sampled_from([[], [], [], ["--m=2"], ["--m=0"]]),
-    st.lists(mostly(["0.1", "1", "4"]), min_size=1, max_size=3)
-    .map(lambda ts: [f"--theta={','.join(ts)}"]))
+    validate_thetas)
+# The 3-D PPP by name, always at alpha 5: a window of about 4,000 points per
+# trial, where the default alpha 4 draws about 10^5.
+validate_ppp3 = command(
+    "outage",
+    validate_runs,
+    st.just(["--class=ppp3", "--alpha=5"]),
+    options(case=validate_case, p=validate_p),
+    validate_thetas)
 
 
-@settings(max_examples=100, derandomize=True, database=None, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(argv=outage_validate)
-def test_outage_validate_exits_with_csv_or_one_error_line(argv):
-    code, out = run(argv)
-    if code == 0:
-        seed_line, _, csv = out.partition("\n")
-        trials, seed = argv[2].split("=")[1], argv[3].split("=")[1]
-        assert seed_line == f"# seed = {seed}, trials = {trials}", out
-        assert is_finite_csv(csv), out
+def test_outage_validate_exits_with_csv_or_one_error_line():
+    """Over 100 argv, at least 2 of which simulate the 3-D PPP."""
+    ppp3_ok = []
+    run_counted = counting(ppp3_ok)
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(argv=st.one_of(outage_validate, outage_validate, outage_validate, validate_ppp3))
+    def check(argv):
+        code, out = run_counted(argv)
+        if code == 0:
+            seed_line, _, csv = out.partition("\n")
+            trials, seed = argv[2].split("=")[1], argv[3].split("=")[1]
+            assert seed_line == f"# seed = {seed}, trials = {trials}", out
+            assert is_finite_csv(csv), out
+
+    check()
+    assert len(ppp3_ok) >= 2, ppp3_ok
 
 
 # Config keys with (ordinary values, edge values). Alpha stays at 2 or above

@@ -17,7 +17,6 @@ from sirnet.contention import (
     gamma_ppp_nonfading_alpha4,
     gamma_single,
     gamma_tdma_line,
-    transmission_capacity_density,
 )
 from sirnet.model import Aloha, Fading, FadingCase, class_model
 from sirnet.specfun import DomainError, zeta
@@ -207,10 +206,6 @@ def test_gamma_tdma_line():
 
 def test_equivalent_disk_radius():
     assert equivalent_disk_radius(math.pi) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_transmission_capacity_density():
-    assert transmission_capacity_density(0.1, 0.5) == pytest.approx(0.05, rel=1e-12)
 
 
 def test_contention_is_outage_slope():

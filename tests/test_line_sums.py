@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import sirnet
-from sirnet import capacity, contention, quadrature, throughput
+from sirnet import capacity, contention, outage, quadrature
 from sirnet.contention import interference_gamma, interference_log_ps, line_sums, power_series
 from sirnet.model import Fading
 
@@ -74,7 +74,7 @@ def test_capacities_equal_the_per_theta_loop(monkeypatch):
     cold = capacity_values()
     assert capacity_values() == cold  # from the caches
     with monkeypatch.context() as m:
-        m.setattr(throughput, "line_sums", line_loop.line_sums)
+        m.setattr(outage, "line_sums", line_loop.line_sums)
         m.setattr(quadrature, "gauss_legendre_panels", line_loop.gauss_legendre_panels)
         assert capacity_values() == cold
 

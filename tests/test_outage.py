@@ -3,6 +3,7 @@
 import math
 from functools import partial
 
+import numpy as np
 import pytest
 
 from sirnet.analytic import success_probability
@@ -153,6 +154,31 @@ def test_ps_line_alpha4():
     assert ps_line_alpha4_aloha(1.0, 1.0) == pytest.approx(expected, rel=1e-12)
 
 
+def test_aloha_line_forms_match_mpmath():
+    """The alpha 2 and 4 ALOHA forms within 1e-13 of 40-digit mpmath up to theta =
+    1e6 and 1e-12 up to 1e12, for p in [1e-6, 0.999], wherever p_s > 1e-200. Past
+    theta = 1e6 the alpha 4 error grows with y: its exponent x - y, formed as y u - y,
+    carries an absolute error of y ulps."""
+    mpmath = pytest.importorskip("mpmath")
+    ps_grid = np.logspace(-6, math.log10(0.999), 19).tolist()
+    with mpmath.workdps(40):
+        for theta in np.logspace(-6, 12, 55).tolist():
+            t = mpmath.mpf(theta)
+            for p in ps_grid:
+                q = 1 - mpmath.mpf(p)
+                y2, x2 = mpmath.pi * mpmath.sqrt(t), mpmath.pi * mpmath.sqrt(t * q)
+                y4, x4 = (mpmath.pi * mpmath.root(t, 4) / mpmath.sqrt(2),
+                          mpmath.pi * mpmath.root(t * q, 4) / mpmath.sqrt(2))
+                refs = (mpmath.sinh(x2) / mpmath.sinh(y2) / mpmath.sqrt(q),
+                        (mpmath.sinh(x4) ** 2 + mpmath.sin(x4) ** 2)
+                        / (mpmath.sinh(y4) ** 2 + mpmath.sin(y4) ** 2) / mpmath.sqrt(q))
+                tol = 1e-13 if theta <= 1e6 else 1e-12
+                for form, ref in zip((ps_line_alpha2_aloha, ps_line_alpha4_aloha), refs):
+                    if ref > mpmath.mpf("1e-200"):
+                        value = form(theta, p)
+                        assert abs(value - ref) <= tol * ref, (form.__name__, theta, p, value)
+
+
 def test_ps_line_overflow_safe():
     # huge theta drives the hyperbolic terms past double range
     v = ps_line_alpha2_aloha(1e6, 0.5)
@@ -197,6 +223,21 @@ def test_ps_tdma_line_general_alpha_has_no_value():
     assert 0 < r.lower_bound <= r.value <= r.upper_bound <= 1
     two = ps_tdma_line(3.0, 1.0, 2, sided="two")
     assert two.lower_bound <= two.value <= two.upper_bound
+
+
+def test_static_tdma_ps_is_its_lower_bound_in_array_and_scalar_calls():
+    """Static interferers give p_s = exp(-zeta theta'), the lower bound's own bits, in
+    ps_tdma_line and in an array call of tdma_ps_one_sided (which does not clamp below
+    1e-300). The m and alpha keep m^alpha exact: elsewhere numpy's pow (the array
+    call's) and libm's (ps_tdma_line's) can round theta' apart."""
+    static, thetas = Fading.none(), np.logspace(-9, 4, 53)
+    for alpha, m in ([(a, 1) for a in (1.5, 2.5, 3.0, 3.7, 5.0)]
+                     + [(a, m) for a in (2.0, 4.0) for m in (1, 2, 3, 8)]):
+        values = tdma_ps_one_sided(alpha, thetas, m, static).tolist()
+        for theta, v in zip(thetas.tolist(), values):
+            r = ps_tdma_line(alpha, theta, m, "one", static)
+            assert r.value == r.lower_bound == (v if v >= 1e-300 else 0.0), (alpha, m, theta)
+            assert r.method == "closed-form"
 
 
 def test_ps_tdma_two_sided_squares():

@@ -70,7 +70,7 @@ def test_tdma_ps_takes_the_line_sums_only_off_the_closed_forms(monkeypatch):
     """Rayleigh interferers at alpha 2, 3 and 4 take the closed forms (alpha 3
     its Gamma product), in a capacity integral and a reuse scan too; alpha 2.5
     and Nakagami interferers still take the line product."""
-    from sirnet import capacity, throughput
+    from sirnet import capacity, outage
 
     calls = []
 
@@ -78,7 +78,7 @@ def test_tdma_ps_takes_the_line_sums_only_off_the_closed_forms(monkeypatch):
         calls.append(args[0])
         return line_sums(*args)
 
-    monkeypatch.setattr(throughput, "line_sums", counted)
+    monkeypatch.setattr(outage, "line_sums", counted)
     for alpha in (2.0, 3.0, 4.0):
         tdma_ps_one_sided(alpha, np.array(TDMA_THETAS), 2)
         tdma_m_opt(alpha, 10.0)
@@ -88,7 +88,7 @@ def test_tdma_ps_takes_the_line_sums_only_off_the_closed_forms(monkeypatch):
     tdma_ps_one_sided(2.5, 1.0, 2)
     tdma_ps_one_sided(2.0, 1.0, 2, Fading.nakagami(2.0))
     tdma_ps_one_sided(4.0, 1.0, 2, Fading.none())
-    assert calls == [2.5, 2.0, 4.0]
+    assert calls == [2.5, 2.0]
 
 
 def test_tdma_ps_is_one_where_m_alpha_overflows():
@@ -104,7 +104,7 @@ def test_tdma_closed_forms_in_numpy_keep_their_edges():
     """The alpha 2 and 4 forms over arrays raise no warning at theta' = 0 (m^alpha
     overflows), at tiny theta', past their y cuts (690 and 345) or at theta = inf
     (the capacity probe's e^v - 1 past v = 709.78), and a float in gives a float."""
-    from sirnet.throughput import _ps_line_tdma_alpha2, _ps_line_tdma_alpha4
+    from sirnet.outage import _ps_line_tdma_alpha2, _ps_line_tdma_alpha4
 
     for alpha, form, cut in ((2.0, _ps_line_tdma_alpha2, (690.0 / math.pi) ** 2),
                              (4.0, _ps_line_tdma_alpha4, 4.0 * (345.0 / math.pi) ** 4)):
@@ -134,7 +134,7 @@ def math_closed_form(alpha, theta_p):
 
 def test_tdma_closed_forms_match_the_math_loop():
     """Within 1e-12 relative on theta' in [1e-9, 1e10], and equal at 0 and past the cuts."""
-    from sirnet.throughput import _ps_line_tdma_alpha2, _ps_line_tdma_alpha4
+    from sirnet.outage import _ps_line_tdma_alpha2, _ps_line_tdma_alpha4
 
     thetas = np.concatenate([[0.0, 5e-324], np.logspace(-9, 10, 3000), [1e300, math.inf]])
     for alpha, form in ((2.0, _ps_line_tdma_alpha2), (4.0, _ps_line_tdma_alpha4)):
