@@ -98,26 +98,19 @@ def _parse_int_range(spec: str) -> list[int]:
 
 
 def _thetas(args) -> list[float]:
-    if getattr(args, "theta_db", None) is not None:
+    if args.theta_db is not None:
         return [10.0 ** (db / 10.0) for db in _parse_range(args.theta_db)]
-    if getattr(args, "theta", None) is not None:
-        return _parse_range(args.theta)
-    return [1.0]
+    return [1.0] if args.theta is None else _parse_range(args.theta)
 
 
 def _class_model(args) -> NetworkModel:
-    """The model of --class; class_model's defaults stand in for a flag not given."""
-    given = {k: v for k in ("alpha", "case", "delta", "r")
-             if (v := getattr(args, k, None)) is not None}
-    return class_model(args.cls or "ppp2", **given,
-                       distances=args.distances.split(",") if args.distances else None)
-
-
-def _refuse_unread(args, mode: str, *flags: str) -> None:
-    """Refuse each of `flags` given (each defaults to None): `mode` never reads it."""
-    for flag in flags:
-        if getattr(args, "cls" if flag == "--class" else flag[2:].replace("-", "_")) is not None:
-            raise DomainError(f"{mode} does not read {flag}")
+    """The model of --class from only the flags it reads: --case, --delta or --alpha,
+    --r and --distances; class_model's defaults stand in for a flag not given."""
+    cls = args.cls or "ppp2"
+    reads = {"exp2": ["delta"], "single": ["alpha", "r"], "explicit": ["alpha", "distances"]}
+    return class_model(cls, **{k: v.split(",") if k == "distances" else v
+                               for k in ["case", *reads.get(cls, ["alpha"])]
+                               if (v := getattr(args, k)) not in (None, "")})
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +154,8 @@ _TABLE3 = (
 
 
 def cmd_contention(args, out) -> int:
-    if args.table:
-        _refuse_unread(args, "--table3", "--class", "--case", "--xi", "--distances",
-                       "--alpha", "--delta")
-    elif args.cls == "single":
+    if not args.table and args.cls == "single":
         # The input is xi itself, not a model, so no threshold is read.
-        if args.theta is not None or args.theta_db is not None:
-            raise DomainError("--class single takes --xi, not --theta or --theta-db")
         case, xi = FadingCase.parse(args.case or "1/1"), 1.0 if args.xi is None else args.xi
         _contention_row(_Csv(_CONTENTION_COLUMNS, out), "single", case.label, None, None,
                         None, xi, contention.gamma_single(case, xi))
@@ -188,20 +176,14 @@ _OUTAGE_COLUMNS = ["class", "case", "alpha", "theta", "p", "m", "value",
                    "lower", "upper", "method", "mc_estimate", "mc_stderr", "z"]
 
 
-def _model_from_args(args) -> tuple[NetworkModel, MacScheme, str]:
-    """Model, MAC scheme and class label; a config's mac block beats --p/--m."""
+def cmd_outage(args, out) -> int:
     mac = Tdma(args.m) if args.m is not None else Aloha(args.p)
-    if args.config:
-        _refuse_unread(args, "outage --config", "--class", "--alpha", "--delta", "--r",
-                       "--distances", "--case")
+    if args.config:  # its mac block beats --p/--m
         with open(args.config) as fh:
             model, config_mac = parse_model(fh.read())
-        return model, config_mac or mac, "config"
-    return _class_model(args), mac, args.cls or "ppp2"
-
-
-def cmd_outage(args, out) -> int:
-    model, mac, cls = _model_from_args(args)
+        mac, cls = config_mac or mac, "config"
+    else:
+        model, cls = _class_model(args), args.cls or "ppp2"
     if args.validate:
         print(f"# seed = {args.seed}, trials = {args.trials}", file=out)
     csv = _Csv(_OUTAGE_COLUMNS, out)
@@ -227,7 +209,6 @@ def cmd_outage(args, out) -> int:
 
 def cmd_throughput(args, out) -> int:
     if args.tdma:
-        _refuse_unread(args, "--tdma", "--gamma", "--duplex", "--d", "--rate", "--alpha-range")
         alpha = 2.0 if args.alpha is None else args.alpha
         csv = _Csv(["theta_db", "m_lower", "m_upper", "m_hat", "m_exact", "pT"], out)
         for db in _parse_range(args.theta_db or "0:1:20"):
@@ -237,18 +218,13 @@ def cmd_throughput(args, out) -> int:
         return 0
     duplex = args.duplex or "full"
     if args.rate:
-        _refuse_unread(args, "--rate", "--gamma", "--theta-db")
-        if args.alpha_range:
-            _refuse_unread(args, "--alpha-range", "--alpha")
         d = 2 if args.d is None else args.d
         csv = _Csv(["alpha", "d", "duplex", "theta_opt", "p_opt", "t_max"], out)
-        alpha = 4.0 if args.alpha is None else args.alpha
-        for a in _parse_range(args.alpha_range or _fmt(alpha)):
+        # --alpha is read only where --alpha-range is not given.
+        for a in _parse_range(args.alpha_range or _fmt(4.0 if args.alpha is None else args.alpha)):
             opt = throughput.optimize_rate(a, d, duplex)
             csv.row(a, d, duplex, opt.theta_opt, opt.p_opt, opt.t_max)
         return 0
-    _refuse_unread(args, "throughput without --tdma or --rate", "--alpha", "--alpha-range",
-                   "--d", "--theta-db")
     csv = _Csv(["gamma", "duplex", "p_opt", "throughput", "lower_bound"], out)
     for gamma in _parse_range(args.gamma or "1"):
         res = throughput.aloha_p_opt(gamma, duplex)
@@ -263,7 +239,6 @@ def cmd_throughput(args, out) -> int:
 
 def cmd_capacity(args, out) -> int:
     if args.tdma:
-        _refuse_unread(args, "capacity --tdma", "--p", "--d")
         model = class_model("line1", args.alpha)
         csv = _Csv(["alpha", "m", "capacity", "lower", "upper", "method"], out)
         for m in _parse_int_range(args.m or "1:10"):
@@ -271,7 +246,6 @@ def cmd_capacity(args, out) -> int:
             lo, up = capacity.ergodic_capacity_tdma_bounds(args.alpha, m)
             csv.row(args.alpha, m, res.value, lo, up, res.method)
         return 0
-    _refuse_unread(args, "capacity without --tdma", "--m")
     d = 2 if args.d is None else args.d
     model = NetworkModel(Ppp(d), PowerLaw(args.alpha), RAYLEIGH)
     csv = _Csv(["alpha", "d", "p", "c_p", "capacity", "lower", "method"], out)
@@ -450,15 +424,41 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     return args
 
 
+@functools.cache
+def _reading(command: str) -> type:
+    """A namespace class for `command` whose flags, when read, add their name to the
+    instance's set _read; the values stay in the instance dict, so vars() is unchanged."""
+    sub = _build_parser().commands[command]
+    return type("Reads", (argparse.Namespace,), {"_flags": sub._actions[1:], "_parser": sub} | {
+        a.dest: property(lambda self, k=a.dest: self._read.add(k) or self.__dict__[k])
+        for a in sub._actions[1:]})  # every flag but --help
+
+
+def _first_unread(args: argparse.Namespace, argv: list[str]) -> str | None:
+    """The first flag in argv given a non-default value that the command never read."""
+    values, read = vars(args), args._read
+    unread = [a for a in args._flags if a.dest not in read and values[a.dest] != a.default]
+    if not unread:
+        return None
+    flags = args._parser._option_string_actions  # argparse took each whole, or its one abbreviation
+    given = (flags.get(n) or next((a for f, a in flags.items() if f.startswith(n)), None)
+             for n in (arg.partition("=")[0] for arg in argv))
+    return next((a for a in given if a in unread), unread[0]).option_strings[0]
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _parse(sys.argv[1:] if argv is None else argv)
-    # Output is held until the command succeeds, so an error leaves no
-    # partial CSV on stdout or in --out.
-    buf = io.StringIO()
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse(argv)
+    args.__class__, args._read = _reading(args.command), set()  # each flag read is noted
+    # Output is held until the command has run and has read every flag given a
+    # value, so an error leaves no partial CSV on stdout or in --out.
+    buf, path = io.StringIO(), args.out
     try:
         code = args.func(args, buf)
-        if args.out:
-            with open(args.out, "w") as fh:
+        if flag := _first_unread(args, argv):
+            raise DomainError(f"{args.command} does not read {flag}")
+        if path:
+            with open(path, "w") as fh:
                 fh.write(buf.getvalue())
         else:
             sys.stdout.write(buf.getvalue())

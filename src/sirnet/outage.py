@@ -52,11 +52,18 @@ def _clamp_ps(x: float) -> float:
     return 0.0 if 0.0 < x < _CLAMP else min(max(x, 0.0), 1.0)
 
 
+def _bounded(value: float, lower: float, upper: float, method: str) -> SuccessProbability:
+    """value with its bounds, each widened to the value where rounding puts it outside:
+    the gap between the bounds is second order in p gamma (or z'), below an ulp at theta
+    ~ 1e-9, and a few ulps of rounding in the value can leave it past either."""
+    return SuccessProbability(value, min(lower, value), max(upper, value), method)
+
+
 def sandwich(value: float, p: float, gamma: float, method: str = "closed-form") -> SuccessProbability:
     """An ALOHA value with its contention bounds 1 - p gamma and exp(-p gamma)."""
     lower = max(0.0, 1.0 - p * gamma)
     upper = math.exp(-p * gamma) if p * gamma < 690 else 0.0
-    return SuccessProbability(_clamp_ps(value), lower, upper, method)
+    return _bounded(_clamp_ps(value), lower, upper, method)
 
 
 def _check(theta: float, p: float) -> None:
@@ -130,12 +137,14 @@ def ps_line_alpha4_aloha(theta: float, p: float) -> float:
     _check(theta, p)
     if p == 1.0:
         return _ps_line_tdma_alpha4(theta)
-    y = math.pi * theta ** 0.25 / math.sqrt(2.0)
+    y = math.pi * (theta / 4.0) ** 0.25  # as in _ps_line_tdma_alpha4: one rounding less
     u = (1.0 - p) ** 0.25
     x, e = y * u, math.exp(-2.0 * y)
     # cosh^2 x - cos^2 x = sinh^2 x + sin^2 x, scaled by e^(-2y) as
-    # (e^(x-y) (1 - e^(-2x))/2)^2 + e^(-2y) sin^2 x: no term cancels or overflows.
-    return (((math.exp(x - y) * math.expm1(-2.0 * x)) ** 2 / 4.0 + e * math.sin(x) ** 2)
+    # (e^(x-y) (1 - e^(-2x))/2)^2 + e^(-2y) sin^2 x: no term cancels or overflows, and
+    # x - y = -y p/((1 + u)(1 + u^2)) keeps its digits where y u - y would lose y ulps.
+    return (((math.exp(-y * p / ((1.0 + u) * (1.0 + u * u))) * math.expm1(-2.0 * x)) ** 2 / 4.0
+             + e * math.sin(x) ** 2)
             / (math.expm1(-2.0 * y) ** 2 / 4.0 + e * math.sin(y) ** 2) / (u * u))
 
 
@@ -151,6 +160,13 @@ def _line_forms(alpha: float, interferer_fading: Fading) -> tuple:
         return (lambda theta_p: _ps_line_static(zeta(alpha), theta_p)), None, None
     forms = _RAYLEIGH_LINE_FORMS.get(alpha) if interferer_fading.is_rayleigh else None
     return forms or (None, None, None)
+
+
+def _theta_prime(alpha: float, theta: float | np.ndarray, m: float | np.ndarray) -> np.ndarray:
+    """theta' = theta/m^alpha by numpy's pow, for a scalar m (as a 0-d array) or an array, so
+    that every TDMA caller rounds m^alpha alike; m^alpha = inf gives theta' = 0, its limit."""
+    with np.errstate(over="ignore"):
+        return theta / np.asarray(m, dtype=float) ** alpha
 
 
 def tdma_ps_one_sided(
@@ -177,8 +193,7 @@ def tdma_ps_one_sided(
     theta, m = np.asarray(theta, dtype=float), np.asarray(m, dtype=float)
     if not (np.all(theta > 0) and np.all(m >= 1)):
         raise DomainError("theta must be positive and m >= 1")
-    with np.errstate(over="ignore"):  # m^alpha = inf gives theta' = 0, its limit
-        tp = theta / m ** alpha
+    tp = _theta_prime(alpha, theta, m)
     closed = _line_forms(alpha, interferer_fading)[0]
     if closed:
         return closed(tp)
@@ -216,7 +231,7 @@ def ps_tdma_line(alpha: float, theta: float, m: int, sided: str = "one",
     if sided not in ("one", "two"):
         raise DomainError(f"sided must be 'one' or 'two', got {sided!r}")
     z = zeta(alpha)
-    theta_p = theta / m ** alpha
+    theta_p = float(_theta_prime(alpha, theta, m))  # the theta' of tdma_ps_one_sided
     lower = _clamp_ps(_ps_line_static(z, theta_p))
     # theta_p * theta_p is inf past the float range (upper = 0); ** 2 would raise.
     upper = 1.0 / (1.0 + z * theta_p + (z - 1.0) * (theta_p * theta_p))
@@ -230,4 +245,4 @@ def ps_tdma_line(alpha: float, theta: float, m: int, sided: str = "one",
         value *= value
         lower *= lower
         upper *= upper
-    return SuccessProbability(value, lower, upper, method)
+    return _bounded(value, lower, upper, method)

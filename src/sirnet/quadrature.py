@@ -83,7 +83,7 @@ def _panel_sums(fx: np.ndarray, half: np.ndarray, n: int) -> np.ndarray:
 
 
 def integrate_decaying(
-    f: Callable[[np.ndarray], np.ndarray], cutoff: float = 60.0, pieces: int = 6
+    f: Callable[[np.ndarray], np.ndarray], cutoff: float, pieces: int
 ) -> tuple[float, float]:
     """Integrate f over [0, inf) assuming exponential-type decay past `cutoff`.
 

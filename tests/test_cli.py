@@ -118,7 +118,7 @@ def test_3d_ppp_takes_the_path_of_every_other_model(capsys, argv):
     ("throughput --theta-db 4", "--theta-db"),
     ("throughput --tdma --theta-db 0 --rate", "--rate"),
     ("throughput --tdma --alpha-range 3:1:4", "--alpha-range"),
-    # Refused before the file is opened, so it need not exist.
+    # Refused after the config is read, so model.cfg is a real one.
     ("outage --config model.cfg --class ppp2", "--class"),
     ("outage --config model.cfg --alpha 4", "--alpha"),
     ("outage --config model.cfg --case 1/1", "--case"),
@@ -126,12 +126,95 @@ def test_3d_ppp_takes_the_path_of_every_other_model(capsys, argv):
     ("outage --config model.cfg --r 2", "--r"),
     ("outage --config model.cfg --distances 1,2", "--distances"),
 ])
-def test_a_flag_the_mode_never_reads_is_refused(capsys, argv, flag):
+def test_a_flag_the_mode_never_reads_is_refused(capsys, tmp_path, monkeypatch, argv, flag):
     """Even at its default value, which a mode that reads the flag fills in."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "model.cfg").write_text("geometry = ppp\npathloss.alpha = 4\n")
     assert main(argv.split()) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
     assert err.startswith("error: ") and err.endswith(f" does not read {flag}\n")
+
+
+@pytest.mark.parametrize("argv,flag", [
+    ("contention --class ppp2 --alpha 4 --xi 5", "--xi"),
+    ("contention --class ppp2 --delta 2", "--delta"),
+    ("contention --class single --xi 2 --alpha 3", "--alpha"),
+    ("outage --class line1 --alpha 2 --m 2 --p 0.3", "--p"),
+    ("outage --class ppp2 --trials 5 --seed 3", "--trials"),
+    ("outage --class ppp2 --r 3", "--r"),
+    ("outage --class ppp2 --distances 1,2", "--distances"),
+    ("outage --class exp2 --alpha 3", "--alpha"),
+    ("outage --theta 1 --theta-db 3", "--theta"),
+    ("validate --quick --trials 100 --class single", "--quick"),
+    # The first unread flag in argv order, by its full name where abbreviated.
+    ("contention --table3 --xi 2 --cas 1/1", "--xi"),
+    ("contention --table3 --cas 1/1 --xi 2", "--case"),
+])
+def test_a_flag_given_a_value_that_is_never_read_is_refused(capsys, argv, flag):
+    assert main(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {argv.split()[0]} does not read {flag}\n")
+
+
+# One base argv per mode of each command, every one valid as it stands.
+MODES = [
+    "contention --table3 --theta 1",
+    "contention --class single --xi 2",
+    *(f"contention --class {cls} --theta 1" for cls in ("ppp1", "ppp2", "ppp3", "line1", "exp2")),
+    "contention --class explicit --distances 1,2 --theta 1",
+    "outage --class ppp2 --theta-db 3",
+    "outage --class line1 --p 0.2 --theta 1",
+    "outage --class line1 --m 2 --theta 1",
+    "outage --class single --theta 1",
+    "outage --class explicit --distances 1,2 --theta 1",
+    "outage --class exp2 --theta 1",
+    "outage --config model.cfg --theta 1",
+    "outage --validate --trials 200 --seed 1 --theta 1",
+    "throughput --gamma 2",
+    "throughput --tdma --theta-db 0:5:10",
+    "throughput --rate --alpha 3",
+    "throughput --rate --alpha-range 4:1:5",
+    "capacity --p 0.1",
+    "capacity --tdma --m 1:2",
+    "validate --quick --class single",
+    "samples --config model.cfg --trials 100",
+]
+# A value for each flag that differs from its default and from the bases' own.
+OTHER_VALUES = {"theta": "0.5", "theta_db": "2", "cls": "line2", "alpha": "5", "delta": "2",
+                "xi": "3", "case": "1/0", "distances": "1,3", "r": "2", "p": "0.3", "m": "3",
+                "config": "other.cfg", "trials": "300", "seed": "5", "gamma": "3",
+                "duplex": "half", "d": "1", "alpha_range": "3:1:4"}
+
+
+def outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_each_flag_of_a_mode_changes_its_output_or_is_refused(tmp_path, monkeypatch, mode):
+    """Each flag of the mode's parser (except --out, which main reads for every command),
+    given a value that is not its default, changes the CSV or is refused as unread; or
+    it builds a model with no closed form (ppp2 has no --m, exp2 no --case but 1/1),
+    which the dispatcher refuses by name. A flag the command ignored would leave the
+    CSV as it was."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "model.cfg").write_text("geometry = ppp\npathloss.alpha = 4\n")
+    (tmp_path / "other.cfg").write_text("geometry = line\npathloss.alpha = 3\n")
+    base = mode.split()
+    code, csv, _ = outcome(base)
+    assert code == 0
+    for action in _build_parser().commands[base[0]]._actions:
+        flag = action.option_strings[-1]
+        if action.dest in ("help", "out") or flag in base and action.nargs == 0:
+            continue
+        extra = [flag] if action.nargs == 0 else [flag, OTHER_VALUES[action.dest]]
+        code, out, err = outcome(base + extra)
+        assert (code == 0 and out != csv) or (code == 2 and out == "" and (
+            " does not read --" in err or err.startswith("error: no closed form for "))), extra
 
 
 @pytest.mark.parametrize("bare,spelled", [
@@ -527,8 +610,8 @@ def test_refused_argv_leaves_parser_unchanged(capsys):
 
 
 def test_validate_flag_does_not_carry_over(capsys):
-    argv = "outage --class ppp2 --alpha 4 --theta 1 --p 0.1 --trials 2000 --seed 3".split()
-    assert main([*argv, "--validate"]) == 0
+    argv = "outage --class ppp2 --alpha 4 --theta 1 --p 0.1".split()
+    assert main([*argv, "--validate", "--trials", "2000", "--seed", "3"]) == 0
     assert data_rows(capsys.readouterr().out)[1][0]["mc_estimate"] != ""
     assert main(argv) == 0
     row = data_rows(capsys.readouterr().out)[1][0]

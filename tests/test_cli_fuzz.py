@@ -27,8 +27,13 @@ int_grid = (st.lists(st.sampled_from(["-1", "0", "1", "2", "3"]), max_size=3).ma
             | st.tuples(st.integers(-2, 4), st.integers(-2, 4)).map(lambda t: f"{t[0]}:{t[1]}"))
 CASES = ["1/1", "1/0", "0/1", "0/0", "1/m2", "m2/1", "m0.3/1", "1/mnan", "x/1", "1"]
 case = st.sampled_from(CASES)
-# Dimensions: 1000 is legal, but its unit-ball volume overflows.
+# Dimensions: 1000 is legal, but its unit-ball volume underflows to 0.
 dimension = st.one_of(st.integers(-1, 3), st.just(1000))
+
+
+def mostly(values, edges=EDGES):
+    """Each of `values` three times as often as each of `edges`."""
+    return st.sampled_from(values * 3 + edges)
 
 
 def options(**strategies):
@@ -36,6 +41,34 @@ def options(**strategies):
     picked = [st.one_of(st.none(), s.map(lambda v, k=k: f"--{k}={v}"))
               for k, s in strategies.items()]
     return st.tuples(*picked).map(lambda opts: [o for o in opts if o is not None])
+
+
+@st.composite
+def reading(draw, flags, reads, mode=()):
+    """The flags that set the mode, then each flag of `reads` left out or given,
+    and one time in four one more flag of `flags` (name -> values) that the mode
+    does not read."""
+    given = [*mode, *draw(options(**{k: flags[k] for k in reads}))]
+    unread = [k for k in flags if k not in reads]
+    if unread and draw(st.integers(0, 3)) == 0:
+        k = draw(st.sampled_from(unread))
+        given.append(f"--{k}={draw(flags[k])}")
+    return given
+
+
+# The model flags each class reads besides --case (see cli._class_model).
+CLASS_READS = {"exp2": ["delta"], "single": ["alpha", "r"], "explicit": ["alpha", "distances"]}
+
+
+def class_reads(cls):
+    return ["case", *CLASS_READS.get(cls, ["alpha"])]
+
+
+@st.composite
+def model(draw, flags, reads=class_reads):
+    """--class, drawn uniformly, then the flags that class reads (`reading`)."""
+    cls = draw(st.sampled_from(CLASSES))
+    return [f"--class={cls}", *draw(reading(flags, reads(cls)))]
 
 
 def thetas():
@@ -47,33 +80,47 @@ def command(name, *parts):
     return st.tuples(*parts).map(lambda ps: [name] + [a for p in ps for a in p])
 
 
+# Each command is one strategy, its modes drawn within it: one_of flattens nested
+# one_of, which would weight a command by its number of modes.
+CONTENTION = {"case": case, "alpha": number, "delta": number, "xi": number, "distances": grid}
+
+
+def contention_reads(cls):
+    """A single interferer's contention reads --xi and --case, and no threshold."""
+    return ["case", "xi"] if cls == "single" else class_reads(cls)
+
+
 contention = command(
     "contention",
-    st.sampled_from([[], ["--table3"]]),
-    options(**{"class": st.sampled_from(CLASSES), "case": case, "alpha": number,
-               "delta": number, "xi": number, "distances": grid}),
+    st.one_of(reading(CONTENTION, [], ["--table3"]), model(CONTENTION, contention_reads)),
     thetas())
+# --m sets TDMA, which reads no --p.
 outage = command(
     "outage",
-    options(**{"class": st.sampled_from(CLASSES), "case": case, "alpha": number,
-               "delta": number, "r": number, "distances": grid, "p": number,
-               "m": st.integers(-1, 4)}),
+    model({"case": case, "alpha": number, "delta": number, "r": number, "distances": grid}),
+    st.one_of(options(p=number), options(m=st.integers(-1, 4))),
     thetas())
+THROUGHPUT = {"alpha": number, "d": dimension, "duplex": st.sampled_from(["full", "half"]),
+              "gamma": grid, "alpha-range": grid, "theta-db": grid}
 throughput = command(
     "throughput",
-    st.sampled_from([[], ["--tdma"], ["--rate"]]),
-    options(alpha=number, d=dimension, duplex=st.sampled_from(["full", "half"]),
-            gamma=grid, **{"alpha-range": grid, "theta-db": grid}))
+    st.one_of(reading(THROUGHPUT, ["gamma", "duplex"]),
+              reading(THROUGHPUT, ["alpha", "theta-db"], ["--tdma"]),
+              reading(THROUGHPUT, ["alpha", "alpha-range", "d", "duplex"], ["--rate"])))
+CAPACITY = {"alpha": number, "d": dimension, "m": int_grid, "p": grid}
 capacity = command(
     "capacity",
-    st.sampled_from([[], ["--tdma"]]),
-    options(alpha=number, d=dimension, m=int_grid, p=grid))
-# The 3-D PPP by name: drawn among CLASSES, it seldom gets past the first check.
+    st.one_of(reading(CAPACITY, ["alpha", "d", "p"]),
+              reading(CAPACITY, ["alpha", "m"], ["--tdma"])))
+# The 3-D PPP by name as well, from ordinary values and a few edges: from the
+# values above, about 1 argv in 17 gets past the first check.
 ppp3 = command(
     "outage",
     st.just(["--class=ppp3"]),
-    options(case=case, alpha=number, p=number),
-    thetas())
+    options(case=mostly(["1/1", "1/0", "1/m2"], ["m2/1", "x/1"]),
+            alpha=mostly(["3.5", "4", "5"], ["3", "inf"]),
+            p=mostly(["0.1", "0.5", "1"], ["-1", "nan"]),
+            theta=mostly(["0.1", "1", "4"], ["0", "inf"])))
 
 
 # The only spellings of a non-finite float in the CSV (see cli._fmt).
@@ -150,10 +197,6 @@ def test_cli_exits_with_csv_or_one_error_line():
 # ordinary values three times as often as edge values, so that most draws
 # simulate. Alpha and delta stay away from the legal but slow windows of
 # alpha just above d and of a small delta.
-def mostly(values, edges=EDGES):
-    return st.sampled_from(values * 3 + edges)
-
-
 validate_runs = (
     st.tuples(mostly(["1", "20", "200"], ["-1", "0"]), mostly(["0", "1", "7"], ["-1"]))
     .map(lambda t: ["--validate", f"--trials={t[0]}", f"--seed={t[1]}"]))
@@ -164,11 +207,11 @@ validate_thetas = (st.lists(mostly(["0.1", "1", "4"]), min_size=1, max_size=3)
 outage_validate = command(
     "outage",
     validate_runs,
-    options(**{"class": st.sampled_from(CLASSES), "case": validate_case,
-               "alpha": mostly(["2", "3", "4", "5"]), "delta": mostly(["0.5", "1", "2"]),
-               "r": mostly(["0.5", "1", "2"]), "p": validate_p,
-               "distances": st.lists(mostly(["1", "1.5", "3"]), max_size=3).map(",".join)}),
-    st.sampled_from([[], [], [], ["--m=2"], ["--m=0"]]),
+    model({"case": validate_case, "alpha": mostly(["2", "3", "4", "5"]),
+           "delta": mostly(["0.5", "1", "2"]), "r": mostly(["0.5", "1", "2"]),
+           "distances": st.lists(mostly(["1", "1.5", "3"]), max_size=3).map(",".join)}),
+    st.one_of(options(p=validate_p), options(p=validate_p), options(p=validate_p),
+              st.sampled_from([["--m=2"], ["--m=0"]])),
     validate_thetas)
 # The 3-D PPP by name, always at alpha 5: a window of about 4,000 points per
 # trial, where the default alpha 4 draws about 10^5.

@@ -15,7 +15,7 @@ from sirnet.contention import (
     line_sums,
     power_series,
 )
-from sirnet.model import Aloha, Fading, FadingCase, class_model
+from sirnet.model import Aloha, Fading, FadingCase, Tdma, class_model
 from sirnet.outage import (
     ps_line_alpha2_aloha,
     ps_line_alpha4_aloha,
@@ -156,9 +156,8 @@ def test_ps_line_alpha4():
 
 def test_aloha_line_forms_match_mpmath():
     """The alpha 2 and 4 ALOHA forms within 1e-13 of 40-digit mpmath up to theta =
-    1e6 and 1e-12 up to 1e12, for p in [1e-6, 0.999], wherever p_s > 1e-200. Past
-    theta = 1e6 the alpha 4 error grows with y: its exponent x - y, formed as y u - y,
-    carries an absolute error of y ulps."""
+    1e12, for p in [1e-6, 0.999], wherever p_s > 1e-200. Each forms its exponent x - y
+    as -y p/(...), which keeps its digits where y u - y would carry y ulps."""
     mpmath = pytest.importorskip("mpmath")
     ps_grid = np.logspace(-6, math.log10(0.999), 19).tolist()
     with mpmath.workdps(40):
@@ -172,7 +171,7 @@ def test_aloha_line_forms_match_mpmath():
                 refs = (mpmath.sinh(x2) / mpmath.sinh(y2) / mpmath.sqrt(q),
                         (mpmath.sinh(x4) ** 2 + mpmath.sin(x4) ** 2)
                         / (mpmath.sinh(y4) ** 2 + mpmath.sin(y4) ** 2) / mpmath.sqrt(q))
-                tol = 1e-13 if theta <= 1e6 else 1e-12
+                tol = 1e-13
                 for form, ref in zip((ps_line_alpha2_aloha, ps_line_alpha4_aloha), refs):
                     if ref > mpmath.mpf("1e-200"):
                         value = form(theta, p)
@@ -228,8 +227,8 @@ def test_ps_tdma_line_general_alpha_has_no_value():
 def test_static_tdma_ps_is_its_lower_bound_in_array_and_scalar_calls():
     """Static interferers give p_s = exp(-zeta theta'), the lower bound's own bits, in
     ps_tdma_line and in an array call of tdma_ps_one_sided (which does not clamp below
-    1e-300). The m and alpha keep m^alpha exact: elsewhere numpy's pow (the array
-    call's) and libm's (ps_tdma_line's) can round theta' apart."""
+    1e-300). Both form theta' by numpy's pow, which
+    test_tdma_row_takes_the_theta_prime_of_tdma_ps_one_sided checks for m < 200."""
     static, thetas = Fading.none(), np.logspace(-9, 4, 53)
     for alpha, m in ([(a, 1) for a in (1.5, 2.5, 3.0, 3.7, 5.0)]
                      + [(a, m) for a in (2.0, 4.0) for m in (1, 2, 3, 8)]):
@@ -281,6 +280,35 @@ def test_tdma_line_is_the_aloha_product_at_p_1():
                                           partial(interference_log_ps, p=1.0, fading=fading),
                                           power_series(fading, 1.0))[0])
                 assert got == pytest.approx(ref, rel=1e-13), (alpha, label, theta, m)
+
+
+def test_tdma_row_takes_the_theta_prime_of_tdma_ps_one_sided():
+    """ps_tdma_line forms theta' = theta/m^alpha by numpy's pow, as tdma_ps_one_sided does,
+    so a row's value is tdma_ps_one_sided's to the bit and its lower bound is the static
+    p_s at the same theta' (widened to the value where theta' ~ 1e-9 or below). libm's pow
+    rounds m^alpha apart from numpy's for some (m, alpha), such as (7, 1.5)."""
+    for alpha in (1.5, 2.0, 2.5, 3.0, 3.7, 4.0, 5.0):
+        for label in ("0", "1", "m2"):
+            fading = TDMA_FADINGS[label]
+            for m in range(1, 200):
+                r = ps_tdma_line(alpha, 1.0, m, "one", fading)
+                assert r.value == tdma_ps_one_sided(alpha, 1.0, m, fading), (alpha, m, label)
+                static = tdma_ps_one_sided(alpha, 1.0, m, Fading.none())
+                assert r.lower_bound == min(static, r.value), (alpha, m, label)
+
+
+@pytest.mark.parametrize("cls", ["line1", "line2"])
+@pytest.mark.parametrize("case", ["1/0", "1/1"])
+def test_line_values_lie_within_their_bounds_at_tiny_theta(cls, case):
+    """Below theta ~ 1e-6 the gap between the bounds is under an ulp, and the value's own
+    rounding could put it a few ulps outside them."""
+    macs = (Aloha(0.1), Aloha(0.5), Aloha(0.9), Aloha(1.0), Tdma(1), Tdma(2), Tdma(3))
+    for alpha in (2.0, 3.0, 4.0):
+        model = class_model(cls, alpha, case)
+        for theta in np.logspace(-12, -6, 49).tolist():
+            for mac in macs:
+                r = success_probability(model, mac, theta)
+                assert r.lower_bound <= r.value <= r.upper_bound, (alpha, theta, mac, r)
 
 
 def test_sandwich_bounds_hold():
