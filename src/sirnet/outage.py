@@ -53,10 +53,16 @@ def _clamp_ps(x: float) -> float:
 
 
 def _bounded(value: float, lower: float, upper: float, method: str) -> SuccessProbability:
-    """value with its bounds, each widened to the value where rounding puts it outside:
-    the gap between the bounds is second order in p gamma (or z'), below an ulp at theta
-    ~ 1e-9, and a few ulps of rounding in the value can leave it past either."""
-    return SuccessProbability(value, min(lower, value), max(upper, value), method)
+    """value with its bounds. The gap between the bounds is second order in p gamma (or
+    z'), below an ulp at theta ~ 1e-9, and the value's own rounding can leave it a few
+    ulps past either (11 at most on the line classes); a bound at most 32 ulps past is
+    moved to the value. One further off stays, so lower <= value <= upper still fails."""
+    slack = 32 * math.ulp(value)
+    if value < lower <= value + slack:
+        lower = value
+    if upper < value <= upper + slack:
+        upper = value
+    return SuccessProbability(value, lower, upper, method)
 
 
 def sandwich(value: float, p: float, gamma: float, method: str = "closed-form") -> SuccessProbability:
@@ -162,9 +168,12 @@ def _line_forms(alpha: float, interferer_fading: Fading) -> tuple:
     return forms or (None, None, None)
 
 
-def _theta_prime(alpha: float, theta: float | np.ndarray, m: float | np.ndarray) -> np.ndarray:
-    """theta' = theta/m^alpha by numpy's pow, for a scalar m (as a 0-d array) or an array, so
-    that every TDMA caller rounds m^alpha alike; m^alpha = inf gives theta' = 0, its limit."""
+def _theta_prime(alpha: float, theta: float | np.ndarray, m: int | np.ndarray) -> float | np.ndarray:
+    """theta' = theta/m^alpha by numpy's pow, for an int m or an array, so that every TDMA
+    caller rounds m^alpha alike; m^alpha = inf gives theta' = 0, its limit. An int m whose
+    m^alpha is finite skips np.errstate, which costs more than the pow."""
+    if isinstance(m, int) and alpha * math.log(m) < 709.0:
+        return theta / float(np.power(float(m), alpha))
     with np.errstate(over="ignore"):
         return theta / np.asarray(m, dtype=float) ** alpha
 

@@ -44,13 +44,13 @@ def options(**strategies):
 
 
 @st.composite
-def reading(draw, flags, reads, mode=()):
+def reading(draw, flags, reads, mode=(), stray=True):
     """The flags that set the mode, then each flag of `reads` left out or given,
-    and one time in four one more flag of `flags` (name -> values) that the mode
-    does not read."""
+    and, if `stray`, one time in four one more flag of `flags` (name -> values)
+    that the mode does not read."""
     given = [*mode, *draw(options(**{k: flags[k] for k in reads}))]
     unread = [k for k in flags if k not in reads]
-    if unread and draw(st.integers(0, 3)) == 0:
+    if stray and unread and draw(st.integers(0, 3)) == 0:
         k = draw(st.sampled_from(unread))
         given.append(f"--{k}={draw(flags[k])}")
     return given
@@ -65,10 +65,10 @@ def class_reads(cls):
 
 
 @st.composite
-def model(draw, flags, reads=class_reads):
+def model(draw, flags, reads=class_reads, stray=True):
     """--class, drawn uniformly, then the flags that class reads (`reading`)."""
     cls = draw(st.sampled_from(CLASSES))
-    return [f"--class={cls}", *draw(reading(flags, reads(cls)))]
+    return [f"--class={cls}", *draw(reading(flags, reads(cls), stray=stray))]
 
 
 def thetas():
@@ -113,14 +113,15 @@ capacity = command(
     st.one_of(reading(CAPACITY, ["alpha", "d", "p"]),
               reading(CAPACITY, ["alpha", "m"], ["--tdma"])))
 # The 3-D PPP by name as well, from ordinary values and a few edges: from the
-# values above, about 1 argv in 17 gets past the first check.
+# values above, about 1 argv in 17 gets past the first check. Its thresholds are
+# one of those values or a grid of `thetas`.
 ppp3 = command(
     "outage",
     st.just(["--class=ppp3"]),
     options(case=mostly(["1/1", "1/0", "1/m2"], ["m2/1", "x/1"]),
             alpha=mostly(["3.5", "4", "5"], ["3", "inf"]),
-            p=mostly(["0.1", "0.5", "1"], ["-1", "nan"]),
-            theta=mostly(["0.1", "1", "4"], ["0", "inf"])))
+            p=mostly(["0.1", "0.5", "1"], ["-1", "nan"])),
+    st.one_of(options(theta=mostly(["0.1", "1", "4"], ["0", "inf"])), thetas()))
 
 
 # The only spellings of a non-finite float in the CSV (see cli._fmt).
@@ -167,12 +168,15 @@ def run(argv):
     return code, out.getvalue()
 
 
-def counting(ppp3_ok):
-    """run, appending each argv on the 3-D PPP that exits 0 to ppp3_ok."""
+def counting(ppp3_ok, other_ok=None):
+    """run, appending each argv that exits 0 to ppp3_ok if it names the 3-D PPP
+    and else to other_ok."""
     def counted(argv):
         code, out = run(argv)
-        if code == 0 and "--class=ppp3" in argv:
-            ppp3_ok.append(argv)
+        if code == 0:
+            ok = ppp3_ok if "--class=ppp3" in argv else other_ok
+            if ok is not None:
+                ok.append(argv)
         return code, out
     return counted
 
@@ -196,7 +200,9 @@ def test_cli_exits_with_csv_or_one_error_line():
 # outage --validate always names its trials (the default is 10^5) and draws
 # ordinary values three times as often as edge values, so that most draws
 # simulate. Alpha and delta stay away from the legal but slow windows of
-# alpha just above d and of a small delta.
+# alpha just above d and of a small delta. Each class gets only the flags it
+# reads: an unread flag is refused before the simulation (the argv fuzz above
+# and test_cli's parser sweep cover that refusal).
 validate_runs = (
     st.tuples(mostly(["1", "20", "200"], ["-1", "0"]), mostly(["0", "1", "7"], ["-1"]))
     .map(lambda t: ["--validate", f"--trials={t[0]}", f"--seed={t[1]}"]))
@@ -209,7 +215,8 @@ outage_validate = command(
     validate_runs,
     model({"case": validate_case, "alpha": mostly(["2", "3", "4", "5"]),
            "delta": mostly(["0.5", "1", "2"]), "r": mostly(["0.5", "1", "2"]),
-           "distances": st.lists(mostly(["1", "1.5", "3"]), max_size=3).map(",".join)}),
+           "distances": st.lists(mostly(["1", "1.5", "3"]), max_size=3).map(",".join)},
+          stray=False),
     st.one_of(options(p=validate_p), options(p=validate_p), options(p=validate_p),
               st.sampled_from([["--m=2"], ["--m=0"]])),
     validate_thetas)
@@ -224,9 +231,9 @@ validate_ppp3 = command(
 
 
 def test_outage_validate_exits_with_csv_or_one_error_line():
-    """Over 100 argv, at least 2 of which simulate the 3-D PPP."""
-    ppp3_ok = []
-    run_counted = counting(ppp3_ok)
+    """Over 100 argv, at least 2 of which simulate the 3-D PPP and 7 another class."""
+    ppp3_ok, other_ok = [], []
+    run_counted = counting(ppp3_ok, other_ok)
 
     @settings(max_examples=100, derandomize=True, database=None, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -241,6 +248,7 @@ def test_outage_validate_exits_with_csv_or_one_error_line():
 
     check()
     assert len(ppp3_ok) >= 2, ppp3_ok
+    assert len(other_ok) >= 7, other_ok
 
 
 # Config keys with (ordinary values, edge values). Alpha stays at 2 or above

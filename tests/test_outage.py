@@ -15,12 +15,14 @@ from sirnet.contention import (
     line_sums,
     power_series,
 )
+from sirnet import outage
 from sirnet.model import Aloha, Fading, FadingCase, Tdma, class_model
 from sirnet.outage import (
     ps_line_alpha2_aloha,
     ps_line_alpha4_aloha,
     ps_ppp_nonfading_alpha4,
     ps_tdma_line,
+    sandwich,
 )
 from sirnet.specfun import DomainError, zeta
 from sirnet.throughput import tdma_ps_one_sided
@@ -285,8 +287,8 @@ def test_tdma_line_is_the_aloha_product_at_p_1():
 def test_tdma_row_takes_the_theta_prime_of_tdma_ps_one_sided():
     """ps_tdma_line forms theta' = theta/m^alpha by numpy's pow, as tdma_ps_one_sided does,
     so a row's value is tdma_ps_one_sided's to the bit and its lower bound is the static
-    p_s at the same theta' (widened to the value where theta' ~ 1e-9 or below). libm's pow
-    rounds m^alpha apart from numpy's for some (m, alpha), such as (7, 1.5)."""
+    p_s at the same theta' (moved to the value where rounding left the value past it).
+    libm's pow rounds m^alpha apart from numpy's for some (m, alpha), such as (7, 1.5)."""
     for alpha in (1.5, 2.0, 2.5, 3.0, 3.7, 4.0, 5.0):
         for label in ("0", "1", "m2"):
             fading = TDMA_FADINGS[label]
@@ -301,7 +303,8 @@ def test_tdma_row_takes_the_theta_prime_of_tdma_ps_one_sided():
 @pytest.mark.parametrize("case", ["1/0", "1/1"])
 def test_line_values_lie_within_their_bounds_at_tiny_theta(cls, case):
     """Below theta ~ 1e-6 the gap between the bounds is under an ulp, and the value's own
-    rounding could put it a few ulps outside them."""
+    rounding could put it a few ulps outside them; a bound moves to the value only that
+    far (test_a_value_past_its_bounds_by_more_than_rounding_keeps_them)."""
     macs = (Aloha(0.1), Aloha(0.5), Aloha(0.9), Aloha(1.0), Tdma(1), Tdma(2), Tdma(3))
     for alpha in (2.0, 3.0, 4.0):
         model = class_model(cls, alpha, case)
@@ -309,6 +312,27 @@ def test_line_values_lie_within_their_bounds_at_tiny_theta(cls, case):
             for mac in macs:
                 r = success_probability(model, mac, theta)
                 assert r.lower_bound <= r.value <= r.upper_bound, (alpha, theta, mac, r)
+
+
+def test_a_value_past_its_bounds_by_more_than_rounding_keeps_them(monkeypatch):
+    """A bound moves to the value only where the value lies a few ulps past it, so a
+    wrong value stays outside bounds that keep their own bits, in an ALOHA sandwich and
+    in a TDMA row."""
+    p, gamma = 0.5, 0.2
+    lower, upper = 1.0 - p * gamma, math.exp(-p * gamma)
+    for value in (lower * (1.0 - 1e-12), upper * (1.0 + 1e-12), 0.5, 1.0):
+        r = sandwich(value, p, gamma)
+        assert (r.lower_bound, r.upper_bound) == (lower, upper), value
+        assert not r.lower_bound <= r.value <= r.upper_bound, value
+    near = upper + 3 * math.ulp(upper)
+    assert sandwich(near, p, gamma).upper_bound == near
+    right = ps_tdma_line(4.0, 1.0, 1)
+    wrong = right.lower_bound * (1.0 - 1e-12)
+    forms = outage._RAYLEIGH_LINE_FORMS[4.0]
+    monkeypatch.setitem(outage._RAYLEIGH_LINE_FORMS, 4.0, (lambda tp: wrong, *forms[1:]))
+    r = ps_tdma_line(4.0, 1.0, 1)
+    assert (r.value, r.lower_bound, r.upper_bound) == (wrong, right.lower_bound,
+                                                       right.upper_bound)
 
 
 def test_sandwich_bounds_hold():
