@@ -177,13 +177,13 @@ _OUTAGE_COLUMNS = ["class", "case", "alpha", "theta", "p", "m", "value",
 
 
 def cmd_outage(args, out) -> int:
-    mac = Tdma(args.m) if args.m is not None else Aloha(args.p)
-    if args.config:  # its mac block beats --p/--m
+    if args.config:  # its mac block beats --p/--m, which then go unread
         with open(args.config) as fh:
-            model, config_mac = parse_model(fh.read())
-        mac, cls = config_mac or mac, "config"
+            model, mac = parse_model(fh.read())
+        cls = "config"
     else:
-        model, cls = _class_model(args), args.cls or "ppp2"
+        model, mac, cls = _class_model(args), None, args.cls or "ppp2"
+    mac = mac or (Tdma(args.m) if args.m is not None else Aloha(args.p))
     if args.validate:
         print(f"# seed = {args.seed}, trials = {args.trials}", file=out)
     csv = _Csv(_OUTAGE_COLUMNS, out)

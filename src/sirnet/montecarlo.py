@@ -8,14 +8,21 @@ intensity p, so only transmitters are placed. Lines and explicit sets fade and
 sum only active interferers, and a power-law PPP gain is (R^d u)^(-alpha/d),
 with no square root in any d. Trials fall in 4,096-trial blocks, each with a
 PCG64 stream keyed by (seed, block[, sub]); results do not depend on chunking.
-Within a chunk, numbers are drawn and reduced in cache-sized slabs: k fills of
-a Generator in a row give the numbers of one fill, and each trial sums its
-terms in the same order in any slab, so the slab size changes no result.
+In a chunk's stream every PPP position, and every ALOHA uniform of a line or
+explicit set, comes before any fading. PCG64 jumps ahead in O(log n) steps
+and Generator.random takes one 64-bit output per double, so a copy of the
+stream reads them slab by slab while the stream itself jumps past them to the
+fading: no array grows with the window, and every number is the one a
+whole-chunk draw gives. A slab holds whole trials of about _SLAB numbers; k
+fills of a Generator in a row give the numbers of one fill, and each trial
+sums its terms in the same order in any slab, so the slab size changes no
+result. Slabs write through `out=` into buffers that each thread keeps.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -51,9 +58,14 @@ _TOL = 1e-3  # truncation tolerance: theta times the tail's standard deviation
 _SIR_CLIP = 1e12  # a sample with no interference at all is clipped to this
 _MAX_TERMS = 10 ** 6
 _BLOCK = 4096  # trials per random-stream block
-# Upper bound on expected interferer points per chunk; blocks above it split.
+# A block whose expected interferer points exceed this splits into sub-chunks,
+# each with its own stream key. It fixes the streams, so it stays as it is; it
+# no longer bounds memory, which the slabs do.
 _CHUNK_BUDGET = 4_000_000
-_SLAB = 1 << 15  # random draws per slab: 256 KB of doubles, a cache-sized piece
+# Numbers per slab: 256 KB of doubles, a cache-sized piece. A slab holds whole
+# trials, so a trial with more points makes one slab of its own.
+_SLAB = 1 << 15
+_KEEP = 1 << 17  # the most items a buffer may hold and still be kept for reuse
 
 
 @dataclass(frozen=True)
@@ -101,12 +113,16 @@ def _rng(seed: int, key: tuple[int, ...]) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
-def _fading_draw(rng: np.random.Generator, f: Fading, size: int) -> np.ndarray:
+def _fading(rng: np.random.Generator, f: Fading, out: np.ndarray) -> np.ndarray:
+    """Fill `out` with fading powers, as rng.gamma(m, 1/m) would draw them."""
     if f.m is None:
-        return np.ones(size)
-    if f.m == 1.0:
-        return rng.standard_exponential(size)  # Rayleigh: Gamma(1, 1) = Exp(1)
-    return rng.gamma(f.m, 1.0 / f.m, size)  # Nakagami-m power: Gamma(m, 1/m), unit mean
+        out.fill(1.0)
+    elif f.m == 1.0:
+        rng.standard_exponential(out=out)  # Rayleigh: Gamma(1, 1) = Exp(1)
+    else:  # Nakagami-m power: Gamma(m, 1/m), unit mean; rng.gamma also scales last
+        rng.standard_gamma(f.m, out=out)
+        out *= 1.0 / f.m
+    return out
 
 
 def _second_moment(f: Fading) -> float:
@@ -213,11 +229,9 @@ def resolve_window(model: NetworkModel, mac: MacScheme | None, theta: float) -> 
     return _Window()  # explicit / single interferer: no truncation
 
 
-def _loss_vector(model: NetworkModel, distances: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _loss_vector(model: NetworkModel, distances: np.ndarray) -> np.ndarray:
     pl = model.path_loss
-    with np.errstate(over="ignore"):  # a gain past the float range is inf: SIR 0
-        return distances ** -pl.alpha if isinstance(pl, PowerLaw) else np.exp(
-            np.multiply(-pl.delta, distances, out=out), out=out)
+    return distances ** -pl.alpha if isinstance(pl, PowerLaw) else np.exp(-pl.delta * distances)
 
 
 def _fixed_distances(model: NetworkModel, mac: MacScheme | None, window: _Window) -> np.ndarray | None:
@@ -236,11 +250,114 @@ def _fixed_distances(model: NetworkModel, mac: MacScheme | None, window: _Window
     return None
 
 
-def _fade(rng: np.random.Generator, f: Fading, gain: np.ndarray) -> np.ndarray:
-    """Multiply interferer fading into `gain` in place, one slab at a time."""
-    for a in range(0, gain.size, _SLAB):
-        gain[a:a + _SLAB] *= _fading_draw(rng, f, gain[a:a + _SLAB].size)
-    return gain
+class _Scratch(threading.local):
+    """Each thread's reader Generator and the buffers its slabs write into
+    through `out=`, kept from chunk to chunk and call to call, so a warm sweep
+    maps no fresh pages. A _batch_sir call writes each buffer before it reads
+    it and returns no view of one, so what a buffer held changes no result."""
+
+    def __init__(self) -> None:
+        self.reader: np.random.Generator | None = None  # made on first use: import loads no np.random
+        self.kept: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, n: int, dtype: type = float) -> np.ndarray:
+        """An uninitialised array of `n` items, reused where one is kept."""
+        buf = self.kept.get(name)
+        if buf is None or buf.size < n:
+            buf = np.empty(n, dtype)
+            if n <= _KEEP:
+                self.kept[name] = buf
+        return buf[:n]
+
+    def read(self, rng: np.random.Generator, draws: int) -> np.random.Generator:
+        """The reader, at `rng`'s place, while `rng` moves on past the next
+        `draws` 64-bit outputs (Generator.random takes one per double)."""
+        if self.reader is None:
+            self.reader = np.random.Generator(np.random.PCG64(0))  # any seed: it takes a state
+        self.reader.bit_generator.state = rng.bit_generator.state
+        rng.bit_generator.advance(draws)
+        return self.reader
+
+
+_SCRATCH = _Scratch()
+
+
+def _fade(rng: np.random.Generator, f: Fading, gain: np.ndarray, draws: np.ndarray) -> None:
+    """Multiply interferer fading into `gain` in place, `draws.size` at a time."""
+    for a in range(0, gain.size, draws.size):
+        part = gain[a:a + draws.size]
+        part *= _fading(rng, f, draws[:part.size])
+
+
+def _fixed_interference(
+    rng: np.random.Generator, f: Fading, p: float, loss: np.ndarray, size: int
+) -> np.ndarray:
+    """Interference of `size` trials from interferers at path gains `loss`, in
+    slabs of whole trial rows of about _SLAB numbers."""
+    n, take = loss.size, _SCRATCH.take
+    rows = max(1, _SLAB // n)
+    room = min(size, rows) * n  # the chunk's own need, however large _SLAB is
+    draws = take("draws", room)
+    interference = np.empty(size)
+    if p < 1.0:  # every uniform precedes any fading: past one slab, read them from a copy
+        uniforms = rng if rows >= size else _SCRATCH.read(rng, size * n)
+        active, col, gain = take("active", room, bool), take("col", room, np.intp), take("gain", room)
+    for a in range(0, size, rows):
+        b = min(size, a + rows)
+        k = (b - a) * n
+        if p < 1.0:  # fade and sum only the active (trial, interferer) entries
+            np.less(uniforms.random(out=draws[:k]), p, out=active[:k])
+            at = np.flatnonzero(active[:k])
+            hits = at.size
+            np.divmod(at, n, out=(at, col[:hits]))  # (trial, interferer) of each hit
+            g = np.take(loss, col[:hits], out=gain[:hits], mode="clip")  # "raise" buffers out
+            g *= _fading(rng, f, draws[:hits])
+            interference[a:b] = np.bincount(at, weights=g, minlength=b - a)
+            del at  # with the next slab's hits alive as well, glibc maps fresh pages
+        else:  # a dot per row rounds the same in any slab; a gemv rounds by row position
+            np.vecdot(_fading(rng, f, draws[:k]).reshape(b - a, n), loss, out=interference[a:b])
+    return interference
+
+
+def _ppp_interference(
+    rng: np.random.Generator, model: NetworkModel, points: float, radius: float, size: int
+) -> np.ndarray:
+    """Interference of `size` trials, each from Poisson(`points`) transmitters
+    uniform in the window, placed and faded in slabs of whole trials of about
+    _SLAB points."""
+    counts = rng.poisson(points, size)
+    busy = np.flatnonzero(counts)  # a trial that drew no point keeps 0
+    interference = np.zeros(size)
+    if busy.size == 0:
+        return interference
+    edges = np.zeros(busy.size + 1, dtype=counts.dtype)
+    np.cumsum(counts[busy], out=edges[1:])  # busy trial k holds points edges[k]:edges[k+1]
+    total = int(edges[-1])
+    room = min(total, max(_SLAB, int(counts.max())))  # the largest slab
+    whole = room == total  # the chunk is one slab
+    # Every position precedes any fading: past one slab, read them from a copy.
+    positions = rng if whole else _SCRATCH.read(rng, total)
+    gains, draws = _SCRATCH.take("gain", room), _SCRATCH.take("draws", min(room, _SLAB))
+    sums = np.empty(busy.size)
+    d, pl = model.geometry.d, model.path_loss
+    volume = math.prod([radius] * d)  # r * r in 2-D, which pow(r, 2) is not always
+    i = 0
+    while i < busy.size:  # busy trials i..j-1 make one slab
+        j = busy.size if whole else max(i + 1, int(edges.searchsorted(edges[i] + _SLAB, "right")) - 1)
+        u = positions.random(out=gains[:edges[j] - edges[i]])
+        if isinstance(pl, PowerLaw):  # |x|^-alpha = (R^d u)^(-alpha/d): no sqrt in 2-D
+            u *= volume
+            np.power(u, -pl.alpha / d, out=u)
+        else:  # e^(-delta R sqrt(u)), in place
+            np.sqrt(u, out=u)
+            u *= radius
+            u *= -pl.delta
+            np.exp(u, out=u)
+        _fade(rng, model.fading.interferer, u, draws)
+        sums[i:j] = np.add.reduceat(u, edges[i:j] - edges[i])  # out= is slower
+        i = j
+    interference[busy] = sums
+    return interference
 
 
 def _batch_sir(
@@ -252,46 +369,15 @@ def _batch_sir(
     rng: np.random.Generator,
     size: int,
 ) -> np.ndarray:
-    """One chunk of SIR samples; a PPP window holds Poisson(`points`) transmitters.
-
-    Fixed sets draw, fade and sum whole trial rows of about _SLAB numbers at a
-    time, and PPP points fade in slabs of _SLAB, in the stream's own order.
-    """
-    case = model.fading
-    if distances is not None:
-        loss = _loss_vector(model, distances)
-        n = loss.size
-        rows = max(1, _SLAB // n)
-        slabs = [(a, min(size, a + rows)) for a in range(0, size, rows)]
-        interference = np.empty(size)
-        if p < 1.0:  # fade and sum only the active (trial, interferer) entries
-            active = np.empty((size, n), dtype=bool)  # every uniform precedes any fading
-            for a, b in slabs:
-                np.less(rng.random((b - a, n)), p, out=active[a:b])
-            for a, b in slabs:
-                hit = np.flatnonzero(active[a:b])
-                gain = _fade(rng, case.interferer, loss[hit % n])
-                interference[a:b] = np.bincount(hit // n, weights=gain, minlength=b - a)
-        else:  # a dot per row rounds the same in any slab; a gemv rounds by row position
-            for a, b in slabs:
-                f = _fading_draw(rng, case.interferer, (b - a) * n).reshape(b - a, n)
-                np.vecdot(f, loss, out=interference[a:b])
-    else:
-        counts = rng.poisson(points, size)
-        u = rng.random(int(counts.sum()))
-        r, d, pl = window.radius, model.geometry.d, model.path_loss
-        if isinstance(pl, PowerLaw):  # |x|^-alpha = (R^d u)^(-alpha/d): no sqrt in 2-D
-            u *= math.prod([r] * d)  # r * r in 2-D, which pow(r, 2) is not always
-            with np.errstate(over="ignore"):
-                np.power(u, -pl.alpha / d, out=u)
-        else:  # distances R sqrt(u), all in place
-            _loss_vector(model, np.multiply(np.sqrt(u, out=u), r, out=u), out=u)
-        gain = _fade(rng, case.interferer, u)
-        busy = np.flatnonzero(counts)  # a trial that drew no point keeps 0
-        interference = np.zeros(size)
-        interference[busy] = np.add.reduceat(gain, (np.cumsum(counts) - counts)[busy])
+    """One chunk of SIR samples; a PPP window holds Poisson(`points`) transmitters."""
+    with np.errstate(over="ignore"):  # a gain past the float range is inf: SIR 0
+        if distances is not None:
+            interference = _fixed_interference(
+                rng, model.fading.interferer, p, _loss_vector(model, distances), size)
+        else:
+            interference = _ppp_interference(rng, model, points, window.radius, size)
     interference += window.tail_mean
-    desired = _fading_draw(rng, case.desired, size)
+    desired = _fading(rng, model.fading.desired, np.empty(size))
     with np.errstate(divide="ignore"):
         return np.where(interference > 0.0, desired / np.maximum(interference, 1e-300), np.inf)
 
@@ -344,13 +430,14 @@ def simulate_sir_samples(model: NetworkModel, mac: MacScheme | None, cfg: SimCon
     interference and no tail compensation are clipped to 1e12 (_SIR_CLIP)
     and counted.
     """
-    chunks = []
-    clipped = 0
+    values = np.empty(cfg.trials)
+    done = 0
     for sir in _sir_chunks(model, mac, theta_ref, cfg):
-        inf_mask = ~np.isfinite(sir) | (sir > _SIR_CLIP)
-        clipped += int(np.count_nonzero(inf_mask))
-        chunks.append(np.where(inf_mask, _SIR_CLIP, sir))
-    return SirSamples(np.concatenate(chunks), clipped)
+        values[done:done + sir.size] = sir
+        done += sir.size
+    inf_mask = ~np.isfinite(values) | (values > _SIR_CLIP)
+    values[inf_mask] = _SIR_CLIP
+    return SirSamples(values, int(np.count_nonzero(inf_mask)))
 
 
 def estimate_gamma(

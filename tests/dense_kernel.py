@@ -7,7 +7,7 @@ PPP points with add.reduceat. Both draw the same random stream.
 
 import numpy as np
 
-from sirnet.montecarlo import _fading_draw, _loss_vector
+from chunk_kernel import _fading_draw, _loss_vector
 
 
 def _batch_sir(model, p, points, window, distances, rng, size):

@@ -355,8 +355,7 @@ def test_outage_config_file(tmp_path):
                          FadingCase(Fading.rayleigh(), Fading.rayleigh()))
     cfgfile = tmp_path / "model.cfg"
     cfgfile.write_text(format_model(model, Aloha(0.5)))
-    code, text = run(tmp_path, "outage", "--config", str(cfgfile),
-                     "--theta", "1", "--p", "0.5")
+    code, text = run(tmp_path, "outage", "--config", str(cfgfile), "--theta", "1")
     assert code == 0
     _, rows = data_rows(text)
     xi = 1.2 ** 4
@@ -521,6 +520,25 @@ def test_outage_config_mac_block(tmp_path):
     cfgfile.write_text("geometry = line\ngeometry.sided = one\npathloss = power\n"
                        "pathloss.alpha = 2\nmac = tdma\nmac.m = 2\n")
     code, text = run(tmp_path, "outage", "--config", str(cfgfile), "--theta", "1")
+    assert code == 0
+    _, rows = data_rows(text)
+    assert (rows[0]["m"], rows[0]["p"], rows[0]["value"]) == ("2", "", "0.6825694503")
+
+
+@pytest.mark.parametrize("flags,flag", [(["--m", "5"], "--m"), (["--p", "0.3"], "--p"),
+                                        (["--p", "0.3", "--m", "5"], "--p")])
+def test_outage_config_mac_block_refuses_p_and_m(tmp_path, capsys, flags, flag):
+    """The file's mac block decides the scheme, so --p and --m go unread and
+    are refused; without a mac block they are read as for a class."""
+    line = ("geometry = line\ngeometry.sided = one\npathloss = power\n"
+            "pathloss.alpha = 2\n")
+    mac = tmp_path / "tdma.cfg"
+    mac.write_text(line + "mac = tdma\nmac.m = 2\n")
+    assert main(["outage", "--config", str(mac), "--theta", "1", *flags]) == 2
+    assert capsys.readouterr() == ("", f"error: outage does not read {flag}\n")
+    bare = tmp_path / "line.cfg"
+    bare.write_text(line)
+    code, text = run(tmp_path, "outage", "--config", str(bare), "--theta", "1", "--m", "2")
     assert code == 0
     _, rows = data_rows(text)
     assert (rows[0]["m"], rows[0]["p"], rows[0]["value"]) == ("2", "", "0.6825694503")

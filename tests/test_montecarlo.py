@@ -1,11 +1,15 @@
 """Simulator plumbing: determinism, windowing, edge cases."""
 
 import math
+import resource
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import chunk_kernel
 import dense_kernel
 from sirnet import montecarlo, validation
 from sirnet.analytic import success_probability
@@ -233,26 +237,86 @@ def test_sparse_kernel_matches_the_dense_kernel(monkeypatch):
                    for s in KERNEL_SEEDS for key, size in montecarlo._chunks(5000, 2))
 
 
+def test_kernel_matches_the_whole_chunk_kernel(monkeypatch):
+    """Reading PPP positions and ALOHA uniforms slab by slab from a copy of the
+    stream, while the stream itself jumps past them to the fading, gives the
+    SIR samples and p_s of the kernel that draws them whole, bit for bit."""
+    for name, model, mac in KERNEL_CASES:
+        for seed in KERNEL_SEEDS:
+            cfg = SimConfig(trials=5000, seed=seed)
+            ps = simulate_ps(model, mac, 1.0, cfg)
+            samples = simulate_sir_samples(model, mac, cfg)
+            with monkeypatch.context() as m:
+                m.setattr(montecarlo, "_batch_sir", chunk_kernel._batch_sir)
+                ref_ps = simulate_ps(model, mac, 1.0, cfg)
+                ref = simulate_sir_samples(model, mac, cfg)
+            assert ps == ref_ps, (name, seed)
+            assert samples.clipped == ref.clipped, (name, seed)
+            assert np.array_equal(samples.values, ref.values), (name, seed)
+
+
 def test_slab_size_changes_no_result(monkeypatch):
     """Drawing and reducing in slabs of 1, 7, 1000 or 2^30 numbers, down to
     one number or one trial row at a time, gives the p_s and SIR samples of
-    the default slab exactly, on every kernel branch."""
-    for name, model, mac in KERNEL_CASES:
-        cfg = SimConfig(trials=1000, seed=3)
-        ps = simulate_ps(model, mac, 1.0, cfg)
-        values = simulate_sir_samples(model, mac, cfg).values
+    the default slab exactly, on every kernel branch and on a window whose
+    blocks split into keyed sub-chunks (ppp2, p = 0.5, theta = 20: 1,170
+    points a trial)."""
+    runs = [(name, model, mac, 1.0, 1000) for name, model, mac in KERNEL_CASES]
+    runs.append(("ppp2-split", PPP4, Aloha(0.5), 20.0, 300))
+    for name, model, mac, theta, trials in runs:
+        cfg = SimConfig(trials=trials, seed=3)
+        ps = simulate_ps(model, mac, theta, cfg)
+        values = simulate_sir_samples(model, mac, cfg, theta_ref=theta).values
         for slab in (1, 7, 1000, 2 ** 30):
             with monkeypatch.context() as m:
                 m.setattr(montecarlo, "_SLAB", slab)
-                assert simulate_ps(model, mac, 1.0, cfg) == ps, (name, slab)
-                assert np.array_equal(simulate_sir_samples(model, mac, cfg).values, values), (
-                    name, slab)
+                assert simulate_ps(model, mac, theta, cfg) == ps, (name, slab)
+                assert np.array_equal(
+                    simulate_sir_samples(model, mac, cfg, theta_ref=theta).values, values
+                ), (name, slab)
+    window = resolve_window(PPP4, Aloha(0.5), 20.0)
+    assert montecarlo._CHUNK_BUDGET < 0.5 * math.pi * window.radius ** 2 * montecarlo._BLOCK
+
+
+def test_scratch_buffers_change_no_result():
+    """The kept buffers only ever hold what a slab writes before it reads:
+    filled with nan they change no sample, and threads that simulate at once,
+    each with its own buffers, give the samples of one thread alone."""
+    cases = [(model, mac) for _, model, mac in KERNEL_CASES[:9]]
+    cfg = SimConfig(trials=5000, seed=11)
+    alone = [simulate_sir_samples(model, mac, cfg).values for model, mac in cases]
+    for buf in montecarlo._SCRATCH.kept.values():
+        buf.fill(np.nan if buf.dtype.kind == "f" else -1 if buf.dtype.kind == "i" else True)
+    assert all(np.array_equal(simulate_sir_samples(model, mac, cfg).values, ref)
+               for (model, mac), ref in zip(cases, alone))
+    results = [None] * (2 * len(cases))
+
+    def work(i):
+        model, mac = cases[i % len(cases)]
+        results[i] = simulate_sir_samples(model, mac, cfg).values
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(results))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(values, alone[i % len(cases)]) for i, values in enumerate(results))
 
 
 def test_simulator_memory_stays_in_slabs():
-    """The sweep cases with the largest draws, at 10^4 trials, and a line at
-    p = 0.9 (392 terms, 8,192 trials) peak under 6 MB of traced memory; whole
-    trials x interferers arrays took 8.5-9.2 MB, and 34.8 MB for the line."""
+    """The sweep cases with the largest draws, at 10^4 trials, a line at
+    p = 0.9 (392 terms, 8,192 trials), a wide PPP window (ppp2, alpha 3,
+    p 0.1, theta 10, 2 x 10^4 trials) and a long ALOHA line (line1, alpha 2,
+    p 0.3, theta 100) peak under 2 MB of traced memory, buffers the kernel
+    keeps for reuse included. Whole-chunk positions and ALOHA masks took up
+    to 4.9 MB on the first four, 29.2 MB on the wide window and 3.0 MB on
+    the long line."""
     cfg = SimConfig(10_000, seed=3)
     cases = {c.name: c for c in validation.validation_cases()}
     capacity = [cases["capacity-ppp2-a4-p0.1"], cases["capacity-tdma-a2-m2"]]
@@ -260,13 +324,33 @@ def test_simulator_memory_stays_in_slabs():
     runs += [
         lambda c=cases["ppp2-exp-th0.1"]: simulate_ps(c.model, c.mac, c.theta, cfg),
         lambda: simulate_ps(class_model("line1", 2.0), Aloha(0.9), 10.0, SimConfig(8192, seed=1)),
+        lambda: simulate_ps(class_model("ppp2", 3.0), Aloha(0.1), 10.0, SimConfig(20_000, seed=3)),
+        lambda: simulate_ps(class_model("line1", 2.0), Aloha(0.3), 100.0, cfg),
     ]
     tracemalloc.start()
     try:
         for i, run in enumerate(runs):
+            montecarlo._SCRATCH.__init__()  # drop the kept buffers, so the run's own count
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             run()
-            assert tracemalloc.get_traced_memory()[1] - base < 6e6, i
+            assert tracemalloc.get_traced_memory()[1] - base < 2e6, i
     finally:
         tracemalloc.stop()
+
+
+def test_warm_sweep_maps_few_fresh_pages():
+    """Slabs write into buffers kept from call to call, so a 10^4-trial sweep
+    run a second time takes at most 50 minor page faults; a fresh 256 KB
+    array per slab took thousands. So do ALOHA lines at p 0.3, 0.5 and 0.9,
+    whose slabs each allocate their hits (p x 256 KB)."""
+    cfg = SimConfig(10_000, seed=5)
+    runs = [lambda: validation.run_validation(cfg)]
+    runs += [lambda p=p: simulate_ps(class_model("line1", 2.0), Aloha(p), 10.0, cfg)
+             for p in (0.3, 0.5, 0.9)]
+    for i, run in enumerate(runs):
+        run()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(3):
+            run()
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before <= 50, i
