@@ -75,14 +75,8 @@ def _forms(model: NetworkModel, mac: MacScheme,
         gamma = contention.gamma_ppp(g.d, pl.alpha, theta, h)
         return gamma, lambda p: math.exp(-p * gamma), "closed-form"
     if isinstance(g, RegularLine):
-        _, aloha_ps, line_gamma = outage._line_forms(pl.alpha, h)
-        if aloha_ps:
-            gamma, ps, method = line_gamma(theta), partial(aloha_ps, theta), "closed-form"
-        else:  # gamma_line checks alpha and theta
-            gamma, method = contention.gamma_line(pl.alpha, theta, h), "product"
-            ps = lambda p: math.exp(-contention.line_sums(
-                pl.alpha, [theta], partial(contention.interference_log_ps, p=p, fading=h),
-                contention.power_series(h, p))[0])
+        _, aloha_ps, line_gamma, method = outage._line_forms(pl.alpha, h)
+        gamma, ps = line_gamma(theta), partial(aloha_ps, theta)
     else:  # an explicit set of interferers
         method = "closed-form"
         x = contention.interference_x([effective_distance(r, pl.alpha, theta) for r in g.distances])

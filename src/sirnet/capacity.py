@@ -207,8 +207,8 @@ def ergodic_capacity_tdma(alpha: float, m: int) -> CapacityResult:
     C = int log(1 + (m t/pi)^2) (t cosh t - sinh t)/sinh^2 t dt (the SIR
     density under the substitution t = pi sqrt(theta)/m); other alpha fall
     back to quadrature of p_s(theta)/(1+theta) with outage's
-    tdma_ps_one_sided: its closed form at alpha 4, Gamma product at alpha 3,
-    line sums elsewhere. That integral calls tdma_ps_one_sided twice: once on
+    tdma_ps_one_sided: its closed form at alpha 4, contention.line_exponent
+    elsewhere. That integral calls tdma_ps_one_sided twice: once on
     the candidate cutoffs, to pick the first where p_s is negligible, and once
     on the nodes of all its panels. Both report the panel error estimate in
     abs_err.

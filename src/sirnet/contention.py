@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 
 import numpy as np
 
@@ -161,8 +162,13 @@ def gamma_exp_pathloss(delta: float, theta: float) -> float:
     return _finite(-2.0 * math.pi * li2(-theta) / d2 if d2 > 0 else math.inf)
 
 
-# line_sums' longest head; a larger theta is refused.
+# The longest line head; line_sums refuses a theta that needs more.
 _MAX_HEAD = 1 << 16
+_LOG_MAX = math.log(sys.float_info.max)
+_LOG_2PI = math.log(2.0 * math.pi)
+_PI = np.longdouble("3.14159265358979323846")  # to the x87 format's 64 bits
+# Head elements per block of rows in line_exponent: each temporary stays at 32 KB.
+_BLOCK = 4096
 
 
 @functools.lru_cache(maxsize=32)
@@ -194,49 +200,159 @@ def _line_head(alpha: float, n: int, series: tuple[float, ...]):
 
 def line_sums(alpha: float, ts: list[float], term, series) -> list[float]:
     """sum_{i>=1} term(t i^-alpha) for each t in ts, for a vectorised term with
-    term(0) = 0 and power series coefficients `series` at 0 (radius >= 1/2).
+    term(0) = 0 and power series coefficients `series` at 0 (radius >= 1/2):
+    the line sums of static and Nakagami interferers under ALOHA.
 
     A head sum over i < N plus the tail sum_k c_k t^k zeta(k alpha, N),
     added by math.fsum. N is the least power of two >= 32 with x = t/N^alpha
     <= 0.05, so the tail converges like x^k; it is summed until x^k < 2^-56,
     which takes at most the 13 terms of `series`. Past the float range of
-    N^alpha, the tail is sum_k c_k N^(k alpha) zeta(k alpha, N) x^k.
-    The ts are grouped by N, with one term() call per 1,024 head terms;
-    N, the tail and math.fsum act per t, so each sum depends only on its
-    own t. The last 32 (alpha, N, series) heads are cached (16 MB at most).
-    alpha must be finite and above 1; a t that needs N above 2^16 is refused.
+    N^alpha, the tail is sum_k c_k N^(k alpha) zeta(k alpha, N) x^k. The last
+    32 (alpha, N, series) heads are cached (16 MB at most). alpha must be
+    finite and above 1; a t that needs N above 2^16 is refused.
     """
-    series, inv = tuple(series), 1.0 / alpha
-    log_n = []  # log2 N of each t
+    series, inv, sums = tuple(series), 1.0 / alpha, []
     for t in ts:
         q = (t / 0.05) ** inv if t < 1e300 else t ** inv * 20.0 ** inv
         if not q < _MAX_HEAD:
             raise DomainError(f"theta {t:g} at alpha {alpha:g} needs over {_MAX_HEAD} line terms")
-        log_n.append(max(math.frexp(q)[1], 5))  # q = f 2^e with f in [0.5, 1), so N = 2^e
-    t_all, log_n, sums = np.asarray(ts, dtype=float), np.array(log_n), [0.0] * len(ts)
-    for e in sorted(set(log_n.tolist())):
+        e = max(math.frexp(q)[1], 5)  # q = f 2^e with f in [0.5, 1), so N = 2^e
         i_pow, tail, n_alpha = _line_head(alpha, 1 << e, series)
-        group, step = np.flatnonzero(log_n == e), max(1, 1024 >> e)
-        for rows in (group[i:i + step] for i in range(0, group.size, step)):
-            for j, t, parts in zip(rows.tolist(), t_all[rows].tolist(),
-                                   term(t_all[rows, None] * i_pow).tolist()):
-                x = t / n_alpha if n_alpha < math.inf else (t ** inv / (1 << e)) ** alpha
-                terms = math.ceil(-56.0 * math.log(2.0) / math.log(x)) if x > 0.0 else 0
-                base = t if n_alpha < math.inf else x
-                try:
-                    parts += [c * base ** k for k, c in tail[:terms]]
-                except OverflowError:  # t^k passes the float range, c t^k does not
-                    parts += [math.copysign(math.exp(k * math.log(t) + math.log(abs(c))), c)
-                              if c else 0.0 for k, c in tail[:terms]]
-                sums[j] = math.fsum(parts)
+        x = t / n_alpha if n_alpha < math.inf else (t ** inv / (1 << e)) ** alpha
+        terms = math.ceil(-56.0 * math.log(2.0) / math.log(x)) if x > 0.0 else 0
+        base = t if n_alpha < math.inf else x
+        parts = term(t * i_pow).tolist()
+        try:
+            parts += [c * base ** k for k, c in tail[:terms]]
+        except OverflowError:  # t^k passes the float range, c t^k does not
+            parts += [math.copysign(math.exp(k * math.log(t) + math.log(abs(c))), c)
+                      if c else 0.0 for k, c in tail[:terms]]
+        sums.append(math.fsum(parts))
     return sums
+
+
+@functools.lru_cache(maxsize=32)
+def _exponent_constants(alpha: float) -> tuple:
+    """line_exponent's constants at one alpha: (z_c; the read-only (-1)^(k+1) zeta(-alpha k)/k,
+    k <= K; i^-alpha for i < N(z_c); {log2 n: (n^-alpha, the tail's (-1)^(k+1) n^(k alpha)
+    zeta(k alpha, n)/k)} for each head n; alpha and pi/sin(pi/alpha) in np.longdouble).
+
+    The series leaves out about e^(-2 pi sin(pi/alpha) z^(1/alpha)), which z_c puts below
+    2^-53 (within 6e-4 of alpha 1, z_c comes down to a 2^16-term head, and the remainder is
+    below 2e-9 S). K ends the series before the first term whose envelope
+    2 Gamma(1 + alpha k)/((2 pi)^(1 + alpha k) k z_c^k) is below 2^-53 max(1, S(z_c)).
+    zeta(-x) = -2 sin(pi x/2) Gamma(1+x) zeta(1+x)/(2 pi)^(1+x), with sin taken at x mod 2
+    folded into [0, 1], so it is 0 at even x. A tail in x = z/n^alpha <= min(0.05,
+    z_c/n^alpha) is summed to x^k < 2^-56 (13 terms at most).
+    """
+    if not 1 < alpha < math.inf:
+        raise DomainError(f"line exponents need finite alpha > 1, got {alpha}")
+    sin = math.sin(math.pi / alpha)
+    log_zc = min(alpha * math.log(53.0 * math.log(2.0) / (2.0 * math.pi * sin)),
+                 math.log(0.05) + alpha * math.log(_MAX_HEAD))
+    s_c = math.pi / sin * math.exp(log_zc / alpha) - (log_zc + alpha * _LOG_2PI) / 2
+    k = 1
+    while (math.log(2.0 / k) + math.lgamma(1.0 + alpha * k) - k * log_zc
+           - (1.0 + alpha * k) * _LOG_2PI > math.log(2.0 ** -53 * max(1.0, s_c))):
+        k += 1
+    series = []
+    for j, x in ((j, alpha * j) for j in range(1, k)):
+        fold = math.sin(math.pi / 2 * min(x % 2, 2 - x % 2)) * (1 if x % 4 < 2 else -1)
+        series.append((-1) ** j * 2 * fold * math.gamma(1 + x) * zeta(1 + x)
+                      / float((2 * _PI) ** (1 + x)) / j)
+    top = max(math.frexp(math.exp((min(log_zc, _LOG_MAX) + math.log(20.0)) / alpha))[1], 5)
+    heads = {}
+    for e in range(5, top + 1):  # line_sums' heads n = 2^e, up to the one at z_c
+        terms = math.ceil(56.0 * math.log(2.0) / max(math.log(20.0), e * alpha * math.log(2.0) - log_zc))
+        heads[e] = 0.5 ** (e * alpha), np.array(
+            [(-1) ** (j + 1) * hurwitz_zeta(j * alpha, 1 << e, True) / j for j in range(1, terms + 1)])
+    arrays = [np.array(series), np.arange(1, 1 << top, dtype=float) ** -alpha]
+    for array in arrays + [tail for _, tail in heads.values()]:
+        array.flags.writeable = False
+    zc = math.exp(log_zc) if log_zc < _LOG_MAX else math.inf
+    return zc, arrays[0], arrays[1], heads, np.longdouble(alpha), _PI / np.sin(_PI / np.longdouble(alpha))
+
+
+def _power_sums(w: np.ndarray, coefficients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sum_k c_k w^k and sum_k k c_k w^k, k >= 1, for a 1-D w, each along its own row."""
+    powers = np.cumprod(np.repeat(w[:, None], coefficients.size, axis=1), axis=1)
+    k = np.arange(1.0, coefficients.size + 1)
+    return np.einsum("ij,j->i", powers, coefficients), np.einsum("ij,j->i", powers, k * coefficients)
+
+
+def line_exponent(alpha: float, z) -> tuple[np.ndarray, np.ndarray]:
+    """S(z) = sum_{i>=1} log(1 + x_i), x_i = z i^-alpha, and its Euler derivative
+    z S'(z) = sum_i x_i/(1 + x_i), for an array of z >= 0: the -log p_s of a Rayleigh line
+    at p = 1, and its contention. Each element depends only on its own z, with bounded work.
+
+    Below z_c (_exponent_constants), line_sums' head over i < N (32 or 64 from alpha 1.5 on)
+    in blocks of rows, plus the tail sum_k (-1)^(k+1) zeta(k alpha, N) z^k/k. From z_c on,
+    the Mellin expansion pi z^(1/alpha)/sin(pi/alpha) - log(z)/2 - (alpha/2) log 2 pi
+    + sum_{k<=K} (-1)^(k+1) zeta(-alpha k)/(k z^k) (Flajolet, Gourdon & Dumas, "Mellin
+    transforms and asymptotics: harmonic sums", TCS 1995), its leading terms in
+    np.longdouble, so that S keeps half an ulp where that is the x87 format.
+    """
+    zc, series, i_pow, heads, a, c = _exponent_constants(alpha)
+    z = np.asarray(z, dtype=float)
+    if not np.all(z >= 0):
+        raise DomainError(f"line exponents need z >= 0, got {z}")
+    flat = z.ravel()
+    s, ds = np.empty_like(flat), np.empty_like(flat)
+    near = np.flatnonzero(flat < zc)
+    log_n = np.maximum(np.frexp((flat[near] / 0.05) ** (1.0 / alpha))[1], 5)  # line_sums' N
+    for e in sorted(set(log_n.tolist())):
+        group, step = near[log_n == e], max(1, _BLOCK >> e)
+        for rows in (group[i:i + step] for i in range(0, group.size, step)):
+            s[rows], ds[rows] = _power_sums(flat[rows] * heads[e][0], heads[e][1])
+            x = flat[rows, None] * i_pow[:(1 << e) - 1]
+            s[rows] += np.log1p(x).sum(axis=1)
+            x /= 1.0 + x
+            ds[rows] += x.sum(axis=1)
+    far = flat >= zc
+    log_z = np.log(flat[far].astype(np.longdouble))
+    root = c * np.exp(log_z / a)  # inf at z = inf, where log_z is cut to keep S from nan
+    f, d = _power_sums(1.0 / flat[far], series)
+    s[far] = root - (np.fmin(log_z, _LOG_MAX + 1.0) + a * np.log(2 * _PI)) / 2 + f
+    ds[far] = root / a - 0.5 - d
+    return s.reshape(z.shape), ds.reshape(z.shape)
+
+
+def aloha_line_exponent(alpha: float, theta: float, p: float) -> float:
+    """-log p_s = S(theta) - S((1 - p) theta) of a Rayleigh line under ALOHA, theta > 0.
+
+    Where theta and (1 - p) theta share a branch of line_exponent, the two are differenced
+    term by term: sum_i -log(1 - p x_i/(1 + x_i)) over the head, each power of z in the
+    tail or series times 1 - (1 - p)^k, and pi/sin(pi/alpha) theta^(1/alpha)
+    (1 - (1 - p)^(1/alpha)) + log(1 - p)/2 from the leading terms, by expm1 and log1p.
+    Across z_c the two sums are subtracted, and p = 1 is S(theta).
+    """
+    if not (theta > 0 and 0.0 <= p <= 1.0):
+        raise DomainError(f"ALOHA lines need theta > 0 and p in [0, 1], got {theta}, {p}")
+    zc, series, i_pow, heads, a, c = _exponent_constants(alpha)
+    if p == 1.0:
+        return float(line_exponent(alpha, theta)[0])
+    if theta < zc:
+        e = max(math.frexp((theta / 0.05) ** (1.0 / alpha))[1], 5)  # line_sums' N
+        weights = -np.expm1(np.arange(1.0, heads[e][1].size + 1) * math.log1p(-p))
+        return (math.fsum(interference_log_ps(theta * i_pow[:(1 << e) - 1], p, Fading.rayleigh()).tolist())
+                + _power_sums(np.array([theta * heads[e][0]]), heads[e][1] * weights)[0][0])
+    if (1.0 - p) * theta >= zc:
+        v = np.log1p(-np.longdouble(p))
+        weights = -np.expm1(-np.arange(1.0, series.size + 1) * math.log1p(-p))
+        return float(v / 2 - c * np.exp(np.log(np.longdouble(theta)) / a) * np.expm1(v / a)
+                     + _power_sums(np.array([1.0 / theta]), series * weights)[0][0])
+    s = line_exponent(alpha, [theta, (1.0 - p) * theta])[0]
+    return float(s[0] - s[1])
 
 
 def gamma_line(alpha: float, theta: float, interferer_fading: Fading) -> float:
     """One-sided regular line with a Rayleigh desired link, any alpha > 1:
-    gamma = sum_i (1 - L_h(theta/i^alpha)), by line_sums."""
+    gamma = sum_i (1 - L_h(theta/i^alpha)), line_exponent's z S'(z) for Rayleigh
+    interferers and line_sums for the others."""
     if not (1 < alpha < math.inf and theta > 0):
         raise DomainError(f"line sums need finite alpha > 1 and theta > 0, got {alpha}, {theta}")
+    if interferer_fading.is_rayleigh:
+        return float(line_exponent(alpha, theta)[1])
     return line_sums(alpha, [theta], lambda x: interference_gamma(x, interferer_fading),
                      power_series(interferer_fading))[0]
 

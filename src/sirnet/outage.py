@@ -4,20 +4,21 @@ p_s; `sirnet.analytic` gives every p_s.
 Under ALOHA p_s is sandwiched between 1 - p*gamma and exp(-p*gamma), where
 gamma is the spatial contention; TDMA lines have their own universal bounds.
 A TDMA line is the ALOHA line product at p = 1 and theta' = theta/m^alpha:
-`_line_forms` picks a line's closed forms for both MACs.
+`_line_forms` picks a line's forms for both MACs and every interferer fading.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .contention import (gamma_line_alpha2, gamma_line_alpha4, interference_log_ps, line_sums,
-                         power_series)
+from .contention import (aloha_line_exponent, gamma_line, gamma_line_alpha2, gamma_line_alpha4,
+                         interference_log_ps, line_exponent, line_sums, power_series)
 from .model import Fading
-from .specfun import DomainError, _log_cube_product, zeta
+from .specfun import DomainError, zeta
 
 __all__ = [
     "SuccessProbability",
@@ -38,8 +39,8 @@ class SuccessProbability:
     """Success probability with its bounds and the method that produced it.
 
     ``method`` is ``closed-form``, or ``product`` for a line's infinite product
-    (at alpha 3 on a Rayleigh TDMA line, its Gamma product) where the alpha in
-    {2, 4} closed forms do not apply. Values below 1e-300 are clamped to zero.
+    where neither the alpha in {2, 4} closed forms nor, under TDMA, the static
+    exp(-z') apply. Values below 1e-300 are clamped to zero.
     """
 
     value: float
@@ -118,6 +119,14 @@ def _ps_line_static(z: float, theta_p: float | np.ndarray) -> float | np.ndarray
     return ps if isinstance(ps, np.ndarray) else float(ps)
 
 
+def _ps_line_nakagami(alpha: float, m: float, theta_p: float | np.ndarray) -> float | np.ndarray:
+    """exp(-m S(theta'/m)), -log L_h(x) = m log(1 + x/m) summed by line_exponent: the p = 1
+    line product of Nakagami-m interferers (Rayleigh at m = 1), for a float (giving a
+    float) or an array."""
+    ps = np.exp(-m * line_exponent(alpha, np.divide(theta_p, m))[0])
+    return ps if isinstance(ps, np.ndarray) else float(ps)
+
+
 def ps_line_alpha2_aloha(theta: float, p: float) -> float:
     """One-sided Rayleigh line network, alpha = 2, slotted ALOHA.
 
@@ -159,13 +168,24 @@ _RAYLEIGH_LINE_FORMS = {2.0: (_ps_line_tdma_alpha2, ps_line_alpha2_aloha, gamma_
                         4.0: (_ps_line_tdma_alpha4, ps_line_alpha4_aloha, gamma_line_alpha4)}
 
 
-def _line_forms(alpha: float, interferer_fading: Fading) -> tuple:
-    """A one-sided line's closed forms with a Rayleigh desired link: (p_s(theta') at
-    p = 1, the ALOHA p_s(theta, p), gamma(theta)), None where only the product applies."""
-    if interferer_fading.is_static:
-        return (lambda theta_p: _ps_line_static(zeta(alpha), theta_p)), None, None
-    forms = _RAYLEIGH_LINE_FORMS.get(alpha) if interferer_fading.is_rayleigh else None
-    return forms or (None, None, None)
+def _line_forms(alpha: float, h: Fading) -> tuple:
+    """A one-sided line's forms with a Rayleigh desired link and interferer fading h:
+    (p_s(theta') at p = 1, the ALOHA p_s(theta, p), gamma(theta), and the method of the
+    ALOHA p_s, ``product`` but at alpha 2 and 4 with Rayleigh interferers). Static and
+    Nakagami interferers under ALOHA take contention.line_sums; every other line takes
+    the closed forms or line_exponent."""
+    if h.is_rayleigh and alpha in _RAYLEIGH_LINE_FORMS:
+        return (*_RAYLEIGH_LINE_FORMS[alpha], "closed-form")
+    if h.is_static:
+        tdma = lambda theta_p: _ps_line_static(zeta(alpha), theta_p)
+    else:
+        tdma = partial(_ps_line_nakagami, alpha, h.m)
+    if h.is_rayleigh:
+        aloha = lambda theta, p: math.exp(-aloha_line_exponent(alpha, theta, p))
+    else:
+        aloha = lambda theta, p: math.exp(-line_sums(
+            alpha, [theta], partial(interference_log_ps, p=p, fading=h), power_series(h, p))[0])
+    return tdma, aloha, partial(gamma_line, alpha, interferer_fading=h), "product"
 
 
 def _theta_prime(alpha: float, theta: float | np.ndarray, m: int | np.ndarray) -> float | np.ndarray:
@@ -188,11 +208,10 @@ def tdma_ps_one_sided(
     Valid for any alpha > 1 and real m >= 1 (m enters only through theta/m^alpha). theta
     and m may be scalars or arrays that broadcast; scalars give a float, arrays an array.
 
-    The closed forms of _line_forms (exp(-zeta theta') for static interferers, y/sinh y
-    and 2y^2/(sinh^2 y + sin^2 y) at alpha 2 and 4 for Rayleigh ones) and, at alpha 3, the
-    Gamma product of specfun._log_cube_product run in numpy over the whole array. Else
-    log(1/p_s) = sum_i -log L_h(theta'/i^alpha) is a contention.line_sums of the ALOHA
-    term interference_log_ps at p = 1. Against an mpmath reference the relative error is
+    The p = 1 form of _line_forms runs in numpy over the whole array: exp(-zeta theta')
+    for static interferers, y/sinh y and 2y^2/(sinh^2 y + sin^2 y) at alpha 2 and 4 for
+    Rayleigh ones, and else exp(-m S(theta'/m)) with contention.line_exponent's S, whose
+    work is bounded at every theta'. Against an mpmath reference the relative error is
     below 1e-13 for alpha in [1.5, 5] and theta' in [1e-6, 1e4], and at alpha 3 wherever
     p_s > 1e-200. Each element depends only on its own theta', so an array call returns
     exactly what scalar calls return.
@@ -202,22 +221,7 @@ def tdma_ps_one_sided(
     theta, m = np.asarray(theta, dtype=float), np.asarray(m, dtype=float)
     if not (np.all(theta > 0) and np.all(m >= 1)):
         raise DomainError("theta must be positive and m >= 1")
-    tp = _theta_prime(alpha, theta, m)
-    closed = _line_forms(alpha, interferer_fading)[0]
-    if closed:
-        return closed(tp)
-    # -log L_h(x) >= log(1 + 2x)/2 for any m >= 1/2. At q = theta'^(1/alpha) >= 1100,
-    # log(1/p_s) >= sum_{i<=1100} log(1 + 2q/i)/2 > 900, so p_s underflows.
-    live = tp ** (1.0 / alpha) < 1100.0
-    log_inv = np.full(tp.shape, math.inf)
-    if alpha == 3 and interferer_fading.is_rayleigh:
-        log_inv[live] = _log_cube_product(tp[live])
-    else:
-        log_inv[live] = line_sums(
-            alpha, tp[live].tolist(), lambda x: interference_log_ps(x, 1.0, interferer_fading),
-            power_series(interferer_fading, 1.0))
-    ps = np.exp(-log_inv)
-    return float(ps) if ps.ndim == 0 else ps
+    return _line_forms(alpha, interferer_fading)[0](_theta_prime(alpha, theta, m))
 
 
 def ps_tdma_line(alpha: float, theta: float, m: int, sided: str = "one",
@@ -225,10 +229,10 @@ def ps_tdma_line(alpha: float, theta: float, m: int, sided: str = "one",
     """TDMA regular line network with reuse factor m, a Rayleigh desired link
     and interferer fading h: p_s = prod_i L_h(theta'/i^alpha), theta' = theta/m^alpha.
 
-    The p = 1 closed form of _line_forms where there is one, as tdma_ps_one_sided
-    takes it: exp(-z') for static interferers, the lower bound's own bits, and the
-    alpha 2 and 4 forms for Rayleigh ones; else tdma_ps_one_sided's exact infinite
-    product (method ``product``). The bounds are exp(-z') <= p_s <= 1/(1 + z' + (zeta-1)
+    The p = 1 form of _line_forms, as tdma_ps_one_sided takes it: exp(-z') for static
+    interferers, the lower bound's own bits, and the alpha 2 and 4 forms for Rayleigh
+    ones (method ``closed-form``); else the exact infinite product exp(-m S(theta'/m))
+    (method ``product``). The bounds are exp(-z') <= p_s <= 1/(1 + z' + (zeta-1)
     theta'^2), z' = zeta(alpha) theta'. The lower one is Jensen's, for any fading; the
     upper one needs L_h(x) <= 1/(1 + x), as static and Nakagami m >= 1 meet, and is 1
     for m < 1. Two-sided networks square the one-sided results.
@@ -246,10 +250,10 @@ def ps_tdma_line(alpha: float, theta: float, m: int, sided: str = "one",
     upper = 1.0 / (1.0 + z * theta_p + (z - 1.0) * (theta_p * theta_p))
     if not interferer_fading.is_static and interferer_fading.m < 1.0:
         upper = 1.0
-    closed = _line_forms(alpha, interferer_fading)[0]
-    value, method = ((closed(theta_p), "closed-form") if closed
-                     else (tdma_ps_one_sided(alpha, theta, m, interferer_fading), "product"))
-    value = _clamp_ps(value)
+    form, _, _, method = _line_forms(alpha, interferer_fading)
+    value = _clamp_ps(form(theta_p))
+    if interferer_fading.is_static:
+        method = "closed-form"
     if sided == "two":
         value *= value
         lower *= lower

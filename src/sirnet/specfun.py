@@ -1,16 +1,14 @@
 """Special functions needed by the closed-form network expressions.
 
-Everything here is pure, self-contained and scalar in stdlib ``math``, but for
-the private numpy ``_log_cube_product``. Each function documents its accuracy
-target; the test suite checks them against independent brute-force oracles.
+Everything here is pure, self-contained and scalar in stdlib ``math``. Each
+function documents its accuracy target; the test suite checks them against
+independent brute-force oracles.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-
-import numpy as np
 
 __all__ = [
     "DomainError",
@@ -257,42 +255,3 @@ def gamma_fn(x: float) -> float:
     if not x > 0:
         raise DomainError(f"gamma_fn requires x > 0, got {x}")
     return math.gamma(x)
-
-
-# B_2j / (2j (2j - 1)), j = 8 .. 1: Stirling's log Gamma(w) past (w - 1/2) log w - w + log(2 pi)/2
-_STIRLING = (-3617 / 122400, 1 / 156, -691 / 360360, 1 / 1188, -1 / 1680, 1 / 1260, -1 / 360, 1 / 12)
-
-
-@functools.cache
-def _cube_series() -> tuple[float, ...]:
-    """(-1)^(l+1) zeta(3l)/l for l = 10 .. 1: log prod_i (1 + t/i^3) = sum_l c_l t^l."""
-    return tuple((-1) ** (l + 1) * zeta(3.0 * l) / l for l in range(10, 0, -1))
-
-
-def _log_cube_product(t: np.ndarray) -> np.ndarray:
-    """log prod_{i>=1} (1 + t/i^3) = -log(Gamma(1+y) |Gamma(1 - y w)|^2), y = t^(1/3) and
-    w = e^(i pi/3) (A&S 6.1.3 over the factors of 1 + y^3), for a 1-D array of finite
-    t >= 0, within 1.1e-15 max(1, value) of mpmath to y = 1100: the series of _cube_series
-    below t = 0.02; above, Gamma(11 - y w_k) over the first 10 factors, with Stirling's
-    series (next term below 7e-17 at |11 - y w_k| >= 9.5). The three (z - 1/2) log z - z
-    sum to 21/2 log(1331 + t) - 33 + y/2 log1p(33y/(121 - 11y + y^2)) - sqrt(3) y (2 pi/3
-    - atan2(11 sqrt(3)/2, y - 11/2)), in which no y log y is left to cancel."""
-    log, small = np.empty_like(t), t < 0.02
-    if small.any():  # each branch is skipped when empty: np.polyval alone is ~20 calls
-        log[small] = t[small] * np.polyval(_cube_series(), t[small])
-    t = t[~small]
-    if not t.size:
-        return log
-    y, v = np.cbrt(t), t / (1331.0 + t)
-    e = np.zeros_like(t)  # prod_{i<=10} (1 + t/i^3) / (1 + t/1331)^10 - 1
-    for x in (v * ((1331 - i ** 3) / i ** 3) for i in range(1, 11)):
-        e = e + x + e * x  # x = (1 + t/i^3) / (1 + t/1331) - 1
-    # 3 log 10! + 33 - (3/2) log 2 pi - (63/2) log 11 = 0.0227210..., to 40 digits
-    rest = (np.log1p(e) - 0.5 * np.log1p(t / 1331.0) + 0.022721026463855522
-            - 0.5 * y * np.log1p(33.0 * y / (121.0 - 11.0 * y + y * y))
-            - math.sqrt(3.0) * y * np.arctan2(5.5 * math.sqrt(3.0), y - 5.5))
-    w = np.concatenate((11.0 + y, 11.0 - y * complex(0.5, 0.5 * math.sqrt(3.0))))
-    s = (np.polyval(_STIRLING, 1.0 / (w * w)) / w).real  # at 11 + y, then 11 - y w
-    # The largest term, 2 pi y/sqrt(3), comes last; cbrt((2 pi/sqrt 3)^3 t) rounds once less.
-    log[~small] = rest - s[:t.size] - 2.0 * s[t.size:] + np.cbrt(47.73728583450431 * t)
-    return log

@@ -87,8 +87,8 @@ def tdma_m_opt(alpha: float, theta: float) -> ThroughputResult:
     """Optimal TDMA reuse factor for a two-sided line network.
 
     p_T(m) = p_s(m)^2 / m with the exact one-sided p_s of outage.tdma_ps_one_sided
-    (closed forms at alpha = 2 and 4, the Gamma product at alpha = 3, the line
-    sums elsewhere). Reports both the exact integer maximizer (exhaustive scan
+    (closed forms at alpha = 2 and 4, contention.line_exponent elsewhere).
+    Reports both the exact integer maximizer (exhaustive scan
     up to twice the analytic upper bound) and the closed-form estimate
     m_hat = round((theta zeta(alpha) (2 alpha - 1/2))^(1/alpha)).
     """

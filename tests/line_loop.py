@@ -1,9 +1,9 @@
 """The line sum taken one t at a time, with its head and tail coefficients
 built on every call, and Gauss-Legendre panels whose nodes are built on every
 call: the references that tests/test_line_sums.py compares
-sirnet.contention.line_sums (one term() call per block of ts that share a
-head length, with cached heads) and sirnet.quadrature.gauss_legendre_panels
-(with cached nodes) against, bit for bit.
+sirnet.contention.line_sums (with cached heads) and
+sirnet.quadrature.gauss_legendre_panels (with cached nodes) against, bit for
+bit.
 """
 
 import math

@@ -296,6 +296,32 @@ def test_outage_line_where_n_alpha_passes_the_float_range(tmp_path, argv, value)
     assert float(data_rows(text)[1][0]["value"]) == pytest.approx(value, rel=1e-9)
 
 
+@pytest.mark.parametrize("argv", [
+    "outage --class line1 --alpha 1.5 --case 1/1 --p 0.001 --theta 1e6",
+    "contention --class line1 --alpha 3 --theta 1e14",
+])
+def test_rayleigh_line_past_a_2_16_term_head_gives_its_row(tmp_path, argv):
+    """Rayleigh lines take line_exponent, whose work is bounded at every theta, where
+    line_sums would need a head of more than 2^16 terms (p_s is about e^-24 here)."""
+    code, text = run(tmp_path, *argv.split())
+    assert code == 0
+    (row,) = data_rows(text)[1]
+    if argv.startswith("outage"):
+        assert float(row["lower"]) <= float(row["value"]) <= float(row["upper"])
+        assert float(row["value"]) == pytest.approx(math.exp(-24.19), rel=0.01)
+    else:
+        assert float(row["gamma"]) > 0
+
+
+@pytest.mark.parametrize("argv", [
+    "contention --class line1 --alpha 3 --case 1/0 --theta 1e20",
+    "outage --class line1 --alpha 3 --case 1/m2 --p 0.3 --theta 1e16",
+])
+def test_static_and_nakagami_aloha_lines_refuse_a_head_past_2_16_terms(capsys, argv):
+    assert main(argv.split()) == 2
+    assert "needs over 65536 line terms" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("alpha", ["2", "3", "4"])
 def test_outage_tdma_huge_theta_has_zero_value_and_bounds(tmp_path, alpha):
     """theta'^2 passes the float range at theta 1e200; p_s and the upper

@@ -2,11 +2,14 @@
 sum gamma = sum (1 - L_h(x_i)) on lines and explicit sets: mpmath
 references, the alpha in {2, 4} closed forms, and the simulator."""
 
+import functools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sirnet import analytic
 from sirnet.contention import (
@@ -14,6 +17,7 @@ from sirnet.contention import (
     gamma_line_alpha2,
     gamma_line_alpha4,
     interference_log_ps,
+    line_exponent,
     line_sums,
     power_series,
 )
@@ -155,6 +159,142 @@ def test_line_sums_past_the_float_range_of_n_alpha_match_mpmath():
                     got = line_ps(alpha, theta, p, fading)
                     assert got == (0.0 if ref == 0.0 else pytest.approx(ref, rel=1e-13)), (
                         alpha, theta, label, p)
+
+
+@functools.lru_cache(maxsize=None)
+def inverse_powers(alpha, n, prec):
+    """i^-alpha for i < n in mpmath at `prec` bits."""
+    import mpmath
+
+    with mpmath.workprec(prec):
+        return [mpmath.mpf(i) ** -mpmath.mpf(alpha) for i in range(1, n)]
+
+
+def exponent_reference(mp, alpha, z, derivative=False, n=48, terms=7):
+    """S(z) = sum_{i>=1} log(1 + z i^-alpha) in mpmath, or with `derivative` (S, z S'(z)), by
+    Euler-Maclaurin at i = n: a head to n - 1 (the log of its product); the integral from n of log(1 + z t^-alpha),
+    by parts -n f(n) + alpha z I, and of z t^-alpha/(1 + z t^-alpha), z I, with
+    I = n^(1-alpha)/(alpha-1) 2F1(1, 1 - 1/alpha; 2 - 1/alpha; -x), x = z n^-alpha; and
+    the Bernoulli terms, whose derivatives come from the Taylor series in s of
+    log(1 + x (1 + s)^-alpha) and of 1 - 1/(1 + x (1 + s)^-alpha) at t = n (1 + s)."""
+    a, z, big = mp.mpf(alpha), mp.mpf(z), mp.mpf(n)
+    x = z * big ** -a
+    u = [1 + x, -a * x]  # 1 + x (1 + s)^-alpha
+    for k in range(2, 2 * terms):
+        u.append(u[-1] * (-a - k + 1) / k)
+    log, inv = [mp.log(u[0])], [1 / u[0]]
+    for k in range(1, 2 * terms):
+        log.append((u[k] - mp.fsum(j * log[j] * u[k - j] for j in range(1, k)) / k) / u[0])
+        if derivative:
+            inv.append(-mp.fsum(u[j] * inv[k - j] for j in range(1, k + 1)) / u[0])
+    integral = z * big ** (1 - a) / (a - 1) * mp.hyp2f1(1, 1 - 1 / a, 2 - 1 / a, -x)
+    xs = [z * c for c in inverse_powers(alpha, n, mp.mp.prec)]
+    parts = [(log, [mp.log(mp.fprod(1 + y for y in xs))], a * integral - n * log[0])]
+    if derivative:
+        parts.append(([1 - inv[0]] + [-c for c in inv[1:]], [y / (1 + y) for y in xs], integral))
+    sums = []
+    for coefficients, head, whole in parts:
+        bernoulli = [mp.bernoulli(2 * j) / (2 * j) * coefficients[2 * j - 1] / big ** (2 * j - 1)
+                     for j in range(1, terms + 1)]
+        sums.append(mp.fsum(head) + whole + coefficients[0] / 2 - mp.fsum(bernoulli))
+    return sums if derivative else sums[0]
+
+
+def test_exponent_reference_matches_loggamma_and_a_zeta_tail():
+    """The Euler-Maclaurin reference against two independent ones: at alpha 3,
+    S = -log(Gamma(1 + y) |Gamma(1 - y e^(i pi/3))|^2), y = z^(1/3); elsewhere a head plus
+    the tail sum_k (-1)^(k+1) z^k zeta(k alpha, n)/k (and its z d/dz), n past z^(1/alpha)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        w = mpmath.exp(1j * mpmath.pi / 3)
+        for z in (1e-6, 0.3, 40.0, 1e5, 1e12):
+            y = mpmath.cbrt(mpmath.mpf(z))
+            ref = -(mpmath.loggamma(1 + y) + mpmath.loggamma(1 - y * w)
+                    + mpmath.loggamma(1 - y * mpmath.conj(w))).real
+            assert abs(exponent_reference(mpmath, 3.0, z) / ref - 1) < 1e-25, z
+        for alpha, z in ((1.5, 0.3), (1.5, 40.0), (2.5, 30.0), (5.0, 1e3)):
+            a, t = mpmath.mpf(alpha), mpmath.mpf(z)
+            n = 2 * math.ceil(z ** (1 / alpha)) + 8
+            s = mpmath.fsum(mpmath.log1p(t / mpmath.mpf(i) ** a) for i in range(1, n))
+            ds = mpmath.fsum(1 - 1 / (1 + t / mpmath.mpf(i) ** a) for i in range(1, n))
+            for k in range(1, 200):
+                term = (-1) ** (k + 1) * t ** k * zeta_reference(mpmath, k * a, n)
+                s, ds = s + term / k, ds + term
+                if abs(term) < 1e-45 * ds:
+                    break
+            got = exponent_reference(mpmath, alpha, z, derivative=True)
+            assert abs(got[0] / s - 1) < 1e-25 and abs(got[1] / ds - 1) < 1e-25, (alpha, z)
+
+
+def test_line_exponent_at_alpha_3_matches_mpmath_loggamma_to_y_1100():
+    """S at alpha 3 is -(log Gamma(1+y) + log Gamma(1 - y w) + log Gamma(1 - y w*)),
+    w = e^(i pi/3), y = z^(1/3): against mpmath.loggamma at the three points, on both
+    sides of z_c and out to y = 1100 (values near 4,000)."""
+    mpmath = pytest.importorskip("mpmath")
+    ys = np.concatenate([[0.0], np.geomspace(1e-4, 1.0, 40), np.linspace(1.0, 30.0, 150),
+                         np.linspace(30.0, 1100.0, 150)])
+    values = line_exponent(3.0, ys ** 3)[0]
+    assert values[0] == 0.0
+    with mpmath.workdps(40):
+        w = mpmath.exp(1j * mpmath.pi / 3)
+        for t, value in zip((ys ** 3).tolist(), values.tolist()):
+            y = mpmath.cbrt(mpmath.mpf(t))
+            ref = -(mpmath.loggamma(1 + y) + mpmath.loggamma(1 - y * w)
+                    + mpmath.loggamma(1 - y * mpmath.conj(w)))
+            assert abs(ref.imag) < 1e-30
+            assert abs(value - ref.real) <= 2e-15 * max(1.0, abs(ref.real)), (t, value)
+
+
+def test_mellin_coefficients_are_zeta_at_negative_arguments():
+    """The series coefficients (-1)^(k+1) zeta(-alpha k)/k against mpmath.zeta at
+    -alpha k, 0 where alpha k is even, for every k <= K."""
+    from sirnet.contention import _exponent_constants
+
+    mpmath = pytest.importorskip("mpmath")
+    for alpha, size in ((1.5, 11), (2.5, 8), (3.0, 5), (3.5, 4), (5.0, 2), (8.0, 1)):
+        series = _exponent_constants(alpha)[1]
+        assert series.size == size, alpha
+        for k, c in enumerate(series.tolist(), start=1):
+            ref = (-1) ** (k + 1) * float(mpmath.zeta(-alpha * k)) / k
+            assert c == pytest.approx(ref, rel=1e-15, abs=0.0), (alpha, k)
+
+
+def test_rayleigh_aloha_lines_match_mpmath():
+    """p_s and gamma of a Rayleigh line off alpha 2 and 4 within 1e-13 of 40-digit
+    references up to theta = 1e12, for p in [1e-6, 0.999], wherever p_s > 1e-200: the grid
+    and bound of test_aloha_line_forms_match_mpmath. Log p_s = S((1-p) theta) - S(theta)
+    and gamma = z S'(z) at theta come from exponent_reference."""
+    mpmath = pytest.importorskip("mpmath")
+    ps_grid = np.logspace(-6, math.log10(0.999), 19).tolist()
+    checked = 0
+    with mpmath.workdps(40):
+        for alpha in (1.5, 2.5, 3.0, 5.0):
+            for theta in np.logspace(-6, 12, 55).tolist():
+                s, ds = exponent_reference(mpmath, alpha, theta, derivative=True)
+                assert gamma_line(alpha, theta, FADINGS["1"]) == pytest.approx(
+                    float(ds), rel=1e-13, abs=0.0), (alpha, theta)
+                for p in ps_grid:
+                    if p * ds > 461:  # p_s <= exp(-p gamma) < 1e-200
+                        break
+                    log_ps = exponent_reference(mpmath, alpha, (1 - mpmath.mpf(p)) * theta) - s
+                    if log_ps > mpmath.log(mpmath.mpf("1e-200")):
+                        ref = mpmath.exp(log_ps)
+                        value = line_ps(alpha, theta, p, FADINGS["1"])
+                        assert abs(value - ref) <= 1e-13 * ref, (alpha, theta, p, value)
+                        checked += 1
+    assert checked > 2000
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(alpha=st.floats(1.2, 8.0), log_theta=st.floats(-8.0, 14.0),
+       p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_rayleigh_aloha_line_lies_in_its_sandwich(alpha, log_theta, p):
+    """1 - p gamma <= p_s <= exp(-p gamma) on a Rayleigh line, up to the rounding of
+    p_s (a few ulps of 1 below, and of its log, -log p_s >= p gamma, above)."""
+    theta = 10.0 ** log_theta
+    ps, gamma = line_ps(alpha, theta, p, FADINGS["1"]), gamma_line(alpha, theta, FADINGS["1"])
+    assert ps >= 1.0 - p * gamma - 4 * 2.0 ** -53, (ps, gamma)
+    assert ps == 0.0 or math.log(ps) <= -p * gamma * (1.0 - 4 * 2.0 ** -53) + 2.0 ** -53, (ps, gamma)
 
 
 def test_closed_forms_match_the_line_sum():

@@ -66,11 +66,13 @@ def test_tdma_ps_product_matches_closed_forms():
                 assert tdma_ps_one_sided(alpha, theta, m) == exact, (alpha, theta, m)
 
 
-def test_tdma_ps_takes_the_line_sums_only_off_the_closed_forms(monkeypatch):
-    """Rayleigh interferers at alpha 2, 3 and 4 take the closed forms (alpha 3
-    its Gamma product), in a capacity integral and a reuse scan too; alpha 2.5
-    and Nakagami interferers still take the line product."""
-    from sirnet import capacity, outage
+def test_no_tdma_or_rayleigh_aloha_line_takes_the_line_sums(monkeypatch):
+    """Every TDMA line, for any interferer fading, and every ALOHA line with Rayleigh
+    interferers (p_s and gamma) take the closed forms or line_exponent, in a capacity
+    integral and a reuse scan too; static and Nakagami interferers under ALOHA still take
+    the line sums."""
+    from sirnet import analytic, capacity, contention, outage
+    from sirnet.model import Aloha, class_model
 
     calls = []
 
@@ -79,16 +81,21 @@ def test_tdma_ps_takes_the_line_sums_only_off_the_closed_forms(monkeypatch):
         return line_sums(*args)
 
     monkeypatch.setattr(outage, "line_sums", counted)
-    for alpha in (2.0, 3.0, 4.0):
-        tdma_ps_one_sided(alpha, np.array(TDMA_THETAS), 2)
+    monkeypatch.setattr(contention, "line_sums", counted)
+    for alpha in (1.5, 2.0, 2.5, 3.0, 4.0):
+        for fading in (Fading.none(), Fading.rayleigh(), Fading.nakagami(0.5), Fading.nakagami(2.0)):
+            tdma_ps_one_sided(alpha, np.array(TDMA_THETAS), 2, fading)
         tdma_m_opt(alpha, 10.0)
+        model = class_model("line1", alpha, "1/1")
+        for theta in (1e-3, 0.005, 1.0, 1e6):
+            analytic.success_probability(model, Aloha(0.3), theta)
+            analytic.spatial_contention(model, Aloha(0.3), theta)
+    capacity.ergodic_capacity_tdma(2.5, 2)
     capacity.ergodic_capacity_tdma(3.0, 2)
-    capacity.ergodic_capacity_tdma(4.0, 2)
     assert calls == []
-    tdma_ps_one_sided(2.5, 1.0, 2)
-    tdma_ps_one_sided(2.0, 1.0, 2, Fading.nakagami(2.0))
-    tdma_ps_one_sided(4.0, 1.0, 2, Fading.none())
-    assert calls == [2.5, 2.0]
+    for case in ("1/0", "1/m2"):
+        analytic.success_probability(class_model("line1", 2.5, case), Aloha(0.3), 1.0)
+    assert calls == [2.5] * 4  # gamma, then p_s
 
 
 def test_tdma_ps_is_one_where_m_alpha_overflows():
@@ -170,7 +177,7 @@ def test_tdma_closed_forms_match_mpmath_down_to_1e_200():
 def test_tdma_alpha3_matches_the_gamma_product_down_to_1e_200():
     """At alpha 3, p_s = Gamma(1+y) |Gamma(1 - y e^(i pi/3))|^2 with y = theta'^(1/3),
     within 1e-13 of 40-digit mpmath wherever p_s > 1e-200 (theta' up to 2e6, y 127),
-    through the series below theta' = 0.02 and the Gamma product above."""
+    through line_exponent's head below z_c and its Mellin expansion above."""
     mpmath = pytest.importorskip("mpmath")
     thetas = np.logspace(-12, 9, 200)
     values = tdma_ps_one_sided(3.0, thetas, 1).tolist()
@@ -188,22 +195,27 @@ def test_tdma_alpha3_matches_the_gamma_product_down_to_1e_200():
     assert checked > 170
 
 
-def test_tdma_alpha3_series_and_gamma_product_agree_at_the_switch():
-    """-log p_s = sum_l (-1)^(l+1) zeta(3l) theta'^l / l below theta' = 0.02, the
-    Gamma product from there on: on both sides of 0.02 the two give p_s within 1e-15."""
-    from sirnet.specfun import _cube_series, _log_cube_product
+def test_line_exponent_branches_agree_at_the_switch(monkeypatch):
+    """On both sides of z_c the head with its zeta tail and the Mellin expansion give S
+    within 4 ulps, so p_s within 1e-15, for alpha from 1.5 to 8; a call takes the head
+    below z_c and the expansion from z_c on."""
+    from sirnet import contention
 
-    below = np.nextafter(0.02, 0.0)
-    ts = np.array([0.015, 0.019, below, 0.02, 0.0201, 0.021, 0.025, 0.03])
-    series = ts * np.polyval(_cube_series(), ts)
-    gamma = _log_cube_product(ts)
-    assert (gamma[ts < 0.02] == series[ts < 0.02]).all()
-    for t in ts[ts >= 0.02].tolist():
-        s = t * np.polyval(_cube_series(), t)
-        g = _log_cube_product(np.array([t]))[0]
-        assert abs(math.exp(-g) - math.exp(-s)) <= 1e-15 * math.exp(-s), t
-    ps = tdma_ps_one_sided(3.0, np.array([below, 0.02]), 1)
-    assert abs(ps[1] - ps[0]) <= 1e-15
+    constants = contention._exponent_constants
+    for alpha in (1.5, 2.5, 3.0, 3.5, 5.0, 8.0):
+        zc = constants(alpha)[0]
+        zs = np.array([0.8 * zc, 0.9 * zc, 0.99 * zc, np.nextafter(zc, 0.0), zc, 1.01 * zc,
+                       1.1 * zc, 1.25 * zc])
+        branches = []
+        for cut in (math.inf, 0.0):  # every z in the head, then every z in the expansion
+            monkeypatch.setattr(contention, "_exponent_constants",
+                                lambda a, cut=cut: (cut, *constants(a)[1:]))
+            branches.append(contention.line_exponent(alpha, zs)[0])
+        monkeypatch.undo()
+        head, mellin = branches
+        assert (np.abs(head - mellin) <= 4 * np.spacing(mellin)).all(), (alpha, head - mellin)
+        assert (np.abs(np.exp(-head) - np.exp(-mellin)) <= 1e-15).all(), alpha
+        assert (contention.line_exponent(alpha, zs)[0] == np.where(zs < zc, head, mellin)).all()
 
 
 TDMA_ALPHAS = (1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 5.0)
