@@ -233,24 +233,48 @@ def line_sums(alpha: float, ts: list[float], term, series) -> list[float]:
 
 @functools.lru_cache(maxsize=32)
 def _exponent_constants(alpha: float) -> tuple:
-    """line_exponent's constants at one alpha: (z_c; the read-only (-1)^(k+1) zeta(-alpha k)/k,
-    k <= K; i^-alpha for i < N(z_c); {log2 n: (n^-alpha, the tail's (-1)^(k+1) n^(k alpha)
-    zeta(k alpha, n)/k)} for each head n; alpha and pi/sin(pi/alpha) in np.longdouble).
+    """line_exponent's branch point and heads at one alpha: (z_c, log z_c, i^-alpha for
+    i < N(z_c), {log2 n: (n^-alpha, the tail's (-1)^(k+1) n^(k alpha) zeta(k alpha, n)/k)} for
+    each head n), the arrays read-only.
 
-    The series leaves out about e^(-2 pi sin(pi/alpha) z^(1/alpha)), which z_c puts below
-    2^-53 (within 6e-4 of alpha 1, z_c comes down to a 2^16-term head, and the remainder is
-    below 2e-9 S). K ends the series before the first term whose envelope
-    2 Gamma(1 + alpha k)/((2 pi)^(1 + alpha k) k z_c^k) is below 2^-53 max(1, S(z_c)).
-    zeta(-x) = -2 sin(pi x/2) Gamma(1+x) zeta(1+x)/(2 pi)^(1+x), with sin taken at x mod 2
-    folded into [0, 1], so it is 0 at even x. A tail in x = z/n^alpha <= min(0.05,
-    z_c/n^alpha) is summed to x^k < 2^-56 (13 terms at most).
+    The Mellin series leaves out about e^(-2 pi sin(pi/alpha) z^(1/alpha)), which z_c puts
+    below 2^-53 (within 6e-4 of alpha 1, z_c comes down to a 2^16-term head, and the
+    remainder is below 2e-9 S). A tail in x = z/n^alpha <= min(0.05, z_c/n^alpha) is summed
+    to x^k < 2^-56 (13 terms at most).
     """
     if not 1 < alpha < math.inf:
         raise DomainError(f"line exponents need finite alpha > 1, got {alpha}")
-    sin = math.sin(math.pi / alpha)
-    log_zc = min(alpha * math.log(53.0 * math.log(2.0) / (2.0 * math.pi * sin)),
+    log_zc = min(alpha * math.log(53.0 * math.log(2.0) / (2.0 * math.pi * math.sin(math.pi / alpha))),
                  math.log(0.05) + alpha * math.log(_MAX_HEAD))
-    s_c = math.pi / sin * math.exp(log_zc / alpha) - (log_zc + alpha * _LOG_2PI) / 2
+    top = max(math.frexp(math.exp((min(log_zc, _LOG_MAX) + math.log(20.0)) / alpha))[1], 5)
+    heads = {}
+    for e in range(5, top + 1):  # line_sums' heads n = 2^e, up to the one at z_c
+        terms = math.ceil(56.0 * math.log(2.0) / max(math.log(20.0), e * alpha * math.log(2.0) - log_zc))
+        heads[e] = 0.5 ** (e * alpha), np.array(
+            [(-1) ** (j + 1) * hurwitz_zeta(j * alpha, 1 << e, True) / j for j in range(1, terms + 1)])
+        heads[e][1].flags.writeable = False
+    i_pow = np.arange(1, 1 << top, dtype=float) ** -alpha
+    i_pow.flags.writeable = False
+    return math.exp(log_zc) if log_zc < _LOG_MAX else math.inf, log_zc, i_pow, heads
+
+
+@functools.lru_cache(maxsize=32)
+def _mellin_constants(alpha: float) -> tuple:
+    """The Mellin branch's constants at one alpha: (the read-only (-1)^(k+1) zeta(-alpha k)/k
+    for k <= K; alpha, pi/sin(pi/alpha) and (alpha/2) log 2 pi in np.longdouble), built on
+    the branch's first use, so that a process whose z stay below z_c never maps numpy's
+    long double code (about 0.1 MB of resident memory).
+
+    K ends the series before the first term whose envelope
+    2 Gamma(1 + alpha k)/((2 pi)^(1 + alpha k) k z_c^k) is below 2^-53 max(1, S(z_c)); its
+    least term, near e^(-2 pi z_c^(1/alpha)), is below the remainder that sets z_c.
+    zeta(-x) = -2 sin(pi x/2) Gamma(1+x) zeta(1+x)/(2 pi)^(1+x), with sin taken at x mod 2
+    folded into [0, 1], so it is 0 at even x.
+    """
+    log_zc = _exponent_constants(alpha)[1]
+    a = np.longdouble(alpha)
+    c = _PI / np.sin(_PI / a)
+    s_c = float(c) * math.exp(log_zc / alpha) - (log_zc + alpha * _LOG_2PI) / 2
     k = 1
     while (math.log(2.0 / k) + math.lgamma(1.0 + alpha * k) - k * log_zc
            - (1.0 + alpha * k) * _LOG_2PI > math.log(2.0 ** -53 * max(1.0, s_c))):
@@ -260,24 +284,17 @@ def _exponent_constants(alpha: float) -> tuple:
         fold = math.sin(math.pi / 2 * min(x % 2, 2 - x % 2)) * (1 if x % 4 < 2 else -1)
         series.append((-1) ** j * 2 * fold * math.gamma(1 + x) * zeta(1 + x)
                       / float((2 * _PI) ** (1 + x)) / j)
-    top = max(math.frexp(math.exp((min(log_zc, _LOG_MAX) + math.log(20.0)) / alpha))[1], 5)
-    heads = {}
-    for e in range(5, top + 1):  # line_sums' heads n = 2^e, up to the one at z_c
-        terms = math.ceil(56.0 * math.log(2.0) / max(math.log(20.0), e * alpha * math.log(2.0) - log_zc))
-        heads[e] = 0.5 ** (e * alpha), np.array(
-            [(-1) ** (j + 1) * hurwitz_zeta(j * alpha, 1 << e, True) / j for j in range(1, terms + 1)])
-    arrays = [np.array(series), np.arange(1, 1 << top, dtype=float) ** -alpha]
-    for array in arrays + [tail for _, tail in heads.values()]:
-        array.flags.writeable = False
-    zc = math.exp(log_zc) if log_zc < _LOG_MAX else math.inf
-    return zc, arrays[0], arrays[1], heads, np.longdouble(alpha), _PI / np.sin(_PI / np.longdouble(alpha))
+    series = np.array(series)
+    series.flags.writeable = False
+    return series, a, c, a * np.log(2 * _PI) / 2
 
 
 def _power_sums(w: np.ndarray, coefficients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sum_k c_k w^k and sum_k k c_k w^k, k >= 1, for a 1-D w, each along its own row."""
-    powers = np.cumprod(np.repeat(w[:, None], coefficients.size, axis=1), axis=1)
-    k = np.arange(1.0, coefficients.size + 1)
-    return np.einsum("ij,j->i", powers, coefficients), np.einsum("ij,j->i", powers, k * coefficients)
+    """sum_k c_k w^k and sum_k k c_k w^k, k >= 1, elementwise by Horner's rule."""
+    f = d = np.zeros_like(w)
+    for k in range(coefficients.size, 0, -1):
+        f, d = (f + coefficients[k - 1]) * w, (d + k * coefficients[k - 1]) * w
+    return f, d
 
 
 def line_exponent(alpha: float, z) -> tuple[np.ndarray, np.ndarray]:
@@ -292,7 +309,7 @@ def line_exponent(alpha: float, z) -> tuple[np.ndarray, np.ndarray]:
     transforms and asymptotics: harmonic sums", TCS 1995), its leading terms in
     np.longdouble, so that S keeps half an ulp where that is the x87 format.
     """
-    zc, series, i_pow, heads, a, c = _exponent_constants(alpha)
+    zc, _, i_pow, heads = _exponent_constants(alpha)
     z = np.asarray(z, dtype=float)
     if not np.all(z >= 0):
         raise DomainError(f"line exponents need z >= 0, got {z}")
@@ -302,18 +319,20 @@ def line_exponent(alpha: float, z) -> tuple[np.ndarray, np.ndarray]:
     log_n = np.maximum(np.frexp((flat[near] / 0.05) ** (1.0 / alpha))[1], 5)  # line_sums' N
     for e in sorted(set(log_n.tolist())):
         group, step = near[log_n == e], max(1, _BLOCK >> e)
+        s[group], ds[group] = _power_sums(flat[group] * heads[e][0], heads[e][1])
         for rows in (group[i:i + step] for i in range(0, group.size, step)):
-            s[rows], ds[rows] = _power_sums(flat[rows] * heads[e][0], heads[e][1])
             x = flat[rows, None] * i_pow[:(1 << e) - 1]
             s[rows] += np.log1p(x).sum(axis=1)
             x /= 1.0 + x
             ds[rows] += x.sum(axis=1)
-    far = flat >= zc
-    log_z = np.log(flat[far].astype(np.longdouble))
-    root = c * np.exp(log_z / a)  # inf at z = inf, where log_z is cut to keep S from nan
-    f, d = _power_sums(1.0 / flat[far], series)
-    s[far] = root - (np.fmin(log_z, _LOG_MAX + 1.0) + a * np.log(2 * _PI)) / 2 + f
-    ds[far] = root / a - 0.5 - d
+    far = np.flatnonzero(flat >= zc)
+    if far.size:
+        series, a, c, shift = _mellin_constants(alpha)
+        log_z = np.log(flat[far].astype(np.longdouble))
+        root = c * np.exp(log_z / a)  # inf at z = inf, where log_z is cut to keep S from nan
+        f, d = _power_sums(1.0 / flat[far], series)
+        s[far] = root - np.fmin(log_z, _LOG_MAX + 1.0) / 2 - shift + f
+        ds[far] = root / a - 0.5 - d
     return s.reshape(z.shape), ds.reshape(z.shape)
 
 
@@ -328,19 +347,20 @@ def aloha_line_exponent(alpha: float, theta: float, p: float) -> float:
     """
     if not (theta > 0 and 0.0 <= p <= 1.0):
         raise DomainError(f"ALOHA lines need theta > 0 and p in [0, 1], got {theta}, {p}")
-    zc, series, i_pow, heads, a, c = _exponent_constants(alpha)
+    zc, _, i_pow, heads = _exponent_constants(alpha)
     if p == 1.0:
         return float(line_exponent(alpha, theta)[0])
     if theta < zc:
         e = max(math.frexp((theta / 0.05) ** (1.0 / alpha))[1], 5)  # line_sums' N
         weights = -np.expm1(np.arange(1.0, heads[e][1].size + 1) * math.log1p(-p))
         return (math.fsum(interference_log_ps(theta * i_pow[:(1 << e) - 1], p, Fading.rayleigh()).tolist())
-                + _power_sums(np.array([theta * heads[e][0]]), heads[e][1] * weights)[0][0])
+                + float(_power_sums(theta * heads[e][0], heads[e][1] * weights)[0]))
     if (1.0 - p) * theta >= zc:
+        series, a, c, _ = _mellin_constants(alpha)
         v = np.log1p(-np.longdouble(p))
         weights = -np.expm1(-np.arange(1.0, series.size + 1) * math.log1p(-p))
         return float(v / 2 - c * np.exp(np.log(np.longdouble(theta)) / a) * np.expm1(v / a)
-                     + _power_sums(np.array([1.0 / theta]), series * weights)[0][0])
+                     + _power_sums(1.0 / theta, series * weights)[0])
     s = line_exponent(alpha, [theta, (1.0 - p) * theta])[0]
     return float(s[0] - s[1])
 

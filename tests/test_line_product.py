@@ -248,11 +248,11 @@ def test_line_exponent_at_alpha_3_matches_mpmath_loggamma_to_y_1100():
 def test_mellin_coefficients_are_zeta_at_negative_arguments():
     """The series coefficients (-1)^(k+1) zeta(-alpha k)/k against mpmath.zeta at
     -alpha k, 0 where alpha k is even, for every k <= K."""
-    from sirnet.contention import _exponent_constants
+    from sirnet.contention import _mellin_constants
 
     mpmath = pytest.importorskip("mpmath")
     for alpha, size in ((1.5, 11), (2.5, 8), (3.0, 5), (3.5, 4), (5.0, 2), (8.0, 1)):
-        series = _exponent_constants(alpha)[1]
+        series = _mellin_constants(alpha)[0]
         assert series.size == size, alpha
         for k, c in enumerate(series.tolist(), start=1):
             ref = (-1) ** (k + 1) * float(mpmath.zeta(-alpha * k)) / k
