@@ -289,18 +289,22 @@ def _mellin_constants(alpha: float) -> tuple:
     return series, a, c, a * np.log(2 * _PI) / 2
 
 
-def _power_sums(w: np.ndarray, coefficients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sum_k c_k w^k and sum_k k c_k w^k, k >= 1, elementwise by Horner's rule."""
-    f = d = np.zeros_like(w)
+def _power_sums(w, coefficients: np.ndarray, derivative: bool):
+    """sum_k c_k w^k, k >= 1, elementwise by Horner's rule, and with `derivative` also
+    sum_k k c_k w^k (else None)."""
+    f, d = np.zeros_like(w), (np.zeros_like(w) if derivative else None)
     for k in range(coefficients.size, 0, -1):
-        f, d = (f + coefficients[k - 1]) * w, (d + k * coefficients[k - 1]) * w
+        f = (f + coefficients[k - 1]) * w
+        if derivative:
+            d = (d + k * coefficients[k - 1]) * w
     return f, d
 
 
-def line_exponent(alpha: float, z) -> tuple[np.ndarray, np.ndarray]:
+def line_exponent(alpha: float, z, derivative: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """S(z) = sum_{i>=1} log(1 + x_i), x_i = z i^-alpha, and its Euler derivative
     z S'(z) = sum_i x_i/(1 + x_i), for an array of z >= 0: the -log p_s of a Rayleigh line
     at p = 1, and its contention. Each element depends only on its own z, with bounded work.
+    A TDMA p_s needs only S: `derivative=False` skips z S'(z) (None), a quarter of the work.
 
     Below z_c (_exponent_constants), line_sums' head over i < N (32 or 64 from alpha 1.5 on)
     in blocks of rows, plus the tail sum_k (-1)^(k+1) zeta(k alpha, N) z^k/k. From z_c on,
@@ -314,26 +318,30 @@ def line_exponent(alpha: float, z) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(z >= 0):
         raise DomainError(f"line exponents need z >= 0, got {z}")
     flat = z.ravel()
-    s, ds = np.empty_like(flat), np.empty_like(flat)
+    s, ds = np.empty_like(flat), np.empty_like(flat) if derivative else None
     near = np.flatnonzero(flat < zc)
     log_n = np.maximum(np.frexp((flat[near] / 0.05) ** (1.0 / alpha))[1], 5)  # line_sums' N
     for e in sorted(set(log_n.tolist())):
         group, step = near[log_n == e], max(1, _BLOCK >> e)
-        s[group], ds[group] = _power_sums(flat[group] * heads[e][0], heads[e][1])
+        s[group], d = _power_sums(flat[group] * heads[e][0], heads[e][1], derivative)
+        if derivative:
+            ds[group] = d
         for rows in (group[i:i + step] for i in range(0, group.size, step)):
             x = flat[rows, None] * i_pow[:(1 << e) - 1]
             s[rows] += np.log1p(x).sum(axis=1)
-            x /= 1.0 + x
-            ds[rows] += x.sum(axis=1)
+            if derivative:
+                x /= 1.0 + x
+                ds[rows] += x.sum(axis=1)
     far = np.flatnonzero(flat >= zc)
     if far.size:
         series, a, c, shift = _mellin_constants(alpha)
         log_z = np.log(flat[far].astype(np.longdouble))
         root = c * np.exp(log_z / a)  # inf at z = inf, where log_z is cut to keep S from nan
-        f, d = _power_sums(1.0 / flat[far], series)
+        f, d = _power_sums(1.0 / flat[far], series, derivative)
         s[far] = root - np.fmin(log_z, _LOG_MAX + 1.0) / 2 - shift + f
-        ds[far] = root / a - 0.5 - d
-    return s.reshape(z.shape), ds.reshape(z.shape)
+        if derivative:
+            ds[far] = root / a - 0.5 - d
+    return s.reshape(z.shape), ds.reshape(z.shape) if derivative else None
 
 
 def aloha_line_exponent(alpha: float, theta: float, p: float) -> float:
@@ -349,19 +357,19 @@ def aloha_line_exponent(alpha: float, theta: float, p: float) -> float:
         raise DomainError(f"ALOHA lines need theta > 0 and p in [0, 1], got {theta}, {p}")
     zc, _, i_pow, heads = _exponent_constants(alpha)
     if p == 1.0:
-        return float(line_exponent(alpha, theta)[0])
+        return float(line_exponent(alpha, theta, False)[0])
     if theta < zc:
         e = max(math.frexp((theta / 0.05) ** (1.0 / alpha))[1], 5)  # line_sums' N
         weights = -np.expm1(np.arange(1.0, heads[e][1].size + 1) * math.log1p(-p))
         return (math.fsum(interference_log_ps(theta * i_pow[:(1 << e) - 1], p, Fading.rayleigh()).tolist())
-                + float(_power_sums(theta * heads[e][0], heads[e][1] * weights)[0]))
+                + float(_power_sums(theta * heads[e][0], heads[e][1] * weights, False)[0]))
     if (1.0 - p) * theta >= zc:
         series, a, c, _ = _mellin_constants(alpha)
         v = np.log1p(-np.longdouble(p))
         weights = -np.expm1(-np.arange(1.0, series.size + 1) * math.log1p(-p))
         return float(v / 2 - c * np.exp(np.log(np.longdouble(theta)) / a) * np.expm1(v / a)
-                     + _power_sums(1.0 / theta, series * weights)[0])
-    s = line_exponent(alpha, [theta, (1.0 - p) * theta])[0]
+                     + _power_sums(1.0 / theta, series * weights, False)[0])
+    s = line_exponent(alpha, [theta, (1.0 - p) * theta], False)[0]
     return float(s[0] - s[1])
 
 

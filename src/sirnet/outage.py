@@ -123,7 +123,7 @@ def _ps_line_nakagami(alpha: float, m: float, theta_p: float | np.ndarray) -> fl
     """exp(-m S(theta'/m)), -log L_h(x) = m log(1 + x/m) summed by line_exponent: the p = 1
     line product of Nakagami-m interferers (Rayleigh at m = 1), for a float (giving a
     float) or an array."""
-    ps = np.exp(-m * line_exponent(alpha, np.divide(theta_p, m))[0])
+    ps = np.exp(-m * line_exponent(alpha, np.divide(theta_p, m), False)[0])
     return ps if isinstance(ps, np.ndarray) else float(ps)
 
 
