@@ -200,8 +200,7 @@ def _line_head(alpha: float, n: int, series: tuple[float, ...]):
 
 def line_sums(alpha: float, ts: list[float], term, series) -> list[float]:
     """sum_{i>=1} term(t i^-alpha) for each t in ts, for a vectorised term with
-    term(0) = 0 and power series coefficients `series` at 0 (radius >= 1/2):
-    the line sums of static and Nakagami interferers under ALOHA.
+    term(0) = 0 and power series coefficients `series` at 0 (radius >= 1/2).
 
     A head sum over i < N plus the tail sum_k c_k t^k zeta(k alpha, N),
     added by math.fsum. N is the least power of two >= 32 with x = t/N^alpha
@@ -233,15 +232,11 @@ def line_sums(alpha: float, ts: list[float], term, series) -> list[float]:
 
 @functools.lru_cache(maxsize=32)
 def _exponent_constants(alpha: float) -> tuple:
-    """line_exponent's branch point and heads at one alpha: (z_c, log z_c, i^-alpha for
-    i < N(z_c), {log2 n: (n^-alpha, the tail's (-1)^(k+1) n^(k alpha) zeta(k alpha, n)/k)} for
-    each head n), the arrays read-only.
-
-    The Mellin series leaves out about e^(-2 pi sin(pi/alpha) z^(1/alpha)), which z_c puts
-    below 2^-53 (within 6e-4 of alpha 1, z_c comes down to a 2^16-term head, and the
-    remainder is below 2e-9 S). A tail in x = z/n^alpha <= min(0.05, z_c/n^alpha) is summed
-    to x^k < 2^-56 (13 terms at most).
-    """
+    """(z_c, log z_c, i^-alpha for i < N(z_c), {log2 n: (n^-alpha, the tail's
+    (-1)^(k+1) n^(k alpha) zeta(k alpha, n)/k)}) of line_exponent at one alpha, read-only.
+    z_c puts the Mellin series' remainder e^(-2 pi sin(pi/alpha) z^(1/alpha)) below 2^-53
+    (within 6e-4 of alpha 1 it stops at a 2^16-term head, the remainder below 2e-9 S); a
+    tail in x = z/n^alpha <= min(0.05, z_c/n^alpha) is summed to x^k < 2^-56."""
     if not 1 < alpha < math.inf:
         raise DomainError(f"line exponents need finite alpha > 1, got {alpha}")
     log_zc = min(alpha * math.log(53.0 * math.log(2.0) / (2.0 * math.pi * math.sin(math.pi / alpha))),
@@ -260,17 +255,12 @@ def _exponent_constants(alpha: float) -> tuple:
 
 @functools.lru_cache(maxsize=32)
 def _mellin_constants(alpha: float) -> tuple:
-    """The Mellin branch's constants at one alpha: (the read-only (-1)^(k+1) zeta(-alpha k)/k
-    for k <= K; alpha, pi/sin(pi/alpha) and (alpha/2) log 2 pi in np.longdouble), built on
-    the branch's first use, so that a process whose z stay below z_c never maps numpy's
-    long double code (about 0.1 MB of resident memory).
-
-    K ends the series before the first term whose envelope
-    2 Gamma(1 + alpha k)/((2 pi)^(1 + alpha k) k z_c^k) is below 2^-53 max(1, S(z_c)); its
-    least term, near e^(-2 pi z_c^(1/alpha)), is below the remainder that sets z_c.
-    zeta(-x) = -2 sin(pi x/2) Gamma(1+x) zeta(1+x)/(2 pi)^(1+x), with sin taken at x mod 2
-    folded into [0, 1], so it is 0 at even x.
-    """
+    """(the read-only (-1)^(k+1) zeta(-alpha k)/k, k <= K; alpha, pi/sin(pi/alpha) and
+    (alpha/2) log 2 pi in np.longdouble) of the Mellin branch, built on its first use: a
+    process that stays below z_c maps no long double code. K stops before the first
+    envelope 2 Gamma(1 + alpha k)/((2 pi)^(1 + alpha k) k z_c^k) below 2^-53 max(1, S(z_c)).
+    zeta(-x) = -2 sin(pi x/2) Gamma(1+x) zeta(1+x)/(2 pi)^(1+x), sin taken at x mod 2
+    folded into [0, 1] (0 at even x)."""
     log_zc = _exponent_constants(alpha)[1]
     a = np.longdouble(alpha)
     c = _PI / np.sin(_PI / a)
@@ -290,8 +280,7 @@ def _mellin_constants(alpha: float) -> tuple:
 
 
 def _power_sums(w, coefficients: np.ndarray, derivative: bool):
-    """sum_k c_k w^k, k >= 1, elementwise by Horner's rule, and with `derivative` also
-    sum_k k c_k w^k (else None)."""
+    """sum_k c_k w^k and, with `derivative`, sum_k k c_k w^k (k >= 1), by Horner's rule."""
     f, d = np.zeros_like(w), (np.zeros_like(w) if derivative else None)
     for k in range(coefficients.size, 0, -1):
         f = (f + coefficients[k - 1]) * w
@@ -301,17 +290,15 @@ def _power_sums(w, coefficients: np.ndarray, derivative: bool):
 
 
 def line_exponent(alpha: float, z, derivative: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    """S(z) = sum_{i>=1} log(1 + x_i), x_i = z i^-alpha, and its Euler derivative
-    z S'(z) = sum_i x_i/(1 + x_i), for an array of z >= 0: the -log p_s of a Rayleigh line
-    at p = 1, and its contention. Each element depends only on its own z, with bounded work.
-    A TDMA p_s needs only S: `derivative=False` skips z S'(z) (None), a quarter of the work.
+    """S(z) = sum_{i>=1} log(1 + x_i), x_i = z i^-alpha, and z S'(z) = sum_i x_i/(1 + x_i)
+    (None with `derivative=False`) for an array of z >= 0: a Rayleigh line's -log p_s at
+    p = 1 and its contention. Each element depends only on its own z, with bounded work.
 
-    Below z_c (_exponent_constants), line_sums' head over i < N (32 or 64 from alpha 1.5 on)
-    in blocks of rows, plus the tail sum_k (-1)^(k+1) zeta(k alpha, N) z^k/k. From z_c on,
-    the Mellin expansion pi z^(1/alpha)/sin(pi/alpha) - log(z)/2 - (alpha/2) log 2 pi
-    + sum_{k<=K} (-1)^(k+1) zeta(-alpha k)/(k z^k) (Flajolet, Gourdon & Dumas, "Mellin
-    transforms and asymptotics: harmonic sums", TCS 1995), its leading terms in
-    np.longdouble, so that S keeps half an ulp where that is the x87 format.
+    Below z_c, line_sums' head for z (32 or 64 terms from alpha 1.5 on) in blocks of rows,
+    plus the tail sum_k (-1)^(k+1) zeta(k alpha, N) z^k/k. From z_c on, the Mellin
+    expansion pi z^(1/alpha)/sin(pi/alpha) - log(z)/2 - (alpha/2) log 2 pi
+    + sum_{k<=K} (-1)^(k+1) zeta(-alpha k)/(k z^k) (Flajolet, Gourdon & Dumas, TCS 1995),
+    its leading terms in np.longdouble so that S keeps half an ulp on x87.
     """
     zc, _, i_pow, heads = _exponent_constants(alpha)
     z = np.asarray(z, dtype=float)
@@ -345,14 +332,11 @@ def line_exponent(alpha: float, z, derivative: bool = True) -> tuple[np.ndarray,
 
 
 def aloha_line_exponent(alpha: float, theta: float, p: float) -> float:
-    """-log p_s = S(theta) - S((1 - p) theta) of a Rayleigh line under ALOHA, theta > 0.
-
-    Where theta and (1 - p) theta share a branch of line_exponent, the two are differenced
-    term by term: sum_i -log(1 - p x_i/(1 + x_i)) over the head, each power of z in the
-    tail or series times 1 - (1 - p)^k, and pi/sin(pi/alpha) theta^(1/alpha)
-    (1 - (1 - p)^(1/alpha)) + log(1 - p)/2 from the leading terms, by expm1 and log1p.
-    Across z_c the two sums are subtracted, and p = 1 is S(theta).
-    """
+    """-log p_s = S(theta) - S((1 - p) theta) of a Rayleigh line under ALOHA. Within a
+    branch of line_exponent it is taken term by term, by expm1 and log1p: the head's
+    -log(1 - p x_i/(1 + x_i)), each power of z times 1 - (1 - p)^k, and the leading
+    pi/sin(pi/alpha) theta^(1/alpha) (1 - (1 - p)^(1/alpha)) + log(1 - p)/2. Across z_c
+    the two sums are subtracted."""
     if not (theta > 0 and 0.0 <= p <= 1.0):
         raise DomainError(f"ALOHA lines need theta > 0 and p in [0, 1], got {theta}, {p}")
     zc, _, i_pow, heads = _exponent_constants(alpha)
@@ -375,8 +359,7 @@ def aloha_line_exponent(alpha: float, theta: float, p: float) -> float:
 
 def gamma_line(alpha: float, theta: float, interferer_fading: Fading) -> float:
     """One-sided regular line with a Rayleigh desired link, any alpha > 1:
-    gamma = sum_i (1 - L_h(theta/i^alpha)), line_exponent's z S'(z) for Rayleigh
-    interferers and line_sums for the others."""
+    gamma = sum_i (1 - L_h(theta/i^alpha)), by line_exponent for Rayleigh interferers."""
     if not (1 < alpha < math.inf and theta > 0):
         raise DomainError(f"line sums need finite alpha > 1 and theta > 0, got {alpha}, {theta}")
     if interferer_fading.is_rayleigh:

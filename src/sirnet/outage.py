@@ -120,9 +120,8 @@ def _ps_line_static(z: float, theta_p: float | np.ndarray) -> float | np.ndarray
 
 
 def _ps_line_nakagami(alpha: float, m: float, theta_p: float | np.ndarray) -> float | np.ndarray:
-    """exp(-m S(theta'/m)), -log L_h(x) = m log(1 + x/m) summed by line_exponent: the p = 1
-    line product of Nakagami-m interferers (Rayleigh at m = 1), for a float (giving a
-    float) or an array."""
+    """exp(-m S(theta'/m)) by line_exponent, -log L_h(x) being m log(1 + x/m): the p = 1 line
+    product of Nakagami-m interferers (Rayleigh at m = 1), for a float or an array."""
     ps = np.exp(-m * line_exponent(alpha, np.divide(theta_p, m), False)[0])
     return ps if isinstance(ps, np.ndarray) else float(ps)
 
@@ -170,10 +169,8 @@ _RAYLEIGH_LINE_FORMS = {2.0: (_ps_line_tdma_alpha2, ps_line_alpha2_aloha, gamma_
 
 def _line_forms(alpha: float, h: Fading) -> tuple:
     """A one-sided line's forms with a Rayleigh desired link and interferer fading h:
-    (p_s(theta') at p = 1, the ALOHA p_s(theta, p), gamma(theta), and the method of the
-    ALOHA p_s, ``product`` but at alpha 2 and 4 with Rayleigh interferers). Static and
-    Nakagami interferers under ALOHA take contention.line_sums; every other line takes
-    the closed forms or line_exponent."""
+    (p_s(theta') at p = 1, the ALOHA p_s(theta, p), gamma(theta), the ALOHA method).
+    Only static and Nakagami interferers under ALOHA take contention.line_sums."""
     if h.is_rayleigh and alpha in _RAYLEIGH_LINE_FORMS:
         return (*_RAYLEIGH_LINE_FORMS[alpha], "closed-form")
     if h.is_static:
