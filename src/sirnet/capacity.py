@@ -8,11 +8,11 @@ PPP networks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .contention import c_d_constant
+from .model import _value_type
 from .optimize import _prescan_grid, golden_section_max
 from .outage import tdma_ps_one_sided
 from .quadrature import _decaying_rule, integrate_decaying
@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_value_type
 class CapacityResult:
     """Ergodic capacity in nats with the method that produced it.
 

@@ -17,7 +17,7 @@ import math
 import re
 import sys
 
-from . import analytic, capacity, contention, throughput, validation
+from . import analytic, capacity, contention, throughput
 from .model import (
     CLASSES,
     RAYLEIGH,
@@ -262,6 +262,7 @@ def cmd_capacity(args, out) -> int:
 
 
 def cmd_validate(args, out) -> int:
+    from . import validation  # here, so that no other command pays for its import
     trials = args.trials or (10_000 if args.quick else 100_000)
     cfg = SimConfig(trials=trials, seed=args.seed)
     cases = [c for c in validation.validation_cases() if c.name.startswith(args.cls or "")]

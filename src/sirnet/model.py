@@ -1,15 +1,19 @@
 """Domain types: geometry, path loss, fading and MAC.
 
-All types are immutable value objects. The desired link distance, PPP
-intensity, and regular-line spacing are normalized to 1 throughout; only
-relative distances and powers matter, so any network can be rescaled onto
-this convention.
+The desired link distance, PPP intensity, and regular-line spacing are
+normalized to 1 throughout; only relative distances and powers matter, so any
+network can be rescaled onto this convention.
+
+`_value_type` builds sirnet's 21 value types: ``__init__`` runs ``__post_init__``; an instance
+equals only its own class's with equal fields, hashes their tuple, prints as ``Name(field=value,
+...)`` and refuses assignment and ``del``. It replaces dataclasses, which exec six methods per
+class: a warm `import sirnet.cli, sirnet.validation` took 18.4 ms with them, 6.9 ms without (2 vCPUs).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from operator import attrgetter
 
 from .specfun import DomainError
 
@@ -38,7 +42,40 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+def _eq(self, other):
+    if other.__class__ is self.__class__:
+        return type(self)._field_values(self) == type(other)._field_values(other)
+    return NotImplemented
+
+
+def _hash(self) -> int:
+    return hash(type(self)._field_values(self))
+
+
+def _repr(self) -> str:
+    pairs = zip(self.__match_args__, type(self)._field_values(self))
+    return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in pairs)})"
+
+
+def _frozen(self, name: str, *value) -> None:
+    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+def _value_type(cls: type) -> type:
+    names = tuple(cls.__annotations__)
+    args = ", ".join(f"{n}=_cls.{n}" if n in cls.__dict__ else n for n in names)
+    sets = "".join(f"\n    _d[{n!r}] = {n}" for n in names)
+    post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+    exec(f"def __init__(self, {args}):\n    _d = self.__dict__{sets}{post}", scope := {"_cls": cls})
+    get = attrgetter(*names)
+    cls.__init__, cls.__match_args__ = scope["__init__"], names
+    cls._field_values = get if len(names) > 1 else lambda self: (get(self),)
+    cls.__eq__, cls.__hash__, cls.__repr__ = _eq, _hash, _repr
+    cls.__setattr__ = cls.__delattr__ = _frozen
+    return cls
+
+
+@_value_type
 class PowerLaw:
     """Power path loss r^-alpha."""
 
@@ -49,7 +86,7 @@ class PowerLaw:
             raise DomainError(f"alpha must be positive and finite, got {self.alpha}")
 
 
-@dataclass(frozen=True)
+@_value_type
 class ExponentialLaw:
     """Exponential path loss exp(-delta r)."""
 
@@ -63,7 +100,7 @@ class ExponentialLaw:
 PathLoss = PowerLaw | ExponentialLaw
 
 
-@dataclass(frozen=True)
+@_value_type
 class Fading:
     """Per-link fading: no fading, or Nakagami-m power fading.
 
@@ -106,7 +143,7 @@ class Fading:
         return f"m{self.m:g}"
 
 
-@dataclass(frozen=True)
+@_value_type
 class FadingCase:
     """Fading on the desired link and on the interferers' links.
 
@@ -143,7 +180,7 @@ class FadingCase:
 RAYLEIGH = FadingCase(Fading.rayleigh(), Fading.rayleigh())
 
 
-@dataclass(frozen=True)
+@_value_type
 class Ppp:
     """Poisson point process of unit intensity in d >= 1 dimensions."""
 
@@ -154,7 +191,7 @@ class Ppp:
             raise DomainError(f"Ppp dimension must be an integer >= 1, got {self.d}")
 
 
-@dataclass(frozen=True)
+@_value_type
 class RegularLine:
     """Infinite regular line network, unit spacing, one- or two-sided."""
 
@@ -165,7 +202,7 @@ class RegularLine:
             raise DomainError(f"sided must be 'one' or 'two', got {self.sided!r}")
 
 
-@dataclass(frozen=True)
+@_value_type
 class Explicit:
     """Interferers at explicitly given distances from the receiver."""
 
@@ -179,7 +216,7 @@ class Explicit:
                 raise DomainError(f"distances must be positive and finite, got {r}")
 
 
-@dataclass(frozen=True)
+@_value_type
 class SingleInterferer:
     """One interferer at distance r."""
 
@@ -193,7 +230,7 @@ class SingleInterferer:
 Geometry = Ppp | RegularLine | Explicit | SingleInterferer
 
 
-@dataclass(frozen=True)
+@_value_type
 class Aloha:
     """Slotted ALOHA: every node transmits independently with probability p."""
 
@@ -204,7 +241,7 @@ class Aloha:
             raise DomainError(f"transmit probability must be in [0, 1], got {self.p}")
 
 
-@dataclass(frozen=True)
+@_value_type
 class Tdma:
     """m-phase TDMA: every m-th node transmits in a given slot."""
 
@@ -218,7 +255,7 @@ class Tdma:
 MacScheme = Aloha | Tdma
 
 
-@dataclass(frozen=True)
+@_value_type
 class NetworkModel:
     """A corner of the uncertainty cube: geometry + path loss + fading."""
 

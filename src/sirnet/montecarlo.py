@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import threading
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +37,7 @@ from .model import (
     Ppp,
     RegularLine,
     SingleInterferer,
+    _value_type,
 )
 from .specfun import DomainError
 
@@ -68,7 +68,7 @@ _SLAB = 1 << 15
 _KEEP = 1 << 17  # the most items a buffer may hold and still be kept for reuse
 
 
-@dataclass(frozen=True)
+@_value_type
 class SimConfig:
     """Trial count and seed; the window is always sized from the inputs."""
 
@@ -82,7 +82,7 @@ class SimConfig:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
 
 
-@dataclass(frozen=True)
+@_value_type
 class Estimate:
     mean: float
     stderr: float
@@ -99,7 +99,7 @@ class Estimate:
         return (self.mean - target) / self.stderr
 
 
-@dataclass(frozen=True)
+@_value_type
 class SirSamples:
     values: np.ndarray
     clipped: int  # samples with zero interference, clipped to _SIR_CLIP
@@ -138,7 +138,7 @@ def _access(mac: MacScheme | None) -> tuple[float, int]:
     return 1.0, mac.m
 
 
-@dataclass(frozen=True)
+@_value_type
 class _Window:
     radius: float | None = None  # PPP window
     terms: int | None = None  # line truncation

@@ -10,14 +10,13 @@ A TDMA line is the ALOHA line product at p = 1 and theta' = theta/m^alpha:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .contention import (aloha_line_exponent, gamma_line, gamma_line_alpha2, gamma_line_alpha4,
                          interference_log_ps, line_exponent, line_sums, power_series)
-from .model import Fading
+from .model import Fading, _value_type
 from .specfun import DomainError, zeta
 
 __all__ = [
@@ -34,7 +33,7 @@ __all__ = [
 _CLAMP = 1e-300
 
 
-@dataclass(frozen=True)
+@_value_type
 class SuccessProbability:
     """Success probability with its bounds and the method that produced it.
 
@@ -69,7 +68,7 @@ def _bounded(value: float, lower: float, upper: float, method: str) -> SuccessPr
 def sandwich(value: float, p: float, gamma: float, method: str = "closed-form") -> SuccessProbability:
     """An ALOHA value with its contention bounds 1 - p gamma and exp(-p gamma)."""
     lower = max(0.0, 1.0 - p * gamma)
-    upper = math.exp(-p * gamma) if p * gamma < 690 else 0.0
+    upper = _clamp_ps(math.exp(-p * gamma))
     return _bounded(_clamp_ps(value), lower, upper, method)
 
 

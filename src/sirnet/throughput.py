@@ -5,11 +5,11 @@ optimize comes from `sirnet.outage`; this module defines no p_s."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .contention import c_d_constant
+from .model import _value_type
 from .optimize import golden_section_max
 from .outage import tdma_ps_one_sided
 from .specfun import DomainError, lambert_w0, zeta
@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_value_type
 class ThroughputResult:
     """An optimized operating point and the throughput it achieves."""
 
@@ -37,7 +37,7 @@ class ThroughputResult:
     m_bounds: tuple[float, float] | None = None
 
 
-@dataclass(frozen=True)
+@_value_type
 class RateOptimum:
     theta_opt: float
     p_opt: float

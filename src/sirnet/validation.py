@@ -7,16 +7,14 @@ when at least 99% of z-scores are below 3 and every bound ordering holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import analytic
-from .model import Aloha, MacScheme, NetworkModel, Tdma, class_model
+from .model import Aloha, MacScheme, NetworkModel, Tdma, _value_type, class_model
 from .montecarlo import SimConfig, estimate_capacity, simulate_ps
 
 __all__ = ["ValidationRow", "validation_cases", "run_validation", "validation_passed"]
 
 
-@dataclass(frozen=True)
+@_value_type
 class ValidationRow:
     name: str
     quantity: str
@@ -27,7 +25,7 @@ class ValidationRow:
     ok: bool
 
 
-@dataclass(frozen=True)
+@_value_type
 class _Case:
     """A simulation matched to the analytic value of its own model."""
 

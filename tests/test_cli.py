@@ -541,6 +541,17 @@ def test_validate_class_runs_only_matching_cases(tmp_path, monkeypatch):
     assert single == [ln for ln in full.splitlines() if ln.startswith("single")]
 
 
+
+def test_outage_row_keeps_its_bounds_near_the_clamp(tmp_path):
+    """p gamma = 690.4 here: the value 1.66e-300 lies between its bounds."""
+    code, text = run(tmp_path, "outage", "--class", "ppp2", "--alpha", "4",
+                     "--theta", "19565.8", "--p", "1")
+    assert code == 0
+    row = data_rows(text)[1][0]
+    assert row["value"] == "1.659031215e-300"
+    assert float(row["lower"]) <= float(row["value"]) <= float(row["upper"])
+
+
 def test_outage_config_mac_block(tmp_path):
     cfgfile = tmp_path / "line.cfg"
     cfgfile.write_text("geometry = line\ngeometry.sided = one\npathloss = power\n"

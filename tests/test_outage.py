@@ -6,7 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from sirnet.analytic import success_probability
+from sirnet.analytic import spatial_contention, success_probability
 from sirnet.contention import (
     gamma_line_alpha2,
     gamma_line_alpha4,
@@ -345,6 +345,22 @@ def test_sandwich_bounds_hold():
                           (ps_line_alpha4_aloha(theta, p), g4)):
                 assert max(0.0, 1.0 - p * g) <= ps + 1e-12
                 assert ps <= math.exp(-p * g) + 1e-12
+
+
+
+@pytest.mark.parametrize("p_gamma", [690.0, 690.4, 690.775])
+@pytest.mark.parametrize("p", [1.0, 0.5])
+@pytest.mark.parametrize("cls, case", [("ppp2", "1/1"), ("ppp2", "1/0"), ("ppp1", "1/1")])
+def test_aloha_bounds_hold_down_to_the_clamp(cls, case, p, p_gamma):
+    """The upper bound exp(-p gamma) stays above the value until both fall under
+    the 1e-300 clamp at p gamma = 690.78; from 690 on it used to read 0."""
+    model = class_model(cls, 4.0, case)
+    theta = (p_gamma / (p * spatial_contention(model, Aloha(1.0), 1.0))) ** (4.0 / int(cls[-1]))
+    assert p * spatial_contention(model, Aloha(p), theta) == pytest.approx(p_gamma, rel=1e-12)
+    r = success_probability(model, Aloha(p), theta)
+    assert 0.0 < r.value and r.lower_bound <= r.value <= r.upper_bound
+    far = success_probability(model, Aloha(p), theta * 1.1)
+    assert far.lower_bound == far.value == far.upper_bound == 0.0
 
 
 def test_invalid_p():
