@@ -3,6 +3,10 @@
 Spatial contention is the slope of the outage probability with respect to
 the ALOHA transmit probability at p = 0 (for TDMA line networks: the slope
 with respect to (1/m)^alpha). Its inverse is the spatial efficiency.
+
+A regular line's outage and contention sum over its interferers: below z_c(alpha),
+for any interferer fading, _line_sum takes a head over the nearest 2^e plus a
+Hurwitz-zeta tail; from z_c on, a Rayleigh line takes a Mellin expansion.
 """
 
 from __future__ import annotations
@@ -162,21 +166,23 @@ def gamma_exp_pathloss(delta: float, theta: float) -> float:
     return _finite(-2.0 * math.pi * li2(-theta) / d2 if d2 > 0 else math.inf)
 
 
-# The longest line head; line_sums refuses a theta that needs more.
-_MAX_HEAD = 1 << 16
+# The longest line head, 2^16 terms: line_sums refuses a theta that needs more.
+_MAX_LOG2_HEAD = 16
 _LOG_MAX = math.log(sys.float_info.max)
 _LOG_2PI = math.log(2.0 * math.pi)
 _PI = np.longdouble("3.14159265358979323846")  # to the x87 format's 64 bits
-# Head elements per block of rows in line_exponent: each temporary stays at 32 KB.
+# Head elements per block of rows in _line_sum: each temporary stays at 32 KB.
 _BLOCK = 4096
+_K = np.arange(1.0, 14.0)
+# The series of log(1 + x), sum_k (-1)^(k+1) x^k/k, and of x/(1 + x), its x d/dx.
+_LOG1P, _ALTERNATING = -(-1.0) ** _K / _K, -(-1.0) ** _K
 
 
 @functools.lru_cache(maxsize=32)
 def power_series(fading: Fading, p: float | None = None) -> tuple[float, ...]:
     """Coefficients c_1 .. c_13 of x^k at x = 0 of 1 - L_h(x) or, given p, of
     -log(1 - p (1 - L_h(x))) = sum_j (p (1 - L_h))^j / j."""
-    k = np.arange(1.0, 14.0)
-    ratio = -1.0 / k if fading.is_static else ((1.0 - k) / fading.m - 1.0) / k
+    ratio = -1.0 / _K if fading.is_static else ((1.0 - _K) / fading.m - 1.0) / _K
     g = np.concatenate(([0.0], -np.cumprod(ratio)))  # 1 - L_h, from L_h(0) = 1
     if p is None:
         return tuple(g[1:].tolist())
@@ -187,70 +193,62 @@ def power_series(fading: Fading, p: float | None = None) -> tuple[float, ...]:
     return tuple(f[1:].tolist())
 
 
+def _head_log2(alpha: float, z: np.ndarray) -> np.ndarray:
+    """log2 N of each z's line head, N the least power of two >= 32 with z/N^alpha <= 0.05
+    (nan at z = nan, inf at z = inf)."""
+    with np.errstate(divide="ignore"):  # log2(0) = -inf gives N = 32
+        return np.maximum(np.ceil((np.log2(z) + math.log2(20.0)) / alpha), 5.0)
+
+
 @functools.lru_cache(maxsize=32)
-def _line_head(alpha: float, n: int, series: tuple[float, ...]):
-    """i^-alpha for i < n (read-only), the tail's (k, c_k zeta(k alpha, n)) and
-    n^alpha; past the float range of n^alpha, inf and c_k n^(k alpha) zeta."""
+def _line_head(alpha: float, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """i^-alpha for i < 2^e and the scaled zeta(k alpha, 2^e) = sum_{i>=2^e} (i/2^e)^(-k alpha)
+    for k <= 13, read-only: one line head and its tail, for every term and series."""
+    n = 1 << e
     i_pow = np.arange(1, n, dtype=float) ** -alpha
-    i_pow.flags.writeable = False
-    n_alpha = n ** alpha if alpha * math.log2(n) < 1024.0 else math.inf
-    return i_pow, [(k, c * hurwitz_zeta(k * alpha, n, n_alpha == math.inf))
-                   for k, c in enumerate(series, start=1)], n_alpha
+    zetas = np.array([hurwitz_zeta(k * alpha, n, True) for k in range(1, 14)])
+    i_pow.flags.writeable = zetas.flags.writeable = False
+    return i_pow, zetas
+
+
+def _line_sum(alpha: float, z: np.ndarray, term, series, log_top: float = math.inf) -> np.ndarray:
+    """sum_{i>=1} term(z i^-alpha) for a 1-D array of finite z >= 0, for a vectorised term
+    with term(0) = 0 and power series coefficients c_1 .. c_13 at 0 (radius >= 1/2) in
+    `series`; each element depends only on its own z. A head over i < N (_head_log2; its
+    callers keep N <= 2^16) in blocks of rows, plus the tail sum_k c_k zeta(k alpha, N) z^k
+    in x = z/N^alpha <= 0.05, sum_k c_k N^(k alpha) zeta(k alpha, N) x^k by Horner's rule,
+    cut where x^k < 2^-56 at the largest x the head sums for z below e^log_top."""
+    log2_n, s = _head_log2(alpha, z), np.empty_like(z)
+    for e in set(log2_n.astype(int).tolist()):
+        group, (i_pow, zetas) = np.flatnonzero(log2_n == e), _line_head(alpha, e)
+        terms = math.ceil(56.0 * math.log(2.0) / max(math.log(20.0), e * alpha * math.log(2.0) - log_top))
+        s[group] = _power_sums(z[group] * 0.5 ** (e * alpha), zetas[:terms] * series[:terms], False)[0]
+        step = max(1, _BLOCK >> e)
+        for rows in (group[i:i + step] for i in range(0, group.size, step)):
+            s[rows] += term(z[rows, None] * i_pow).sum(axis=1)
+    return s
 
 
 def line_sums(alpha: float, ts: list[float], term, series) -> list[float]:
-    """sum_{i>=1} term(t i^-alpha) for each t in ts, for a vectorised term with
-    term(0) = 0 and power series coefficients `series` at 0 (radius >= 1/2).
-
-    A head sum over i < N plus the tail sum_k c_k t^k zeta(k alpha, N),
-    added by math.fsum. N is the least power of two >= 32 with x = t/N^alpha
-    <= 0.05, so the tail converges like x^k; it is summed until x^k < 2^-56,
-    which takes at most the 13 terms of `series`. Past the float range of
-    N^alpha, the tail is sum_k c_k N^(k alpha) zeta(k alpha, N) x^k. The last
-    32 (alpha, N, series) heads are cached (16 MB at most). alpha must be
-    finite and above 1; a t that needs N above 2^16 is refused.
-    """
-    series, inv, sums = tuple(series), 1.0 / alpha, []
-    for t in ts:
-        q = (t / 0.05) ** inv if t < 1e300 else t ** inv * 20.0 ** inv
-        if not q < _MAX_HEAD:
-            raise DomainError(f"theta {t:g} at alpha {alpha:g} needs over {_MAX_HEAD} line terms")
-        e = max(math.frexp(q)[1], 5)  # q = f 2^e with f in [0.5, 1), so N = 2^e
-        i_pow, tail, n_alpha = _line_head(alpha, 1 << e, series)
-        x = t / n_alpha if n_alpha < math.inf else (t ** inv / (1 << e)) ** alpha
-        terms = math.ceil(-56.0 * math.log(2.0) / math.log(x)) if x > 0.0 else 0
-        base = t if n_alpha < math.inf else x
-        parts = term(t * i_pow).tolist()
-        try:
-            parts += [c * base ** k for k, c in tail[:terms]]
-        except OverflowError:  # t^k passes the float range, c t^k does not
-            parts += [math.copysign(math.exp(k * math.log(t) + math.log(abs(c))), c)
-                      if c else 0.0 for k, c in tail[:terms]]
-        sums.append(math.fsum(parts))
-    return sums
+    """sum_{i>=1} term(t i^-alpha) for each t in ts by _line_sum, for finite alpha > 1; a t
+    whose head would pass 2^16 terms, nan or inf, is refused."""
+    t = np.array(ts, dtype=float)
+    refused = t[~(_head_log2(alpha, t) <= _MAX_LOG2_HEAD)]
+    if refused.size:
+        raise DomainError(f"theta {refused[0]:g} at alpha {alpha:g} needs over {1 << _MAX_LOG2_HEAD} line terms")
+    return _line_sum(alpha, t, term, series).tolist()
 
 
 @functools.lru_cache(maxsize=32)
-def _exponent_constants(alpha: float) -> tuple:
-    """(z_c, log z_c, i^-alpha for i < N(z_c), {log2 n: (n^-alpha, the tail's
-    (-1)^(k+1) n^(k alpha) zeta(k alpha, n)/k)}) of line_exponent at one alpha, read-only.
-    z_c puts the Mellin series' remainder e^(-2 pi sin(pi/alpha) z^(1/alpha)) below 2^-53
-    (within 6e-4 of alpha 1 it stops at a 2^16-term head, the remainder below 2e-9 S); a
-    tail in x = z/n^alpha <= min(0.05, z_c/n^alpha) is summed to x^k < 2^-56."""
+def _exponent_constants(alpha: float) -> tuple[float, float]:
+    """(z_c, log z_c) of line_exponent at one alpha. z_c puts the Mellin series' remainder
+    e^(-2 pi sin(pi/alpha) z^(1/alpha)) below 2^-53 (within 6e-4 of alpha 1 it stops at a
+    2^16-term head, the remainder below 2e-9 S)."""
     if not 1 < alpha < math.inf:
         raise DomainError(f"line exponents need finite alpha > 1, got {alpha}")
     log_zc = min(alpha * math.log(53.0 * math.log(2.0) / (2.0 * math.pi * math.sin(math.pi / alpha))),
-                 math.log(0.05) + alpha * math.log(_MAX_HEAD))
-    top = max(math.frexp(math.exp((min(log_zc, _LOG_MAX) + math.log(20.0)) / alpha))[1], 5)
-    heads = {}
-    for e in range(5, top + 1):  # line_sums' heads n = 2^e, up to the one at z_c
-        terms = math.ceil(56.0 * math.log(2.0) / max(math.log(20.0), e * alpha * math.log(2.0) - log_zc))
-        heads[e] = 0.5 ** (e * alpha), np.array(
-            [(-1) ** (j + 1) * hurwitz_zeta(j * alpha, 1 << e, True) / j for j in range(1, terms + 1)])
-        heads[e][1].flags.writeable = False
-    i_pow = np.arange(1, 1 << top, dtype=float) ** -alpha
-    i_pow.flags.writeable = False
-    return math.exp(log_zc) if log_zc < _LOG_MAX else math.inf, log_zc, i_pow, heads
+                 math.log(0.05) + alpha * _MAX_LOG2_HEAD * math.log(2.0))
+    return math.exp(log_zc) if log_zc < _LOG_MAX else math.inf, log_zc
 
 
 @functools.lru_cache(maxsize=32)
@@ -281,7 +279,7 @@ def _mellin_constants(alpha: float) -> tuple:
 
 def _power_sums(w, coefficients: np.ndarray, derivative: bool):
     """sum_k c_k w^k and, with `derivative`, sum_k k c_k w^k (k >= 1), by Horner's rule."""
-    f, d = np.zeros_like(w), (np.zeros_like(w) if derivative else None)
+    f, d = 0.0, (0.0 if derivative else None)  # (0 + c_K) w: the first step is c_K w
     for k in range(coefficients.size, 0, -1):
         f = (f + coefficients[k - 1]) * w
         if derivative:
@@ -294,31 +292,22 @@ def line_exponent(alpha: float, z, derivative: bool = True) -> tuple[np.ndarray,
     (None with `derivative=False`) for an array of z >= 0: a Rayleigh line's -log p_s at
     p = 1 and its contention. Each element depends only on its own z, with bounded work.
 
-    Below z_c, line_sums' head for z (32 or 64 terms from alpha 1.5 on) in blocks of rows,
-    plus the tail sum_k (-1)^(k+1) zeta(k alpha, N) z^k/k. From z_c on, the Mellin
+    Below z_c, _line_sum of log(1 + x) and of x/(1 + x): a head of 32 or 64 terms from
+    alpha 1.5 on, plus the tail sum_k (-1)^(k+1) zeta(k alpha, N) z^k/k. From z_c on, the Mellin
     expansion pi z^(1/alpha)/sin(pi/alpha) - log(z)/2 - (alpha/2) log 2 pi
     + sum_{k<=K} (-1)^(k+1) zeta(-alpha k)/(k z^k) (Flajolet, Gourdon & Dumas, TCS 1995),
     its leading terms in np.longdouble so that S keeps half an ulp on x87.
     """
-    zc, _, i_pow, heads = _exponent_constants(alpha)
+    zc, log_zc = _exponent_constants(alpha)
     z = np.asarray(z, dtype=float)
     if not np.all(z >= 0):
         raise DomainError(f"line exponents need z >= 0, got {z}")
     flat = z.ravel()
     s, ds = np.empty_like(flat), np.empty_like(flat) if derivative else None
     near = np.flatnonzero(flat < zc)
-    log_n = np.maximum(np.frexp((flat[near] / 0.05) ** (1.0 / alpha))[1], 5)  # line_sums' N
-    for e in sorted(set(log_n.tolist())):
-        group, step = near[log_n == e], max(1, _BLOCK >> e)
-        s[group], d = _power_sums(flat[group] * heads[e][0], heads[e][1], derivative)
-        if derivative:
-            ds[group] = d
-        for rows in (group[i:i + step] for i in range(0, group.size, step)):
-            x = flat[rows, None] * i_pow[:(1 << e) - 1]
-            s[rows] += np.log1p(x).sum(axis=1)
-            if derivative:
-                x /= 1.0 + x
-                ds[rows] += x.sum(axis=1)
+    s[near] = _line_sum(alpha, flat[near], np.log1p, _LOG1P, log_zc)
+    if derivative:
+        ds[near] = _line_sum(alpha, flat[near], lambda x: x / (1.0 + x), _ALTERNATING, log_zc)
     far = np.flatnonzero(flat >= zc)
     if far.size:
         series, a, c, shift = _mellin_constants(alpha)
@@ -339,14 +328,12 @@ def aloha_line_exponent(alpha: float, theta: float, p: float) -> float:
     the two sums are subtracted."""
     if not (theta > 0 and 0.0 <= p <= 1.0):
         raise DomainError(f"ALOHA lines need theta > 0 and p in [0, 1], got {theta}, {p}")
-    zc, _, i_pow, heads = _exponent_constants(alpha)
+    zc, log_zc = _exponent_constants(alpha)
     if p == 1.0:
         return float(line_exponent(alpha, theta, False)[0])
     if theta < zc:
-        e = max(math.frexp((theta / 0.05) ** (1.0 / alpha))[1], 5)  # line_sums' N
-        weights = -np.expm1(np.arange(1.0, heads[e][1].size + 1) * math.log1p(-p))
-        return (math.fsum(interference_log_ps(theta * i_pow[:(1 << e) - 1], p, Fading.rayleigh()).tolist())
-                + float(_power_sums(theta * heads[e][0], heads[e][1] * weights, False)[0]))
+        return float(_line_sum(alpha, np.array([theta]), lambda x: interference_log_ps(x, p, Fading.rayleigh()),
+                               _LOG1P * -np.expm1(_K * math.log1p(-p)), log_zc)[0])
     if (1.0 - p) * theta >= zc:
         series, a, c, _ = _mellin_constants(alpha)
         v = np.log1p(-np.longdouble(p))

@@ -6,8 +6,9 @@ network can be rescaled onto this convention.
 
 `_value_type` builds sirnet's 21 value types: ``__init__`` runs ``__post_init__``; an instance
 equals only its own class's with equal fields, hashes their tuple, prints as ``Name(field=value,
-...)`` and refuses assignment and ``del``. It replaces dataclasses, which exec six methods per
-class: a warm `import sirnet.cli, sirnet.validation` took 18.3 ms with them, 6.8 ms without (2 vCPUs).
+...)`` and refuses assignment and ``del`` (a class's own ``__eq__`` stays, and leaves it
+unhashable). It replaces dataclasses, which exec six methods per class: a warm `import
+sirnet.cli, sirnet.validation` took 18.3 ms with them, 6.8 ms without (2 vCPUs).
 """
 
 from __future__ import annotations
@@ -70,7 +71,8 @@ def _value_type(cls: type) -> type:
     get = attrgetter(*names)
     cls.__init__, cls.__match_args__ = scope["__init__"], names
     cls._field_values = get if len(names) > 1 else lambda self: (get(self),)
-    cls.__eq__, cls.__hash__, cls.__repr__ = _eq, _hash, _repr
+    for name, method in (("__eq__", _eq), ("__hash__", _hash), ("__repr__", _repr)):
+        setattr(cls, name, vars(cls).get(name, method))  # an own __eq__ comes with __hash__ None
     cls.__setattr__ = cls.__delattr__ = _frozen
     return cls
 

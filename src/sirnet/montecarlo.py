@@ -104,6 +104,12 @@ class SirSamples:
     values: np.ndarray
     clipped: int  # samples with zero interference, clipped to _SIR_CLIP
 
+    def __eq__(self, other):
+        """Equal `values`, element for element, and equal `clipped`; like an array, no hash."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return bool(self.clipped == other.clipped and np.array_equal(self.values, other.values))
+
 
 class WindowError(RuntimeError):
     """The window required for the tolerance exceeds the feasible maximum."""

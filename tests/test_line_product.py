@@ -131,13 +131,14 @@ def test_line_sums_past_the_float_range_of_n_alpha_match_mpmath():
     """alpha 250 to 1000, where N^alpha passes the float range at N = 32 and
     the tail coefficients zeta(k alpha, N) underflow; at alpha 103, theta
     1e308 the head is N = 1024 and the tail, sum_k c_k N^(k alpha)
-    zeta(k alpha, N) x^k with x = 0.0087, is about 1e-6 of the sum. The
+    zeta(k alpha, N) x^k with x = 0.0087, is about 1e-6 of the sum; at alpha
+    150, theta 1e307, beyond z_c = inf, theta/0.05 passes the float range. The
     reference sums term(theta/i^alpha) directly until theta/i^alpha < 1e-50
     (mpmath.zeta(s, n) itself is off by 1e-9 at s = 103, n = 1024)."""
     mpmath = pytest.importorskip("mpmath")
     cases = [(a, t) for a in (250.0, 300.0, 1000.0) for t in (1.0, 1e100, 1e300)]
     with mpmath.workdps(40):
-        for alpha, theta in cases + [(103.0, 1e308)]:
+        for alpha, theta in cases + [(103.0, 1e308), (150.0, 1e307)]:
             a, t, xs = mpmath.mpf(alpha), mpmath.mpf(theta), []
             while not xs or xs[-1] > 1e-50:
                 xs.append(t / mpmath.mpf(len(xs) + 1) ** a)

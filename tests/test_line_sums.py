@@ -32,10 +32,11 @@ def grid_terms():
 
 
 def test_line_sums_equal_the_per_theta_loop():
-    """theta in [1e-6, 1e13] in a shuffled order, so one call spans several
-    head lengths in scattered places; heads of 2^13 to 2^16 terms (slow in
-    the loop) for the TDMA term and one ALOHA term only; and alpha 20 at
-    theta 5.9e28, where theta^k passes the float range for k >= 11."""
+    """One call over theta in [1e-6, 1e13] in a shuffled order, so that it
+    spans several head lengths in scattered places, equals one-theta calls on
+    heads built afresh: heads of 2^13 to 2^16 terms (slow in the loop) for the
+    TDMA term and one ALOHA term only, and alpha 20 at theta 5.9e28, where
+    theta^k passes the float range for k >= 11."""
     rng = np.random.default_rng(5)
     compared = 0
     for alpha in ALPHAS:
@@ -80,9 +81,9 @@ def test_capacities_equal_the_per_theta_loop(monkeypatch):
 
 
 def test_cached_heads_and_nodes_are_read_only():
-    i_pow = contention._line_head(3.0, 32, power_series(Fading.rayleigh(), 1.0))[0]
+    i_pow, zetas = contention._line_head(3.0, 5)
     nodes, half = quadrature._panel_nodes((0.0, 1.0, 2.0), 4)
-    for array in (i_pow, nodes, half):
+    for array in (i_pow, zetas, nodes, half):
         with pytest.raises(ValueError):
             array[0] = 0.0
     assert isinstance(power_series(Fading.rayleigh(), 0.3), tuple)
