@@ -174,8 +174,10 @@ _PI = np.longdouble("3.14159265358979323846")  # to the x87 format's 64 bits
 # Head elements per block of rows in _line_sum: each temporary stays at 32 KB.
 _BLOCK = 4096
 _K = np.arange(1.0, 14.0)
-# The series of log(1 + x), sum_k (-1)^(k+1) x^k/k, and of x/(1 + x), its x d/dx.
-_LOG1P, _ALTERNATING = -(-1.0) ** _K / _K, -(-1.0) ** _K
+# The series of log(1 + x), sum_k (-1)^(k+1) x^k/k, and of x/(1 + x), its x d/dx, from
+# Python floats: numpy arithmetic at import touches 128 KB more in every sirnet process.
+_LOG1P = np.array([(-1.0) ** (k + 1) / k for k in range(1, 14)])
+_ALTERNATING = np.array([(-1.0) ** (k + 1) for k in range(1, 14)])
 
 
 @functools.lru_cache(maxsize=32)
