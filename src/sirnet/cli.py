@@ -30,6 +30,7 @@ from .model import (
     PowerLaw,
     Ppp,
     Tdma,
+    _CLASS_ARGS,
     class_model,
     format_model,
     parse_model,
@@ -104,12 +105,11 @@ def _thetas(args) -> list[float]:
 
 
 def _class_model(args) -> NetworkModel:
-    """The model of --class from only the flags it reads: --case, --delta or --alpha,
-    --r and --distances; class_model's defaults stand in for a flag not given."""
+    """The model of --class from only the flags it reads, --case and the class's keywords
+    in model._CLASS_ARGS; class_model's defaults stand in for a flag not given."""
     cls = args.cls or "ppp2"
-    reads = {"exp2": ["delta"], "single": ["alpha", "r"], "explicit": ["alpha", "distances"]}
     return class_model(cls, **{k: v.split(",") if k == "distances" else v
-                               for k in ["case", *reads.get(cls, ["alpha"])]
+                               for k in ["case", *_CLASS_ARGS[cls]]
                                if (v := getattr(args, k)) not in (None, "")})
 
 

@@ -224,7 +224,7 @@ def _line_sum(alpha: float, z: np.ndarray, term, series, log_top: float = math.i
     for e in set(log2_n.astype(int).tolist()):
         group, (i_pow, zetas) = np.flatnonzero(log2_n == e), _line_head(alpha, e)
         terms = math.ceil(56.0 * math.log(2.0) / max(math.log(20.0), e * alpha * math.log(2.0) - log_top))
-        s[group] = _power_sums(z[group] * 0.5 ** (e * alpha), zetas[:terms] * series[:terms], False)[0]
+        s[group] = _power_sum(z[group] * 0.5 ** (e * alpha), zetas[:terms] * series[:terms])
         step = max(1, _BLOCK >> e)
         for rows in (group[i:i + step] for i in range(0, group.size, step)):
             s[rows] += term(z[rows, None] * i_pow).sum(axis=1)
@@ -279,47 +279,46 @@ def _mellin_constants(alpha: float) -> tuple:
     return series, a, c, a * np.log(2 * _PI) / 2
 
 
-def _power_sums(w, coefficients: np.ndarray, derivative: bool):
-    """sum_k c_k w^k and, with `derivative`, sum_k k c_k w^k (k >= 1), by Horner's rule."""
-    f, d = 0.0, (0.0 if derivative else None)  # (0 + c_K) w: the first step is c_K w
+def _power_sum(w, coefficients: np.ndarray):
+    """sum_k c_k w^k (k >= 1) by Horner's rule."""
+    f = 0.0  # (0 + c_K) w: the first step is c_K w
     for k in range(coefficients.size, 0, -1):
         f = (f + coefficients[k - 1]) * w
-        if derivative:
-            d = (d + k * coefficients[k - 1]) * w
-    return f, d
+    return f
 
 
-def line_exponent(alpha: float, z, derivative: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    """S(z) = sum_{i>=1} log(1 + x_i), x_i = z i^-alpha, and z S'(z) = sum_i x_i/(1 + x_i)
-    (None with `derivative=False`) for an array of z >= 0: a Rayleigh line's -log p_s at
-    p = 1 and its contention. Each element depends only on its own z, with bounded work.
+def line_exponent(alpha: float, z, derivative: bool = False) -> np.ndarray:
+    """S(z) = sum_{i>=1} log(1 + x_i), x_i = z i^-alpha, or with `derivative` z S'(z) =
+    sum_i x_i/(1 + x_i), for an array of z >= 0: a Rayleigh line's -log p_s at p = 1, or
+    its contention. Each element depends only on its own z, with bounded work.
 
-    Below z_c, _line_sum of log(1 + x) and of x/(1 + x): a head of 32 or 64 terms from
-    alpha 1.5 on, plus the tail sum_k (-1)^(k+1) zeta(k alpha, N) z^k/k. From z_c on, the Mellin
-    expansion pi z^(1/alpha)/sin(pi/alpha) - log(z)/2 - (alpha/2) log 2 pi
+    Below z_c, _line_sum of log(1 + x) or of x/(1 + x): a head of 32 or 64 terms from
+    alpha 1.5 on, plus the tail sum_k (-1)^(k+1) zeta(k alpha, N) z^k/k or its z d/dz. From
+    z_c on, the Mellin expansion pi z^(1/alpha)/sin(pi/alpha) - log(z)/2 - (alpha/2) log 2 pi
     + sum_{k<=K} (-1)^(k+1) zeta(-alpha k)/(k z^k) (Flajolet, Gourdon & Dumas, TCS 1995),
-    its leading terms in np.longdouble so that S keeps half an ulp on x87.
+    or its z d/dz, the leading terms in np.longdouble so that S keeps half an ulp on x87.
     """
     zc, log_zc = _exponent_constants(alpha)
     z = np.asarray(z, dtype=float)
     if not np.all(z >= 0):
         raise DomainError(f"line exponents need z >= 0, got {z}")
     flat = z.ravel()
-    s, ds = np.empty_like(flat), np.empty_like(flat) if derivative else None
+    s = np.empty_like(flat)
     near = np.flatnonzero(flat < zc)
-    s[near] = _line_sum(alpha, flat[near], np.log1p, _LOG1P, log_zc)
     if derivative:
-        ds[near] = _line_sum(alpha, flat[near], lambda x: x / (1.0 + x), _ALTERNATING, log_zc)
+        s[near] = _line_sum(alpha, flat[near], lambda x: x / (1.0 + x), _ALTERNATING, log_zc)
+    else:
+        s[near] = _line_sum(alpha, flat[near], np.log1p, _LOG1P, log_zc)
     far = np.flatnonzero(flat >= zc)
     if far.size:
         series, a, c, shift = _mellin_constants(alpha)
         log_z = np.log(flat[far].astype(np.longdouble))
         root = c * np.exp(log_z / a)  # inf at z = inf, where log_z is cut to keep S from nan
-        f, d = _power_sums(1.0 / flat[far], series, derivative)
-        s[far] = root - np.fmin(log_z, _LOG_MAX + 1.0) / 2 - shift + f
         if derivative:
-            ds[far] = root / a - 0.5 - d
-    return s.reshape(z.shape), ds.reshape(z.shape) if derivative else None
+            s[far] = root / a - 0.5 - _power_sum(1.0 / flat[far], np.arange(1.0, series.size + 1) * series)
+        else:
+            s[far] = root - np.fmin(log_z, _LOG_MAX + 1.0) / 2 - shift + _power_sum(1.0 / flat[far], series)
+    return s.reshape(z.shape)
 
 
 def aloha_line_exponent(alpha: float, theta: float, p: float) -> float:
@@ -332,7 +331,7 @@ def aloha_line_exponent(alpha: float, theta: float, p: float) -> float:
         raise DomainError(f"ALOHA lines need theta > 0 and p in [0, 1], got {theta}, {p}")
     zc, log_zc = _exponent_constants(alpha)
     if p == 1.0:
-        return float(line_exponent(alpha, theta, False)[0])
+        return float(line_exponent(alpha, theta))
     if theta < zc:
         return float(_line_sum(alpha, np.array([theta]), lambda x: interference_log_ps(x, p, Fading.rayleigh()),
                                _LOG1P * -np.expm1(_K * math.log1p(-p)), log_zc)[0])
@@ -341,8 +340,8 @@ def aloha_line_exponent(alpha: float, theta: float, p: float) -> float:
         v = np.log1p(-np.longdouble(p))
         weights = -np.expm1(-np.arange(1.0, series.size + 1) * math.log1p(-p))
         return float(v / 2 - c * np.exp(np.log(np.longdouble(theta)) / a) * np.expm1(v / a)
-                     + _power_sums(1.0 / theta, series * weights, False)[0])
-    s = line_exponent(alpha, [theta, (1.0 - p) * theta], False)[0]
+                     + _power_sum(1.0 / theta, series * weights))
+    s = line_exponent(alpha, [theta, (1.0 - p) * theta])
     return float(s[0] - s[1])
 
 
@@ -352,7 +351,7 @@ def gamma_line(alpha: float, theta: float, interferer_fading: Fading) -> float:
     if not (1 < alpha < math.inf and theta > 0):
         raise DomainError(f"line sums need finite alpha > 1 and theta > 0, got {alpha}, {theta}")
     if interferer_fading.is_rayleigh:
-        return float(line_exponent(alpha, theta)[1])
+        return float(line_exponent(alpha, theta, True))
     return line_sums(alpha, [theta], lambda x: interference_gamma(x, interferer_fading),
                      power_series(interferer_fading))[0]
 

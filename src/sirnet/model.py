@@ -266,7 +266,11 @@ class NetworkModel:
     fading: FadingCase
 
 
-CLASSES = ("ppp1", "ppp2", "ppp3", "line1", "line2", "single", "explicit", "exp2")
+# class -> the class_model keywords besides `case` that it reads
+_CLASS_ARGS = {"ppp1": ("alpha",), "ppp2": ("alpha",), "ppp3": ("alpha",), "line1": ("alpha",),
+               "line2": ("alpha",), "single": ("alpha", "r"), "explicit": ("alpha", "distances"),
+               "exp2": ("delta",)}
+CLASSES = tuple(_CLASS_ARGS)
 
 
 def class_model(cls: str, alpha: float = 4.0, case: str = "1/1", *, delta: float = 1.0,
@@ -312,64 +316,76 @@ def unit_ball_volume(d: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Config file schema (line-oriented key=value, '#' comments). A key outside
-# it is refused.
-#
-#   geometry = ppp | line | explicit | single
-#   geometry.d = 1 | 2 | 3 | ...        (ppp; any integer >= 1)
-#   geometry.sided = one | two          (line)
-#   geometry.distances = 1.0,2.0,3.5    (explicit)
-#   geometry.r = 2.0                    (single)
-#   pathloss = power | exponential
-#   pathloss.alpha = 4.0                (power)
-#   pathloss.delta = 1.0                (exponential)
-#   fading.desired = none | rayleigh | nakagami
-#   fading.desired.m = 2.0              (nakagami)
-#   fading.interferer = ...             (same keys)
-#   mac = aloha | tdma                  (optional)
-#   mac.p = 0.1 / mac.m = 4
+# Config file schema: line-oriented key = value, '#' comments, one section per
+# axis of the model. In the section's table in _SCHEMA, `<section> = <kind>`
+# names a value type, whose fields are the keys `<section>.<field>` (written and
+# read as _CODECS gives for their annotations), or a fixed value, which reads no
+# key. format_model writes the first kind that fits a value, so a fixed value
+# comes before its type. A key left out takes its _DEFAULTS value or is
+# "required for <what>" of its kind; a key outside the schema is refused.
 # ---------------------------------------------------------------------------
 
-_KEYS = frozenset({
-    "geometry", "geometry.d", "geometry.sided", "geometry.distances", "geometry.r",
-    "pathloss", "pathloss.alpha", "pathloss.delta", "fading.desired", "fading.desired.m",
-    "fading.interferer", "fading.interferer.m", "mac", "mac.p", "mac.m",
-})
+_FADING = {"none": (Fading.none(), None), "rayleigh": (Fading.rayleigh(), None),
+           "nakagami": (Fading, "nakagami fading")}
+# section -> (the error for an unknown kind, {kind: (value type or fixed value, what)})
+_SCHEMA = {
+    "geometry": ("unknown or missing geometry {!r}", {
+        "ppp": (Ppp, "a PPP"), "line": (RegularLine, "a line"),
+        "explicit": (Explicit, "an explicit geometry"), "single": (SingleInterferer, "a single interferer")}),
+    "pathloss": ("unknown pathloss {!r}", {
+        "power": (PowerLaw, "power path loss"), "exponential": (ExponentialLaw, "exponential path loss")}),
+    "fading.desired": ("unknown fading kind {!r} for fading.desired", _FADING),
+    "fading.interferer": ("unknown fading kind {!r} for fading.interferer", _FADING),
+    "mac": ("unknown mac {!r}", {"aloha": (Aloha, "ALOHA"), "tdma": (Tdma, "TDMA")}),
+}
+_DEFAULTS = {"geometry.d": "2", "geometry.sided": "one", "pathloss": "power", "pathloss.alpha": "4",
+             "fading.desired": "rayleigh", "fading.interferer": "rayleigh"}
+# field annotation -> (writer, reader) of its value text
+_CODECS = {
+    "int": (str, int),
+    "str": (str, str),
+    "float": (repr, float),
+    "float | None": (repr, float),
+    "tuple[float, ...]": (lambda v: ",".join(map(repr, v)),
+                          lambda text: tuple(float(s) for s in text.split(",") if s.strip())),
+}
 
 
-def _fading_lines(prefix: str, f: Fading) -> list[str]:
-    if f.m is None:
-        return [f"{prefix} = none"]
-    if f.m == 1.0:
-        return [f"{prefix} = rayleigh"]
-    return [f"{prefix} = nakagami", f"{prefix}.m = {f.m!r}"]
+def _kinds(section: str, kinds: dict) -> dict:
+    """kind -> (value type, fixed value or None, what, kind line, fields) of one section,
+    each field read and written as (key, field name, default, writer, reader)."""
+    records = {}
+    for kind, (entry, what) in kinds.items():
+        fixed = None if isinstance(entry, type) else entry
+        cls, fields = entry if fixed is None else type(fixed), []
+        for name in cls.__match_args__ if fixed is None else ():
+            key = f"{section}.{name}"
+            fields.append((key, name, _DEFAULTS.get(key), *_CODECS[cls.__annotations__[name]]))
+        records[kind] = (cls, fixed, what, f"{section} = {kind}", tuple(fields))
+    return records
+
+
+_KINDS = {section: _kinds(section, kinds) for section, (_, kinds) in _SCHEMA.items()}
+# section -> value type -> its kinds, in table order: what format_model looks up
+_WRITE = {section: {cls: [r for r in kinds.values() if r[0] is cls] for cls, *_ in kinds.values()}
+          for section, kinds in _KINDS.items()}
+_KEYS = frozenset(_SCHEMA).union(field[0] for kinds in _KINDS.values()
+                                 for *_, fields in kinds.values() for field in fields)
 
 
 def format_model(model: NetworkModel, mac: MacScheme | None = None) -> str:
     """Serialize a model (and optionally a MAC scheme) to config text."""
+    values = (model.geometry, model.path_loss, model.fading.desired, model.fading.interferer, mac)
     lines: list[str] = []
-    g = model.geometry
-    if isinstance(g, Ppp):
-        lines += ["geometry = ppp", f"geometry.d = {g.d}"]
-    elif isinstance(g, RegularLine):
-        lines += ["geometry = line", f"geometry.sided = {g.sided}"]
-    elif isinstance(g, Explicit):
-        dists = ",".join(repr(r) for r in g.distances)
-        lines += ["geometry = explicit", f"geometry.distances = {dists}"]
-    else:
-        lines += ["geometry = single", f"geometry.r = {g.r!r}"]
-    pl = model.path_loss
-    if isinstance(pl, PowerLaw):
-        lines += ["pathloss = power", f"pathloss.alpha = {pl.alpha!r}"]
-    else:
-        lines += ["pathloss = exponential", f"pathloss.delta = {pl.delta!r}"]
-    lines += _fading_lines("fading.desired", model.fading.desired)
-    lines += _fading_lines("fading.interferer", model.fading.interferer)
-    if mac is not None:
-        if isinstance(mac, Aloha):
-            lines += ["mac = aloha", f"mac.p = {mac.p!r}"]
-        else:
-            lines += ["mac = tdma", f"mac.m = {mac.m}"]
+    for section, value in zip(_SCHEMA, values):
+        if value is None and section == "mac":
+            continue
+        for _, fixed, _, line, fields in _WRITE[section][type(value)]:
+            if fixed is None or vars(fixed) == vars(value):  # the fields, without __eq__'s calls
+                break
+        lines.append(line)
+        for key, name, _, write, _ in fields:
+            lines.append(f"{key} = {write(getattr(value, name))}")
     return "\n".join(lines) + "\n"
 
 
@@ -393,55 +409,24 @@ def _parse_kv(text: str) -> dict[str, str]:
     return kv
 
 
-def _required(kv: dict[str, str], key: str, what: str) -> str:
-    if key not in kv:
-        raise ConfigError(f"{key} required for {what}")
-    return kv[key]
-
-
-def _parse_fading(kv: dict[str, str], prefix: str) -> Fading:
-    kind = kv.get(prefix, "rayleigh")
-    if kind == "none":
-        return Fading.none()
-    if kind == "rayleigh":
-        return Fading.rayleigh()
-    if kind == "nakagami":
-        return Fading.nakagami(float(_required(kv, f"{prefix}.m", "nakagami fading")))
-    raise ConfigError(f"unknown fading kind {kind!r} for {prefix}")
+def _parse_section(kv: dict[str, str], section: str):
+    kind = kv.get(section, _DEFAULTS.get(section))
+    if kind not in _KINDS[section]:
+        raise ConfigError(_SCHEMA[section][0].format(kind))
+    cls, fixed, what, _, fields = _KINDS[section][kind]
+    args = []
+    for key, _, default, _, read in fields:
+        text = kv.get(key, default)
+        if text is None:
+            raise ConfigError(f"{key} required for {what}")
+        args.append(read(text))
+    return cls(*args) if fixed is None else fixed
 
 
 def parse_model(text: str) -> tuple[NetworkModel, MacScheme | None]:
     """Parse config text produced by :func:`format_model` (or by hand)."""
     kv = _parse_kv(text)
-    gkind = kv.get("geometry")
-    if gkind == "ppp":
-        geometry: Geometry = Ppp(int(kv.get("geometry.d", "2")))
-    elif gkind == "line":
-        geometry = RegularLine(kv.get("geometry.sided", "one"))
-    elif gkind == "explicit":
-        dists = _required(kv, "geometry.distances", "an explicit geometry")
-        geometry = Explicit(tuple(float(s) for s in dists.split(",") if s.strip()))
-    elif gkind == "single":
-        geometry = SingleInterferer(float(_required(kv, "geometry.r", "a single interferer")))
-    else:
-        raise ConfigError(f"unknown or missing geometry {gkind!r}")
-    pkind = kv.get("pathloss", "power")
-    if pkind == "power":
-        path_loss: PathLoss = PowerLaw(float(kv.get("pathloss.alpha", "4")))
-    elif pkind == "exponential":
-        path_loss = ExponentialLaw(float(_required(kv, "pathloss.delta", "exponential path loss")))
-    else:
-        raise ConfigError(f"unknown pathloss {pkind!r}")
-    fading = FadingCase(
-        desired=_parse_fading(kv, "fading.desired"),
-        interferer=_parse_fading(kv, "fading.interferer"),
-    )
-    mac: MacScheme | None = None
-    mkind = kv.get("mac")
-    if mkind == "aloha":
-        mac = Aloha(float(_required(kv, "mac.p", "ALOHA")))
-    elif mkind == "tdma":
-        mac = Tdma(int(_required(kv, "mac.m", "TDMA")))
-    elif mkind is not None:
-        raise ConfigError(f"unknown mac {mkind!r}")
-    return NetworkModel(geometry, path_loss, fading), mac
+    geometry, path_loss, desired, interferer = [_parse_section(kv, section) for section in
+                                                ("geometry", "pathloss", "fading.desired", "fading.interferer")]
+    mac = _parse_section(kv, "mac") if "mac" in kv else None
+    return NetworkModel(geometry, path_loss, FadingCase(desired, interferer)), mac

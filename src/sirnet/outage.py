@@ -121,7 +121,7 @@ def _ps_line_static(z: float, theta_p: float | np.ndarray) -> float | np.ndarray
 def _ps_line_nakagami(alpha: float, m: float, theta_p: float | np.ndarray) -> float | np.ndarray:
     """exp(-m S(theta'/m)) by line_exponent, -log L_h(x) being m log(1 + x/m): the p = 1 line
     product of Nakagami-m interferers (Rayleigh at m = 1), for a float or an array."""
-    ps = np.exp(-m * line_exponent(alpha, np.divide(theta_p, m), False)[0])
+    ps = np.exp(-m * line_exponent(alpha, np.divide(theta_p, m)))
     return ps if isinstance(ps, np.ndarray) else float(ps)
 
 

@@ -3,6 +3,8 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sirnet import validation
 from sirnet.model import (
@@ -98,13 +100,75 @@ def test_config_round_trip(model, mac):
     assert parsed_mac == mac
 
 
+# One model of every kind: each geometry and path loss, a static, Rayleigh and Nakagami
+# desired link and interferer, ALOHA, TDMA and no MAC. samples hashes this text.
+GOLDEN = [
+    (NetworkModel(Ppp(3), PowerLaw(3.5), FadingCase(Fading.none(), Fading.rayleigh())), Aloha(0.25),
+     "geometry = ppp\ngeometry.d = 3\npathloss = power\npathloss.alpha = 3.5\n"
+     "fading.desired = none\nfading.interferer = rayleigh\nmac = aloha\nmac.p = 0.25\n"),
+    (NetworkModel(RegularLine("two"), ExponentialLaw(0.7),
+                  FadingCase(Fading.rayleigh(), Fading.nakagami(2.5))), Tdma(4),
+     "geometry = line\ngeometry.sided = two\npathloss = exponential\npathloss.delta = 0.7\n"
+     "fading.desired = rayleigh\nfading.interferer = nakagami\nfading.interferer.m = 2.5\n"
+     "mac = tdma\nmac.m = 4\n"),
+    (NetworkModel(Explicit((1.0, 2.5, 3.75)), PowerLaw(4.0),
+                  FadingCase(Fading.nakagami(0.5), Fading.none())), None,
+     "geometry = explicit\ngeometry.distances = 1.0,2.5,3.75\npathloss = power\npathloss.alpha = 4.0\n"
+     "fading.desired = nakagami\nfading.desired.m = 0.5\nfading.interferer = none\n"),
+    (NetworkModel(SingleInterferer(1.3), PowerLaw(2.0), RAYLEIGH), Aloha(0.1 + 0.2),
+     "geometry = single\ngeometry.r = 1.3\npathloss = power\npathloss.alpha = 2.0\n"
+     "fading.desired = rayleigh\nfading.interferer = rayleigh\nmac = aloha\nmac.p = 0.30000000000000004\n"),
+]
+
+
+@pytest.mark.parametrize("model,mac,text", GOLDEN, ids=["ppp", "line", "explicit", "single"])
+def test_format_model_writes_the_pinned_text(model, mac, text):
+    assert format_model(model, mac) == text
+    assert parse_model(text) == (model, mac)
+
+
+positive_floats = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+fading_values = st.one_of(st.just(Fading.none()), st.just(Fading.rayleigh()),
+                    st.floats(min_value=0.5, max_value=1e300).map(Fading.nakagami))
+
+
+@given(geometry=st.one_of(st.integers(1, 10 ** 6).map(Ppp), st.sampled_from(["one", "two"]).map(RegularLine),
+                          st.lists(positive_floats, min_size=1, max_size=6).map(tuple).map(Explicit),
+                          positive_floats.map(SingleInterferer)),
+       path_loss=st.one_of(positive_floats.map(PowerLaw), positive_floats.map(ExponentialLaw)),
+       desired=fading_values, interferer=fading_values,
+       mac=st.one_of(st.none(), st.floats(0.0, 1.0).map(Aloha), st.integers(1, 10 ** 6).map(Tdma)))
+@settings(max_examples=300, deadline=None)
+def test_config_round_trips_every_kind(geometry, path_loss, desired, interferer, mac):
+    model = NetworkModel(geometry, path_loss, FadingCase(desired, interferer))
+    assert parse_model(format_model(model, mac)) == (model, mac)
+
+
 def test_parse_errors():
-    with pytest.raises(ConfigError):
-        parse_model("geometry = hexagon\n")
-    with pytest.raises(ConfigError):
-        parse_model("geometry = ppp\nnot a key value line\n")
-    with pytest.raises(ConfigError):
-        parse_model("geometry = ppp\nfading.desired = nakagami\n")
+    """Each ConfigError by its text: a missing or unknown kind, a key a kind requires, a line
+    that is not key = value and a key outside the schema."""
+    cases = [
+        ("", "unknown or missing geometry None"),
+        ("geometry = hexagon\n", "unknown or missing geometry 'hexagon'"),
+        ("geometry = explicit\n", "geometry.distances required for an explicit geometry"),
+        ("geometry = single\n", "geometry.r required for a single interferer"),
+        ("geometry = ppp\npathloss = cubic\n", "unknown pathloss 'cubic'"),
+        ("geometry = ppp\npathloss = exponential\n", "pathloss.delta required for exponential path loss"),
+        ("geometry = ppp\nfading.desired = lognormal\n", "unknown fading kind 'lognormal' for fading.desired"),
+        ("geometry = ppp\nfading.interferer = \n", "unknown fading kind '' for fading.interferer"),
+        ("geometry = ppp\nfading.desired = nakagami\n", "fading.desired.m required for nakagami fading"),
+        ("geometry = ppp\nfading.interferer = nakagami\n", "fading.interferer.m required for nakagami fading"),
+        ("geometry = ppp\nmac = csma\n", "unknown mac 'csma'"),
+        ("geometry = ppp\nmac = aloha\n", "mac.p required for ALOHA"),
+        ("geometry = ppp\nmac = tdma\n", "mac.m required for TDMA"),
+        ("geometry = ppp\nnot a key value line\n", "line 2: expected key = value, got 'not a key value line'"),
+        ("geometry = ppp\nbogus = 1\n", "line 2: unknown key 'bogus'"),
+        ("geometry = hexagon\npathloss = cubic\nmac = csma\n", "unknown or missing geometry 'hexagon'"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ConfigError) as error:
+            parse_model(text)
+        assert str(error.value) == message, text
 
 
 # Every key parse_model reads, each with a value it accepts.

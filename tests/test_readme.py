@@ -48,3 +48,16 @@ PYTHON = [body for lang, body in BLOCKS if lang == "python"]
 @pytest.mark.parametrize("code", PYTHON, ids=[f"block{i}" for i in range(len(PYTHON))])
 def test_readme_python_block_runs(code):
     exec(compile(code, "README.md", "exec"), {})
+
+
+def test_config_section_gives_every_key_with_its_default():
+    """The README's key table names each key parse_model accepts once, with its default."""
+    from sirnet.model import _DEFAULTS, _KEYS
+
+    section = README.split("## Config files", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:-1] for line in section.splitlines() if line.startswith("| `")]
+    named = [(key, re.fullmatch(r" `(.+)` ", default)) for keys, _, default in rows
+             for key in re.findall(r"`([\w.]+)`", keys)]
+    assert sorted(key for key, _ in named) == sorted(_KEYS)
+    for key, default in named:
+        assert (default[1] if default else None) == _DEFAULTS.get(key), key

@@ -210,12 +210,12 @@ def test_line_exponent_branches_agree_at_the_switch(monkeypatch):
         for cut in (math.inf, 0.0):  # every z in the head, then every z in the expansion
             monkeypatch.setattr(contention, "_exponent_constants",
                                 lambda a, cut=cut: (cut, *constants(a)[1:]))
-            branches.append(contention.line_exponent(alpha, zs)[0])
+            branches.append(contention.line_exponent(alpha, zs))
         monkeypatch.undo()
         head, mellin = branches
         assert (np.abs(head - mellin) <= 4 * np.spacing(mellin)).all(), (alpha, head - mellin)
         assert (np.abs(np.exp(-head) - np.exp(-mellin)) <= 1e-15).all(), alpha
-        assert (contention.line_exponent(alpha, zs)[0] == np.where(zs < zc, head, mellin)).all()
+        assert (contention.line_exponent(alpha, zs) == np.where(zs < zc, head, mellin)).all()
 
 
 TDMA_ALPHAS = (1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 5.0)
