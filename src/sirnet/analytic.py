@@ -59,8 +59,8 @@ def _forms(model: NetworkModel, mac: MacScheme,
         gamma = contention.gamma_exp_pathloss(pl.delta, theta)
         return gamma, lambda p: math.exp(-p * gamma), "closed-form"
     if isinstance(g, SingleInterferer) and isinstance(mac, Aloha):
-        gamma = contention.gamma_single(case, effective_distance(g.r, pl.alpha, theta))
-        return gamma, lambda p: 1.0 - p * gamma, "closed-form"
+        gamma, q = contention._single_outage(case, effective_distance(g.r, pl.alpha, theta))
+        return gamma, lambda p: (1.0 - p) + p * q, "closed-form"
     if isinstance(g, Ppp) and case.label == "0/0" and isinstance(mac, Aloha):
         _require(g.d == 2 and pl.alpha == 4.0, "the non-fading PPP needs d = 2 and alpha = 4")
         return (contention.gamma_ppp_nonfading_alpha4(theta),
@@ -116,7 +116,7 @@ def success_probability(model: NetworkModel, mac: MacScheme,
         if isinstance(mac, Tdma):
             return outage.ps_tdma_line(model.path_loss.alpha, theta, mac.m,
                                        model.geometry.sided, model.fading.interferer)
-        return outage.sandwich(ps(mac.p), mac.p, gamma, method)
+        return outage.sandwich(ps(mac.p), mac.p, gamma, method, isinstance(model.geometry, SingleInterferer))
     except UnsupportedClassError as exc:
         raise _named(model, mac, exc) from None
 

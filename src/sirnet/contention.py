@@ -89,15 +89,20 @@ def gamma_single(case: FadingCase, xi: float) -> float:
     gives 1 - L_hi(1/xi), a Rayleigh interferer L_hd(xi), and 0/0 the
     indicator [xi <= 1]. All values lie in [0, 1].
     """
+    return _single_outage(case, xi)[0]
+
+
+def _single_outage(case: FadingCase, xi: float) -> tuple[float, float]:
+    """(gamma, 1 - gamma) of one interferer at xi, each from its own log Laplace transform."""
     if not 0 <= xi < math.inf:
         raise DomainError(f"xi must be finite and >= 0, got {xi}")
     d, i = case.desired, case.interferer
-    if d.is_rayleigh:
-        return float(interference_gamma(1.0 / xi if xi else math.inf, i))
-    if i.is_rayleigh:
-        return float(np.exp(_log_laplace(xi, d)))
+    if d.is_rayleigh or i.is_rayleigh:  # log L: of q = L_hi(1/xi), or of gamma = L_hd(xi)
+        log = _log_laplace(1.0 / xi if xi else math.inf, i) if d.is_rayleigh else _log_laplace(xi, d)
+        pair = float(-np.expm1(log)), float(np.exp(log))  # (1 - L, L)
+        return pair if d.is_rayleigh else pair[::-1]
     if d.is_static and i.is_static:
-        return 1.0 if xi <= 1.0 else 0.0
+        return (1.0, 0.0) if xi <= 1.0 else (0.0, 1.0)
     raise UnsupportedClassError(
         f"single-interferer fading case {case.label!r} has no closed form"
     )

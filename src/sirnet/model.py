@@ -68,9 +68,9 @@ def _value_type(cls: type) -> type:
     sets = "".join(f"\n    _d[{n!r}] = {n}" for n in names)
     post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
     exec(f"def __init__(self, {args}):\n    _d = self.__dict__{sets}{post}", scope := {"_cls": cls})
-    get = attrgetter(*names)
+    get = attrgetter(*names) if names else lambda self: ()
     cls.__init__, cls.__match_args__ = scope["__init__"], names
-    cls._field_values = get if len(names) > 1 else lambda self: (get(self),)
+    cls._field_values = get if len(names) != 1 else lambda self: (get(self),)
     for name, method in (("__eq__", _eq), ("__hash__", _hash), ("__repr__", _repr)):
         setattr(cls, name, vars(cls).get(name, method))  # an own __eq__ comes with __hash__ None
     cls.__setattr__ = cls.__delattr__ = _frozen

@@ -5,9 +5,10 @@ mean (tail compensation); the window is then sized so that theta times the
 tail standard deviation stays below the truncation tolerance 1e-3, which bounds
 the residual bias at second order. ALOHA thinning of a PPP leaves a PPP of
 intensity p, so only transmitters are placed. Lines and explicit sets fade and
-sum only active interferers, and a power-law PPP gain is (R^d u)^(-alpha/d),
-with no square root in any d. Trials fall in 4,096-trial blocks, each with a
-PCG64 stream keyed by (seed, block[, sub]); results do not depend on chunking.
+sum only active interferers; a power-law PPP gain (R^d u)^(-alpha/d) is made of
+products at alpha/d in {1.5, 2, 2.5, 3, 4}, else of np.power. Trials fall in
+4,096-trial blocks, each a PCG64 stream keyed by (seed, block[, sub]), seeded
+once per key and process; results do not depend on chunking.
 In a chunk's stream every PPP position, and every ALOHA uniform of a line or
 explicit set, comes before any fading. PCG64 jumps ahead in O(log n) steps
 and Generator.random takes one 64-bit output per double, so a copy of the
@@ -21,6 +22,7 @@ result. Slabs write through `out=` into buffers that each thread keeps.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 import warnings
@@ -115,8 +117,26 @@ class WindowError(RuntimeError):
     """The window required for the tolerance exceeds the feasible maximum."""
 
 
+@functools.lru_cache(maxsize=1024)
+def _start(seed: int, key: tuple[int, ...]) -> dict:
+    return np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)).state
+
+
 def _rng(seed: int, key: tuple[int, ...]) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+    """This thread's Generator at the start of stream (seed, key), valid until its next _rng call."""
+    return _SCRATCH.at("stream", _start(seed, key))
+
+
+def _inverse_power(x: np.ndarray, k: float, spare: np.ndarray) -> np.ndarray:
+    """x^-k in place (inf at 0): at k = 1.5, 2, 2.5, 3, 4 as 1/(x s), 1/(x x), 1/(x x s), 1/(x s), 1/(x x s),
+    with s = sqrt(x) or x^2 in `spare`, within 4 ulp; else np.power (at 3.5 products reach 5 ulp)."""
+    if k not in (1.5, 2.0, 2.5, 3.0, 4.0):
+        return np.power(x, -k, out=x)
+    s = np.sqrt(x, out=spare[:x.size]) if k % 1 else x if k == 2.0 else np.multiply(x, x, out=spare[:x.size])
+    if k in (2.5, 4.0):
+        x *= x
+    x *= s  # x^1.5, x^2, x^2.5, x^3 or x^4
+    return np.reciprocal(x, out=x)
 
 
 def _fading(rng: np.random.Generator, f: Fading, out: np.ndarray) -> np.ndarray:
@@ -257,14 +277,20 @@ def _fixed_distances(model: NetworkModel, mac: MacScheme | None, window: _Window
 
 
 class _Scratch(threading.local):
-    """Each thread's reader Generator and the buffers its slabs write into
+    """Each thread's stream and reader Generators and the buffers its slabs write into
     through `out=`, kept from chunk to chunk and call to call, so a warm sweep
     maps no fresh pages. A _batch_sir call writes each buffer before it reads
     it and returns no view of one, so what a buffer held changes no result."""
 
     def __init__(self) -> None:
-        self.reader: np.random.Generator | None = None  # made on first use: import loads no np.random
+        self.gens: dict[str, np.random.Generator] = {}  # made on first use: import loads no np.random
         self.kept: dict[str, np.ndarray] = {}
+
+    def at(self, name: str, state: dict) -> np.random.Generator:
+        """This thread's Generator `name` (made with any seed: it takes a state), set to `state`."""
+        gen = self.gens.get(name) or self.gens.setdefault(name, np.random.Generator(np.random.PCG64(0)))
+        gen.bit_generator.state = state
+        return gen
 
     def take(self, name: str, n: int, dtype: type = float) -> np.ndarray:
         """An uninitialised array of `n` items, reused where one is kept."""
@@ -278,21 +304,12 @@ class _Scratch(threading.local):
     def read(self, rng: np.random.Generator, draws: int) -> np.random.Generator:
         """The reader, at `rng`'s place, while `rng` moves on past the next
         `draws` 64-bit outputs (Generator.random takes one per double)."""
-        if self.reader is None:
-            self.reader = np.random.Generator(np.random.PCG64(0))  # any seed: it takes a state
-        self.reader.bit_generator.state = rng.bit_generator.state
+        reader = self.at("reader", rng.bit_generator.state)
         rng.bit_generator.advance(draws)
-        return self.reader
+        return reader
 
 
 _SCRATCH = _Scratch()
-
-
-def _fade(rng: np.random.Generator, f: Fading, gain: np.ndarray, draws: np.ndarray) -> None:
-    """Multiply interferer fading into `gain` in place, `draws.size` at a time."""
-    for a in range(0, gain.size, draws.size):
-        part = gain[a:a + draws.size]
-        part *= _fading(rng, f, draws[:part.size])
 
 
 def _fixed_interference(
@@ -307,7 +324,8 @@ def _fixed_interference(
     interference = np.empty(size)
     if p < 1.0:  # every uniform precedes any fading: past one slab, read them from a copy
         uniforms = rng if rows >= size else _SCRATCH.read(rng, size * n)
-        active, col, gain = take("active", room, bool), take("col", room, np.intp), take("gain", room)
+        active, gain, tiled = take("active", room, bool), take("gain", room), take("tiled", room)
+        tiled.reshape(-1, n)[:] = loss  # a slab's hit at flat index t has gain tiled[t]
     for a in range(0, size, rows):
         b = min(size, a + rows)
         k = (b - a) * n
@@ -315,9 +333,9 @@ def _fixed_interference(
             np.less(uniforms.random(out=draws[:k]), p, out=active[:k])
             at = np.flatnonzero(active[:k])
             hits = at.size
-            np.divmod(at, n, out=(at, col[:hits]))  # (trial, interferer) of each hit
-            g = np.take(loss, col[:hits], out=gain[:hits], mode="clip")  # "raise" buffers out
+            g = np.take(tiled, at, out=gain[:hits], mode="clip")  # "raise" buffers out
             g *= _fading(rng, f, draws[:hits])
+            np.floor_divide(at, n, out=at)  # the trial of each hit
             interference[a:b] = np.bincount(at, weights=g, minlength=b - a)
             del at  # with the next slab's hits alive as well, glibc maps fresh pages
         else:  # a dot per row rounds the same in any slab; a gemv rounds by row position
@@ -345,21 +363,23 @@ def _ppp_interference(
     positions = rng if whole else _SCRATCH.read(rng, total)
     gains, draws = _SCRATCH.take("gain", room), _SCRATCH.take("draws", min(room, _SLAB))
     sums = np.empty(busy.size)
-    d, pl = model.geometry.d, model.path_loss
+    d, pl, f = model.geometry.d, model.path_loss, model.fading.interferer
     volume = math.prod([radius] * d)  # r * r in 2-D, which pow(r, 2) is not always
     i = 0
     while i < busy.size:  # busy trials i..j-1 make one slab
         j = busy.size if whole else max(i + 1, int(edges.searchsorted(edges[i] + _SLAB, "right")) - 1)
         u = positions.random(out=gains[:edges[j] - edges[i]])
-        if isinstance(pl, PowerLaw):  # |x|^-alpha = (R^d u)^(-alpha/d): no sqrt in 2-D
-            u *= volume
-            np.power(u, -pl.alpha / d, out=u)
-        else:  # e^(-delta R sqrt(u)), in place
-            np.sqrt(u, out=u)
-            u *= radius
-            u *= -pl.delta
-            np.exp(u, out=u)
-        _fade(rng, model.fading.interferer, u, draws)
+        for a in range(0, u.size, draws.size):  # `draws` holds the spare, then the fading
+            part = u[a:a + draws.size]
+            if isinstance(pl, PowerLaw):  # |x|^-alpha = (R^d u)^(-alpha/d)
+                part *= volume
+                _inverse_power(part, pl.alpha / d, draws)
+            else:  # e^(-delta R sqrt(u)), in place
+                np.sqrt(part, out=part)
+                part *= radius
+                part *= -pl.delta
+                np.exp(part, out=part)
+            part *= _fading(rng, f, draws[:part.size])
         sums[i:j] = np.add.reduceat(u, edges[i:j] - edges[i])  # out= is slower
         i = j
     interference[busy] = sums
@@ -376,15 +396,14 @@ def _batch_sir(
     size: int,
 ) -> np.ndarray:
     """One chunk of SIR samples; a PPP window holds Poisson(`points`) transmitters."""
-    with np.errstate(over="ignore"):  # a gain past the float range is inf: SIR 0
+    with np.errstate(over="ignore", divide="ignore"):  # a gain past the float range, or 1/0, is inf: SIR 0
         if distances is not None:
             interference = _fixed_interference(
                 rng, model.fading.interferer, p, _loss_vector(model, distances), size)
         else:
             interference = _ppp_interference(rng, model, points, window.radius, size)
-    interference += window.tail_mean
-    desired = _fading(rng, model.fading.desired, np.empty(size))
-    with np.errstate(divide="ignore"):
+        interference += window.tail_mean
+        desired = _fading(rng, model.fading.desired, np.empty(size))
         return np.where(interference > 0.0, desired / np.maximum(interference, 1e-300), np.inf)
 
 

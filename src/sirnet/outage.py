@@ -65,11 +65,12 @@ def _bounded(value: float, lower: float, upper: float, method: str) -> SuccessPr
     return SuccessProbability(value, lower, upper, method)
 
 
-def sandwich(value: float, p: float, gamma: float, method: str = "closed-form") -> SuccessProbability:
-    """An ALOHA value with its contention bounds 1 - p gamma and exp(-p gamma)."""
-    lower = max(0.0, 1.0 - p * gamma)
-    upper = _clamp_ps(math.exp(-p * gamma))
-    return _bounded(_clamp_ps(value), lower, upper, method)
+def sandwich(value: float, p: float, gamma: float, method: str = "closed-form",
+             linear: bool = False) -> SuccessProbability:
+    """An ALOHA value with its contention bounds 1 - p gamma and exp(-p gamma); a
+    `linear` value (one interferer) is 1 - p gamma itself, so its own lower bound."""
+    lower = _clamp_ps(value) if linear else max(0.0, 1.0 - p * gamma)
+    return _bounded(_clamp_ps(value), lower, _clamp_ps(math.exp(-p * gamma)), method)
 
 
 def _check(theta: float, p: float) -> None:

@@ -1,7 +1,9 @@
 """The simulator kernel that draws a chunk's PPP positions and ALOHA uniforms
 whole, before any fading: the reference that tests/test_montecarlo.py compares
 sirnet.montecarlo._batch_sir against, which reads them in slabs from a copy of
-the stream. Both draw the same random stream, so every SIR sample is `==`.
+the stream. Both draw the same random stream, and both take a power-law PPP
+gain from `_inverse_power`, so every SIR sample is `==`: this compares slab with
+whole-chunk reading, and tests/dense_kernel.py checks the gain's accuracy.
 """
 
 import math
@@ -9,6 +11,7 @@ import math
 import numpy as np
 
 from sirnet.model import PowerLaw
+from sirnet.montecarlo import _inverse_power
 
 _SLAB = 1 << 15
 
@@ -61,8 +64,8 @@ def _batch_sir(model, p, points, window, distances, rng, size):
         r, d, pl = window.radius, model.geometry.d, model.path_loss
         if isinstance(pl, PowerLaw):
             u *= math.prod([r] * d)
-            with np.errstate(over="ignore"):
-                np.power(u, -pl.alpha / d, out=u)
+            with np.errstate(over="ignore", divide="ignore"):
+                _inverse_power(u, pl.alpha / d, np.empty_like(u))
         else:
             _loss_vector(model, np.multiply(np.sqrt(u, out=u), r, out=u), out=u)
         gain = _fade(rng, case.interferer, u)

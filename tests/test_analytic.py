@@ -190,3 +190,33 @@ def test_tdma_gamma_is_the_slope_for_any_interferer_fading():
             gamma = analytic.spatial_contention(model, Tdma(1000), 2.0)
             ps = analytic.success_probability(model, Tdma(1000), 2.0).value
             assert (1.0 - ps) * 1000.0 ** 3 == pytest.approx(gamma, rel=1e-6), (cls, case)
+
+
+@pytest.mark.parametrize("label", ["1/0", "1/1", "1/m4", "1/m0.5", "0/1", "m4/1", "m0.5/1"])
+def test_single_success_keeps_its_digits_near_p_one(label):
+    """p_s = (1 - p) + p q, with q = P(success | the interferer transmits) taken
+    straight from its Laplace transform, matches 40-digit mpmath to 1e-12 where
+    1 - p gamma cancels (q from 1e-3 down to 1e-21), and keeps lower <= value <= upper."""
+    mp = pytest.importorskip("mpmath")
+
+    def log_laplace(x, m):  # log E exp(-x h), h of unit mean with Nakagami m (None: static)
+        return -x if m is None else -m * mp.log1p(x / m)
+
+    case = class_model("single", 4.0, label, r=1.2).fading
+    with mp.workdps(40):
+        checked = 0
+        for theta in (3.0, 10.0, 30.0, 60.0, 100.0, 1e4, 1e6, 1e8):
+            xi = mp.mpf(1.2) ** 4 / theta
+            if case.desired.is_rayleigh:
+                q = mp.exp(log_laplace(1 / xi, case.interferer.m))
+            else:
+                q = -mp.expm1(log_laplace(xi, case.desired.m))
+            if q > 1e-3:
+                continue
+            for p in (1.0, 1.0 - 1e-9, 0.999):
+                r = analytic.success_probability(class_model("single", 4.0, label, r=1.2), Aloha(p), theta)
+                exact = (1 - mp.mpf(p)) + mp.mpf(p) * q
+                assert r.value == pytest.approx(float(exact), rel=1e-12, abs=0.0), (theta, p)
+                assert r.lower_bound <= r.value <= r.upper_bound, (theta, p)
+            checked += 1
+    assert checked

@@ -852,3 +852,15 @@ def test_csv_golden():
     csv.row(1.5, np.float64(1 / 3), 7, True, False, None, "x", math.inf, math.nan, -0.0)
     assert out.getvalue() == ("# sirnet csv v1\na,b\n"
                               "1.5,0.3333333333,7,yes,no,,x,inf,nan,-0\n")
+
+
+def test_outage_single_near_p_one_prints_the_exact_success(capsys):
+    """At p = 1 one Rayleigh-faded link against a static interferer succeeds
+    with e^(-theta r^-alpha); as 1 - p gamma it printed 2.714495295e-13 at
+    theta 60 and 0 at theta 100. Its lower bound is the value itself."""
+    for theta, value in (("60", "2.713993113e-13"), ("100", "1.137665449e-21")):
+        argv = f"outage --class single --case 1/0 --alpha 4 --r 1.2 --theta {theta} --p 1"
+        assert main(argv.split()) == 0
+        row = data_rows(capsys.readouterr().out)[1][0]
+        assert (row["value"], row["lower"]) == (value, value)
+        assert float(row["lower"]) <= float(row["value"]) <= float(row["upper"])

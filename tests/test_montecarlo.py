@@ -5,6 +5,7 @@ import resource
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -354,3 +355,62 @@ def test_warm_sweep_maps_few_fresh_pages():
         for _ in range(3):
             run()
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before <= 50, i
+
+
+PRODUCT_POWERS = (1.5, 2.0, 2.5, 3.0, 4.0)  # ppp2 alpha 3, 4, 5 and 8, ppp1 alpha 2, 3 and 4
+
+
+def test_product_gain_is_within_4_ulp_of_mpmath():
+    """x^-k by products, one sqrt and one reciprocal stays within 4 ulp of
+    40-digit mpmath for each special-cased k, on x = R^d u with u from 2^-53 to
+    1 (log-spread) and R^d from 2 to 4e6; every other k is np.power's, bit for bit."""
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(8)
+    u = np.concatenate([2.0 ** -rng.uniform(0.0, 53.0, 1500), rng.random(500)])
+    for volume in (2.0, 2000.0, 4e6):
+        x = u * volume
+        for k in PRODUCT_POWERS:
+            gain = montecarlo._inverse_power(x.copy(), k, np.empty_like(x))
+            with mp.workdps(40):
+                exact = [mp.mpf(float(v)) ** -mp.mpf(k) for v in x]
+            ulps = [abs(mp.mpf(float(g)) - e) / math.ulp(float(e)) for g, e in zip(gain, exact)]
+            assert max(ulps) <= 4, (k, volume)
+        for k in (1.0 / 3.0, 4.0 / 3.0, 3.5, 4.5):
+            assert np.array_equal(montecarlo._inverse_power(x.copy(), k, np.empty_like(x)),
+                                  np.power(x, -k)), k
+
+
+def test_a_uniform_of_zero_gives_an_infinite_gain_and_no_warning(monkeypatch):
+    """A PPP position drawn at exactly 0 gives gain inf and SIR 0 on the
+    product path and on np.power's, and the kernel raises no warning."""
+    inverse_power = montecarlo._inverse_power
+
+    def from_zero(x, k, spare):
+        x[0] = 0.0
+        return inverse_power(x, k, spare)
+
+    monkeypatch.setattr(montecarlo, "_inverse_power", from_zero)
+    for alpha in (3.0, 4.0, 4.5):  # k = 1.5, 2 and 2.25
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = simulate_sir_samples(class_model("ppp2", alpha), Aloha(0.1), SimConfig(500, 2)).values
+        assert (values == 0.0).any(), alpha
+    with np.errstate(divide="ignore"):
+        for k in PRODUCT_POWERS + (3.5, 4.5):
+            assert inverse_power(np.zeros(3), k, np.empty(3)).tolist() == [math.inf] * 3, k
+
+
+def test_a_cached_stream_key_draws_a_fresh_seeding():
+    """The Generator _rng gives for a (seed, key), set from the cached start
+    state, draws what a fresh PCG64 of that SeedSequence draws, for block keys
+    (b,) and sub-chunk keys (b, sub), on the first call and from the cache."""
+    montecarlo._start.cache_clear()
+    keys = [(0,), (3,), (0, 0), (2, 5)]
+    for seed in (0, 7, 2 ** 40):
+        for key in keys + keys:
+            fresh = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+            rng = montecarlo._rng(seed, key)
+            assert np.array_equal(rng.random(1000), fresh.random(1000)), (seed, key)
+            assert np.array_equal(rng.standard_exponential(7), fresh.standard_exponential(7))
+    info = montecarlo._start.cache_info()
+    assert (info.misses, info.hits) == (12, 12)

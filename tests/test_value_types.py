@@ -183,3 +183,24 @@ def test_a_fresh_cli_import_loads_neither_dataclasses_nor_numpy_random():
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=env, timeout=120, check=True).stdout.split()
     assert out == ["False", "False", "False"]
+
+
+def test_a_type_with_no_fields():
+    """A parameterless value type has () as its fields: all its instances are
+    equal, hash as (), print as Name() and stay frozen."""
+    from sirnet.model import _value_type
+
+    @_value_type
+    class Grid:
+        pass
+
+    @_value_type
+    class Other:
+        pass
+
+    assert Grid() == Grid() and hash(Grid()) == hash(()) and repr(Grid()) == f"{Grid.__qualname__}()"
+    assert Grid() != Other() and Grid.__match_args__ == ()
+    with pytest.raises(AttributeError):
+        Grid().d = 2
+    with pytest.raises(TypeError):
+        Grid(1)
